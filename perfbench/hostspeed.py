@@ -13,9 +13,11 @@ speed of whichever CPU that process is on while the operation runs:
 
 * ``python``: Python loops over small numpy arrays, like the row solvers;
 * ``stream``: one numpy pass over a 12 MB array into a fresh temporary,
-  like the multiplicative update's whole-tensor passes.  Only the
-  benchmark process runs it: in a CLI child its temporary would land in
-  the peak RSS that the child reports.
+  like the multiplicative update's whole-tensor passes.  It runs only in a
+  benchmark process that has an operation to normalise by it: elsewhere
+  it would only add to every operation and flush the program's cache, and
+  in a CLI child its temporary would land in the peak RSS that the child
+  reports.
 
 An operation's time at reference speed is its wall time times the mean of
 ``REFERENCE_S[kind] / kernel time`` over the samples taken during it, for
@@ -66,6 +68,9 @@ def stream_kernel() -> float:
     return time.perf_counter() - t0
 
 
+KERNELS = {"python": python_kernel, "stream": stream_kernel}
+
+
 class Sampler:
     """Kernel samples taken from a SIGALRM timer.
 
@@ -74,7 +79,7 @@ class Sampler:
     sampler runs; :meth:`paused` lends them out.
     """
 
-    def __init__(self, stream: bool = True):
+    def __init__(self, stream: bool = False):
         # (time, python kernel seconds, stream kernel seconds or None)
         self.samples: list[tuple] = []
         self.stream = stream
@@ -112,19 +117,27 @@ class Sampler:
               t1: float = float("inf")) -> float:
         """Mean of REFERENCE_S / kernel time over the samples in [t0, t1]
         for kernel ``kind``."""
-        column = 1 if kind == "python" else 2
-        inside = [s[column] for s in self.samples if t0 <= s[0] <= t1]
+        samples = self._sampled(kind)
+        inside = [c for t, c in samples if t0 <= t <= t1]
         if len(inside) < MIN_SAMPLES:
             mid = 0.5 * (t0 + t1) if t1 < float("inf") else 0.0
-            nearest = sorted(self.samples, key=lambda s: abs(s[0] - mid))
-            inside = [s[column] for s in nearest[:MIN_SAMPLES]]
+            nearest = sorted(samples, key=lambda s: abs(s[0] - mid))
+            inside = [c for _, c in nearest[:MIN_SAMPLES]]
         if not inside:
-            inside = [python_kernel() if kind == "python" else stream_kernel()]
+            inside = [KERNELS[kind]()]
         return sum(REFERENCE_S[kind] / c for c in inside) / len(inside)
 
     def mean_kernel_s(self, kind: str) -> float:
+        """Mean kernel time over the samples; a kernel this sampler did not
+        run is timed MIN_SAMPLES times now, after the operations."""
+        times = [c for _, c in self._sampled(kind)]
+        if not times:
+            times = [KERNELS[kind]() for _ in range(MIN_SAMPLES)]
+        return sum(times) / len(times)
+
+    def _sampled(self, kind: str) -> list[tuple]:
         column = 1 if kind == "python" else 2
-        return sum(s[column] for s in self.samples) / max(1, len(self.samples))
+        return [(s[0], s[column]) for s in self.samples if s[column] is not None]
 
 
 def peak_rss_kb() -> int:
@@ -146,7 +159,7 @@ def child_main() -> None:
     ``sys.argv[1:]`` (or only its import, for ``--import-only``) with a
     Python-kernel sampler running; its speed and its peak RSS go to the file
     named by ``PERFBENCH_SPEED_OUT``."""
-    sampler = Sampler(stream=False)
+    sampler = Sampler()
     code = 1
     with sampler.running():
         try:

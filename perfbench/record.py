@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Record the reference outputs that every benchmark run is checked against.
 
-    python3 perfbench/record.py                       # every workload
-    python3 perfbench/record.py --workload short-rows  # one workload
+    python3 perfbench/record.py
 
-For each workload it records, for the default seed 0 and the held-out seed
+For every workload it records, for the default seed 0 and the held-out seed
 HELD_OUT_SEED, the non-timing outputs of the traced in-process fits (sweeps,
 KL objective, exact zeros, inner iterations), the input's nnz, and the
 outputs of one CLI chain (file digests, trace rows without timings, the
@@ -54,16 +53,12 @@ def record_chain(workload) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", default="all")
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
     sys.path.insert(0, str(run.SRC))
     import workloads as W
 
-    names = list(W.WORKLOADS) if args.workload == "all" else [args.workload]
-    reference = json.loads(run.REFERENCE.read_text()) if run.REFERENCE.exists() else {}
-    for name in names:
-        workload = W.WORKLOADS[name]
+    reference = {}
+    for name, workload in W.WORKLOADS.items():
         seeds = {}
         for seed in (0, HELD_OUT_SEED):
             seeds[str(seed)], nnz = record_fits(workload, seed)

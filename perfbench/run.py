@@ -25,6 +25,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,13 +45,15 @@ MIN_FIT_S = 1.0
 # memory, so such fits are normalised by the stream kernel.  Everything
 # else (row solvers, smaller mu fits, set-up, CLI stages, traced layers)
 # is bound by Python and numpy call overhead and uses the Python kernel.
+# kernel_check.py measures which kernel tracks an operation.
 STREAM_BYTES = 8 << 20
+PROBE_RANKS = (5, 20, 50)
+MAX_MESSAGES = 20
 
 
 def fit_kernel(method: str, nnz: int, rank: int) -> str:
+    """The hostspeed kernel that normalises an untraced fit's time."""
     return "stream" if method == "mu" and nnz * rank * 8 > STREAM_BYTES else "python"
-PROBE_RANKS = (5, 20, 50)
-MAX_MESSAGES = 20
 
 
 class Tally:
@@ -88,12 +91,18 @@ class Bench:
         self.exact = seed_ref is not None
         self.fit_ref = (seed_ref or self.ref["seeds"]["0"])["fit"]
         self.tally = Tally()
-        self.sampler = hostspeed.Sampler()
+        self.sampler = hostspeed.Sampler(
+            stream=fit_kernel("mu", self.ref["nnz"], workload.rank) == "stream")
         self.workdir = WORK / workload.name
         self.inputs = None
         self.setup_s: list[float] = []  # at reference speed
         self.import_s: list[float] = []  # at reference speed
-        self.fit_s = {}  # method -> fit times at reference speed
+        self.fit_s = {}  # method -> untraced fit times at reference speed
+        # Operation (``fit_s.<m>``, ``traced.fit_s.<m>``, ``setup_s``,
+        # ``chain_s``) -> raw wall times, and fit times scaled by the
+        # Python kernel whatever fit_kernel says.
+        self.wall_s = defaultdict(list)
+        self.python_s = defaultdict(list)
 
     # ----------------------------------------------------------- set-up
 
@@ -119,6 +128,7 @@ class Bench:
             self.tally.record("setup", errors)
             self.setup_s.append(child.ref_seconds + self.at_reference(t0, t1))
             self.import_s.append(child.ref_seconds)
+            self.wall_s["setup_s"].append(child.seconds + t1 - t0)
 
     def at_reference(self, t0: float, t1: float) -> float:
         """In-process set-up wall time t1 - t0 at reference speed."""
@@ -137,6 +147,10 @@ class Bench:
             self.tally.record(f"fit {method}", [repr(exc)])
             return None
         t1 = time.perf_counter()
+        key = f"fit_s.{method}" if fit_fn is None else f"traced.fit_s.{method}"
+        self.wall_s[key].append(outcome.seconds)
+        self.python_s[key].append(
+            outcome.seconds * self.sampler.speed("python", t0, t1))
         if fit_fn is None:
             kind = fit_kernel(method, self.inputs.tensor.nnz, self.workload.rank)
             self.fit_s.setdefault(method, []).append(
@@ -172,6 +186,8 @@ class Bench:
         errors = W.check_chain(chain, self.ref["chain"])
         for stage in W.STAGES:
             self.tally.record(f"cli {stage}", errors.get(stage, ["not run"]))
+        if chain.outputs:
+            self.wall_s["chain_s"].append(chain.seconds)
         return chain
 
     def timed_round(self, index: int, fits: dict, chains: list) -> None:
@@ -270,19 +286,25 @@ class Bench:
             if stage in stages:
                 metrics[f"cli.{stage}_s"] = (stages[stage].ref_seconds, "s")
                 metrics[f"cli.peak_rss_mb.{stage}"] = (stages[stage].peak_rss_mb, "MB")
-        both = [m for m in traced if self.fit_s.get(m)]
-        untraced = sum(self.fit_s[m][0] for m in both)
+        # Traced over untraced fit time, both sides scaled by the Python
+        # kernel; the untraced side is the median of the round's repetitions.
+        both = [m for m in traced if self.python_s[f"fit_s.{m}"]]
+        untraced = sum(statistics.median(self.python_s[f"fit_s.{m}"]) for m in both)
         metrics["tracing.overhead_ratio"] = (
-            sum(traced[m].seconds for m in both) * speed / untraced
+            sum(self.python_s[f"traced.fit_s.{m}"][0] for m in both) / untraced
             if untraced else 0.0, "ratio")
-        for method in W.METHODS:
-            if fits[method]:
-                metrics[f"wall.fit_s.{method}"] = (fits[method][0].seconds, "s")
-        if chains:
-            metrics["wall.chain_s"] = (chains[0].seconds, "s")
+        wall = self.wall_medians()
+        for name in [f"fit_s.{m}" for m in W.METHODS] + ["chain_s"]:
+            if name in wall:
+                metrics[f"wall.{name}"] = (wall[name], "s")
         metrics["host.kernel_ms"] = (self.sampler.mean_kernel_s("python") * 1e3, "ms")
         metrics["host.stream_kernel_ms"] = (self.sampler.mean_kernel_s("stream") * 1e3, "ms")
         return metrics
+
+    def wall_medians(self) -> dict:
+        """Median raw wall time of each operation over the run."""
+        return {name: statistics.median(times)
+                for name, times in self.wall_s.items() if times}
 
     def traced_chain(self, main) -> float:
         """The CLI chain in this process under the tracer; returns the COO
@@ -423,9 +445,12 @@ def run_one(name: str, seed: int, seconds: float, trace: bool,
     result = result_line(bench.tally, metrics)
     machine = machine_record()
     WORK.mkdir(parents=True, exist_ok=True)
+    wall = bench.wall_medians()
+    kinds = ("python", "stream") if bench.sampler.stream else ("python",)
+    kernel_ms = {kind: bench.sampler.mean_kernel_s(kind) * 1e3 for kind in kinds}
     record = {"workload": name, "seed": seed, "seconds": seconds,
-              "trace": int(trace), "machine": machine,
-              "messages": bench.tally.messages, **result}
+              "trace": int(trace), "machine": machine, "wall_s": wall,
+              "kernel_ms": kernel_ms, "messages": bench.tally.messages, **result}
     out = WORK / f"{name}-seed{seed}-trace{int(trace)}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"machine {json.dumps(machine)}")
@@ -435,6 +460,10 @@ def run_one(name: str, seed: int, seconds: float, trace: bool,
         print(f"  mismatch {message}", file=sys.stderr)
     for metric, (value, unit) in metrics.items():
         print(f"  {metric:<40} {value:>16.6g} {unit}")
+    kernels = ", ".join(f"{kind} {ms:.3f} ms" for kind, ms in kernel_ms.items())
+    print(f"raw wall medians (not normalised); mean kernel time {kernels}:")
+    for metric, value in wall.items():
+        print(f"  {metric:<40} {value:>16.6g} s")
     return result
 
 

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import kernel_check
 import record
 import run
 import tracing
@@ -125,6 +126,29 @@ def test_correct_reference_passes(workdir, tiny_reference):
     assert bench.tally.attempted == len(bench.setup_s) + fits + 1 + 3
     ref = tiny_reference["tiny"]["seeds"]["0"]["fit"]["pdnr"]
     assert metrics["sweeps.pdnr"][0] == ref["sweeps"]
+    # the run record keeps raw wall medians of every timed operation
+    wall = bench.wall_medians()
+    assert set(wall) == {"setup_s", "chain_s", *(f"fit_s.{m}" for m in W.METHODS)}
+    assert all(len(bench.wall_s[f"fit_s.{m}"]) == len(bench.fit_s[m])
+               for m in W.METHODS)
+
+
+def test_stream_kernel_runs_only_where_a_fit_uses_it(tiny_reference):
+    kinds = {}
+    for name in ("tiny", *W.WORKLOADS):
+        workload = TINY if name == "tiny" else W.WORKLOADS[name]
+        bench = run.Bench(workload, 0, 1.0, tiny_reference)
+        kinds[name] = bench.sampler.stream
+    assert kinds == {"tiny": False, "acceptance-fit": False,
+                     "short-rows": False, "cli-large": True}
+
+
+def test_kernel_check_reports_every_kernel(capsys):
+    assert kernel_check.main(["--workload", "acceptance-fit", "--method", "mu",
+                              "--repeats", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[1:]] == ["raw", "python", "stream"]
+    assert "fit_kernel" in lines[2]
 
 
 @pytest.mark.parametrize("path", [

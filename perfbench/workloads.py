@@ -56,6 +56,8 @@ RELABEL_RTOL = {
 }
 # Agreement of two computations of one objective (evaluate vs trace.csv).
 OBJECTIVE_RTOL = 1e-9
+# Convergence tolerance of every fit, in-process and in the CLI chain.
+TAU = 1e-4
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,6 @@ class Workload:
     samples: int
     gen_seed: int
     outer_max: int  # sweep cap of the in-process fits and the CLI factorize
-    tau: float = 1e-4
     converges: bool = False  # every fit must reach tau within outer_max
 
     def gen_config(self) -> GenConfig:
@@ -153,7 +154,7 @@ class FitOutcome:
 def run_fit(workload: Workload, inputs: Inputs, method: str,
             fit_fn=fit, workers: int = 1, init=None) -> FitOutcome:
     config = FitConfig(method=method, rank=workload.rank,
-                       outer_max=workload.outer_max, tau=workload.tau,
+                       outer_max=workload.outer_max, tau=TAU,
                        seed=0, workers=workers)
     start = init if init is not None else inputs.init
     t0 = time.perf_counter()
@@ -211,7 +212,7 @@ def write_chain_configs(workload: Workload, workdir: Path) -> None:
     workdir.mkdir(parents=True, exist_ok=True)
     gen = {"dims": list(workload.dims), "rank": workload.rank,
            "samples": workload.samples, "seed": workload.gen_seed}
-    fac = {"method": "pdnr", "rank": workload.rank, "tau": workload.tau,
+    fac = {"method": "pdnr", "rank": workload.rank, "tau": TAU,
            "outer_max": workload.outer_max, "seed": 0, "workers": 1,
            "tensor": str(workdir / "data" / "tensor.coo")}
     (workdir / "generate.json").write_text(json.dumps(gen) + "\n")
