@@ -7,10 +7,10 @@ factorize  fit a tensor, writing the model and a per-iteration trace
 evaluate   score a fitted model against a truth model and tensor
 bench      sweep methods x ranks x seeds, writing a timing table
 
-Exit codes: 0 success, 1 non-convergence under --strict, 2 usage or
-configuration error.  All randomness flows from seeds in the config, so
-re-running a command reproduces every non-timing output bit for bit; each
-run writes a manifest recording the resolved config and its hash.
+Exit codes: 0 success, 1 non-convergence under --strict, 2 usage,
+configuration or data error.  All randomness flows from seeds in the
+config, so re-running a command reproduces every non-timing output bit for
+bit; each run writes a manifest recording the resolved config and its hash.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .baselines import MuParams
 from .driver import METHODS, FitConfig, fit, write_trace
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .evaluation import (
     DEFAULT_ZERO_THRESHOLDS,
     exact_zero_count,
@@ -62,6 +62,14 @@ def _require(config: dict, key: str, kind, what: str):
 
 def _int_list(value):
     return [int(v) for v in value]
+
+
+def _read_tensor(path):
+    """Read a COO tensor, reporting malformed or invalid data as DataError."""
+    try:
+        return read_coo(path)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
 
 
 def _write_manifest(outdir: Path, command: str, resolved: dict, outputs):
@@ -176,7 +184,9 @@ def cmd_factorize(args) -> int:
     if init_path:
         init = normalize(load_model(init_path))
         resolved["init_model"] = str(init_path)
-    tensor = read_coo(tensor_path)
+    tensor = _read_tensor(tensor_path)
+    if tensor.nnz == 0:
+        raise DataError(f"{tensor_path}: no nonzero entries to fit")
     result = fit(tensor, fit_config, init=init)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -195,7 +205,7 @@ def cmd_factorize(args) -> int:
 def cmd_evaluate(args) -> int:
     model = normalize(load_model(args.model))
     truth = normalize(load_model(args.truth))
-    tensor = read_coo(args.tensor)
+    tensor = _read_tensor(args.tensor)
     report = score_greedy(model, truth)
     zeros = exact_zero_count(model)
     per_mode, kkt_max = full_kkt_violation(tensor, model)
@@ -329,10 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, DataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

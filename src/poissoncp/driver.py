@@ -27,7 +27,6 @@ from .kruskal import KruskalModel, _pi_product, kl_objective, normalize
 from .row_solver import (
     LbfgsStore,
     RowProblem,
-    RowSolveReport,
     SolverParams,
     solve_row_pdnr,
     solve_row_pqnr,
@@ -145,7 +144,6 @@ class ModeSweepReport:
     inner_iterations: int = 0
     line_search_failures: int = 0
     fallback_steps: int = 0
-    row_reports: list[RowSolveReport] = field(default_factory=list)
     timed_out: bool = False
 
 
@@ -245,7 +243,6 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
             solver, stores, workers, deadline,
         )
         report.rows_solved = len(reports)
-        report.row_reports = reports
         report.inner_iterations = sum(r.iterations for r in reports)
         report.line_search_failures = sum(r.backtrack_failures for r in reports)
         report.fallback_steps = sum(r.fallback_steps for r in reports)

@@ -30,6 +30,10 @@ class ConfigError(ValueError):
     """A run configuration file is missing fields or has invalid values."""
 
 
+class DataError(ValueError):
+    """An input data file is malformed or holds invalid values."""
+
+
 class ZeroColumnWarning(UserWarning):
     """A factor column was identically zero during normalization; its weight
     was set to zero and the column replaced by a uniform distribution."""

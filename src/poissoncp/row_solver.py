@@ -15,18 +15,20 @@ strictly so whenever the pi columns span R^R.  Two solvers are provided:
 * ``solve_row_pqnr``: projected quasi-Newton.  The free-set direction comes
   from a limited-memory BFGS approximation applied over all variables.
 
-Both use a projected backtracking line search satisfying an Armijo
-condition, and fall back to one multiplicative-update step when the search
-fails, so progress is always made.
+Both run one shared loop that differs only in that free-set direction.
+It uses a projected backtracking line search satisfying an Armijo
+condition, and falls back to one multiplicative-update step when the
+search fails, so progress is always made.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import FactorizationFailureError, UndefinedAtZeroModelError
 
@@ -135,6 +137,7 @@ class LineSearchResult(NamedTuple):
     f_next: float
     f_unit: float  # objective at the projected unit step, for damping updates
     evals: int
+    m_next: Optional[np.ndarray] = None  # b_next @ pi of an accepted step
 
 
 def _cell_values(problem: RowProblem, b: np.ndarray) -> np.ndarray:
@@ -208,7 +211,8 @@ def partition_variables(b: np.ndarray, g: np.ndarray, epsilon: float):
     variables within eps_k of zero with positive gradient, and free holds
     the rest.  The three masks partition 1..R.
     """
-    w = float(np.linalg.norm(b - np.maximum(b - g, 0.0)))
+    v = b - np.maximum(b - g, 0.0)
+    w = math.sqrt(v.dot(v))
     eps_k = min(w, epsilon)
     positive_grad = g > 0.0
     active = (b == 0.0) & positive_grad
@@ -219,7 +223,8 @@ def partition_variables(b: np.ndarray, g: np.ndarray, epsilon: float):
 
 def damped_newton_direction(hess_free: np.ndarray, grad_free: np.ndarray,
                             mu: float) -> np.ndarray:
-    """Solve (H + mu*I) d = -g on the free block by Cholesky factorization.
+    """Solve (H + mu*I) d = -g on the free block by Cholesky factorization
+    (LAPACK potrf/potrs on the lower triangle).
 
     Raises FactorizationFailureError when the damped matrix cannot be
     factored, which is possible only for mu = 0 with singular H.
@@ -227,12 +232,12 @@ def damped_newton_direction(hess_free: np.ndarray, grad_free: np.ndarray,
     k = grad_free.shape[0]
     if k == 0:
         return np.zeros(0)
-    damped = hess_free + mu * np.eye(k)
-    try:
-        cho = scipy.linalg.cho_factor(damped, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(cho, -grad_free, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationFailureError(str(exc)) from exc
+    chol, info = dpotrf(hess_free + mu * np.eye(k), lower=1, clean=0)
+    if info > 0:
+        raise FactorizationFailureError(
+            f"{info}-th leading minor of the damped block is not positive definite"
+        )
+    return dpotrs(chol, -grad_free, lower=1)[0]
 
 
 def assemble_direction(d_free: np.ndarray, g: np.ndarray, sets) -> np.ndarray:
@@ -255,7 +260,8 @@ def armijo_projected_search(problem: RowProblem, b: np.ndarray, f_b: float,
     Trial points where the predicted change is not a strict decrease, or
     where f is +inf, fail the test and trigger another backtrack.  When t
     exceeds ``max_backtracks`` the result carries ``alpha=None`` and the
-    caller applies a fallback step.
+    caller applies a fallback step.  An accepted result carries the cell
+    values ``m_next = b_next @ pi`` for the caller's next gradient.
     """
     f_unit = float("inf")
     evals = 0
@@ -264,12 +270,13 @@ def armijo_projected_search(problem: RowProblem, b: np.ndarray, f_b: float,
         b_try = np.maximum(b + step * d, 0.0)
         predicted = float(g @ (b_try - b))
         if predicted < 0.0:
-            f_try = _f_at(problem, b_try)
+            m_try = _cell_values(problem, b_try)
+            f_try = _f_at(problem, b_try, m_try)
             evals += 1
             if t == 0:
                 f_unit = f_try
             if f_try - f_b <= params.sigma * predicted:
-                return LineSearchResult(step, b_try, f_try, f_unit, evals)
+                return LineSearchResult(step, b_try, f_try, f_unit, evals, m_try)
     return LineSearchResult(None, b, f_b, f_unit, evals)
 
 
@@ -331,7 +338,7 @@ class LbfgsStore:
         s = np.asarray(s, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         sy = float(s @ y)
-        if sy <= CURVATURE_SKIP_REL * float(np.linalg.norm(s) * np.linalg.norm(y)):
+        if sy <= CURVATURE_SKIP_REL * (math.sqrt(s.dot(s)) * math.sqrt(y.dot(y))):
             self.skipped += 1
             return False
         self._s.append(s.copy())
@@ -362,17 +369,20 @@ class LbfgsStore:
 
 def _repair_start(problem: RowProblem, b: np.ndarray):
     """Make the start feasible when exact zeros in b leave a positive count
-    with zero model value; returns (b, f(b)) which may still be infinite
-    when no lift can help (an all-zero pi column under a positive count)."""
-    f_b = _f_at(problem, b)
-    if np.isfinite(f_b):
-        return b, f_b
+    with zero model value; returns (b, f(b), b @ pi) where f(b) may still be
+    infinite when no lift can help (an all-zero pi column under a positive
+    count)."""
+    m = _cell_values(problem, b)
+    f_b = _f_at(problem, b, m)
+    if math.isfinite(f_b):
+        return b, f_b, m
     scale = float(b.max()) if b.size and b.max() > 0 else 1.0
     lifted = np.where(b > 0.0, b, 1e-10 * scale)
-    f_lifted = _f_at(problem, lifted)
-    if np.isfinite(f_lifted):
-        return lifted, f_lifted
-    return b, f_b
+    m_lifted = _cell_values(problem, lifted)
+    f_lifted = _f_at(problem, lifted, m_lifted)
+    if math.isfinite(f_lifted):
+        return lifted, f_lifted, m_lifted
+    return b, f_b, m
 
 
 def _finish(b: np.ndarray, kkt: float, iters: int, ls_failures: int,
@@ -384,63 +394,6 @@ def _finish(b: np.ndarray, kkt: float, iters: int, ls_failures: int,
         backtrack_failures=ls_failures,
         fallback_steps=fallbacks,
     )
-
-
-def solve_row_pdnr(problem: RowProblem, params: Optional[SolverParams] = None):
-    """Projected damped Newton solve of one row subproblem.
-
-    Iterates gradient -> KKT check -> two-metric partition -> damped Newton
-    direction on the free set -> projected Armijo search -> damping update,
-    stopping when the KKT violation falls to ``params.tau`` or after
-    ``params.k_max`` steps.  Returns (b_star, RowSolveReport).
-    """
-    params = SolverParams() if params is None else params
-    epsilon = PDNR_EPSILON if params.epsilon is None else params.epsilon
-    b = problem.b.copy()
-    mu = params.mu0
-    iters = ls_failures = fallbacks = 0
-    b, f_b = _repair_start(problem, b)
-    if not np.isfinite(f_b):
-        report = _finish(b, float("inf"), 0, 0, 0)
-        return b, report
-    while True:
-        m = _cell_values(problem, b)
-        g = 1.0 - problem.pi @ (problem.x / m) if m.size else np.ones_like(b)
-        kkt = kkt_violation_row(b, g)
-        if kkt <= params.tau or iters >= params.k_max:
-            break
-        sets = partition_variables(b, g, epsilon)
-        active, gradient, free = sets
-        d_free = np.zeros(0)
-        model_decrease = 0.0
-        if free.any():
-            g_free = g[free]
-            h_free = _hessian_block(problem, m, free)
-            d_free, mu, solved = _damped_direction_with_retries(h_free, g_free, mu)
-            if not solved:
-                b = multiplicative_step(problem, b, m)
-                f_b = _f_at(problem, b)
-                fallbacks += 1
-                iters += 1
-                continue
-            model_decrease = float(
-                g_free @ d_free + 0.5 * d_free @ (h_free @ d_free)
-            )
-        d = assemble_direction(d_free, g, sets)
-        if not d.any():
-            break
-        result = armijo_projected_search(problem, b, f_b, g, d, params)
-        if d_free.size and d_free.any():
-            mu = update_damping(mu, f_b, result.f_unit, model_decrease)
-        if result.alpha is None:
-            ls_failures += 1
-            fallbacks += 1
-            b = multiplicative_step(problem, b, m)
-            f_b = _f_at(problem, b)
-        else:
-            b, f_b = result.b_next, result.f_next
-        iters += 1
-    return b, _finish(b, kkt, iters, ls_failures, fallbacks)
 
 
 def _damped_direction_with_retries(h_free, g_free, mu):
@@ -455,28 +408,20 @@ def _damped_direction_with_retries(h_free, g_free, mu):
     return np.zeros_like(g_free), mu, False
 
 
-def solve_row_pqnr(problem: RowProblem, params: Optional[SolverParams] = None,
-                   store: Optional[LbfgsStore] = None):
-    """Projected quasi-Newton solve of one row subproblem.
-
-    Same loop shape as :func:`solve_row_pdnr` with the free-set direction
-    taken from a limited-memory BFGS approximation over all variables; the
-    curvature pair from each accepted step feeds the store.  Passing a
-    ``store`` lets callers persist curvature between invocations.
-    Returns (b_star, RowSolveReport).
-    """
-    params = SolverParams() if params is None else params
-    epsilon = PQNR_EPSILON if params.epsilon is None else params.epsilon
-    b = problem.b.copy()
-    store = LbfgsStore(params.lbfgs_memory) if store is None else store
+def _solve_row(problem: RowProblem, params: SolverParams, epsilon: float,
+               store: Optional[LbfgsStore]):
+    """The loop shared by both solvers: gradient -> KKT check -> two-metric
+    partition -> free-set direction -> projected Armijo search, with a
+    multiplicative rescue step when no certified step is found.  The
+    free-set direction is damped Newton when ``store`` is None and the
+    L-BFGS two-loop over ``store`` otherwise."""
+    b, f_b, m = _repair_start(problem, problem.b.copy())
+    if not math.isfinite(f_b):
+        return b, _finish(b, float("inf"), 0, 0, 0)
+    mu = params.mu0
     iters = ls_failures = fallbacks = 0
-    b, f_b = _repair_start(problem, b)
-    if not np.isfinite(f_b):
-        report = _finish(b, float("inf"), 0, 0, 0)
-        return b, report
     prev_b = prev_g = None
     while True:
-        m = _cell_values(problem, b)
         g = 1.0 - problem.pi @ (problem.x / m) if m.size else np.ones_like(b)
         if prev_b is not None:
             store.update(b - prev_b, g - prev_g)
@@ -484,24 +429,72 @@ def solve_row_pqnr(problem: RowProblem, params: Optional[SolverParams] = None,
         if kkt <= params.tau or iters >= params.k_max:
             break
         sets = partition_variables(b, g, epsilon)
-        active, gradient, free = sets
-        # The free-set step is the free block of the inverse approximation
-        # applied to the free gradient, i.e. the two-loop acting on the
-        # gradient with non-free components zeroed.  Feeding the raw
-        # gradient instead lets large bound-set components leak into the
-        # free direction and ruin descent.
-        p = store.direction(np.where(free, g, 0.0))
-        d = assemble_direction(-p[free], g, sets)
-        if not d.any():
-            break
-        result = armijo_projected_search(problem, b, f_b, g, d, params)
-        prev_b, prev_g = b, g
-        if result.alpha is None:
-            ls_failures += 1
-            fallbacks += 1
-            b = multiplicative_step(problem, b, m)
-            f_b = _f_at(problem, b)
+        free = sets[2]
+        d_free = np.zeros(0)
+        model_decrease = None
+        solved = True
+        if store is not None:
+            # The free-set step is the free block of the inverse approximation
+            # applied to the free gradient, i.e. the two-loop acting on the
+            # gradient with non-free components zeroed.  Feeding the raw
+            # gradient instead lets large bound-set components leak into the
+            # free direction and ruin descent.
+            prev_b, prev_g = b, g
+            d_free = -store.direction(np.where(free, g, 0.0))[free]
+        elif free.any():
+            g_free = g[free]
+            h_free = _hessian_block(problem, m, free)
+            d_free, mu, solved = _damped_direction_with_retries(h_free, g_free, mu)
+            if solved:
+                model_decrease = float(
+                    g_free @ d_free + 0.5 * d_free @ (h_free @ d_free)
+                )
+        accepted = False
+        if solved:
+            d = assemble_direction(d_free, g, sets)
+            if not d.any():
+                break
+            result = armijo_projected_search(problem, b, f_b, g, d, params)
+            if model_decrease is not None and d_free.any():
+                mu = update_damping(mu, f_b, result.f_unit, model_decrease)
+            accepted = result.alpha is not None
+            if not accepted:
+                ls_failures += 1
+        if accepted:
+            b, f_b, m = result.b_next, result.f_next, result.m_next
         else:
-            b, f_b = result.b_next, result.f_next
+            b = multiplicative_step(problem, b, m)
+            m = _cell_values(problem, b)
+            f_b = _f_at(problem, b, m)
+            fallbacks += 1
         iters += 1
     return b, _finish(b, kkt, iters, ls_failures, fallbacks)
+
+
+def solve_row_pdnr(problem: RowProblem, params: Optional[SolverParams] = None):
+    """Projected damped Newton solve of one row subproblem.
+
+    Iterates gradient -> KKT check -> two-metric partition -> damped Newton
+    direction on the free set -> projected Armijo search -> damping update,
+    stopping when the KKT violation falls to ``params.tau`` or after
+    ``params.k_max`` steps.  Returns (b_star, RowSolveReport).
+    """
+    params = SolverParams() if params is None else params
+    epsilon = PDNR_EPSILON if params.epsilon is None else params.epsilon
+    return _solve_row(problem, params, epsilon, None)
+
+
+def solve_row_pqnr(problem: RowProblem, params: Optional[SolverParams] = None,
+                   store: Optional[LbfgsStore] = None):
+    """Projected quasi-Newton solve of one row subproblem.
+
+    Same loop as :func:`solve_row_pdnr` with the free-set direction taken
+    from a limited-memory BFGS approximation over all variables; the
+    curvature pair from each step feeds the store.  Passing a ``store``
+    lets callers persist curvature between invocations.
+    Returns (b_star, RowSolveReport).
+    """
+    params = SolverParams() if params is None else params
+    epsilon = PQNR_EPSILON if params.epsilon is None else params.epsilon
+    store = LbfgsStore(params.lbfgs_memory) if store is None else store
+    return _solve_row(problem, params, epsilon, store)

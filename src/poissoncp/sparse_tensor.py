@@ -84,6 +84,11 @@ def _check_mode(shape: Shape, mode: int) -> None:
         )
 
 
+def _one_based(sub0) -> tuple[int, ...]:
+    """A 0-based subscript row as a tuple of plain 1-based ints, for messages."""
+    return tuple(int(i) + 1 for i in sub0)
+
+
 @dataclass(frozen=True)
 class SparseCountTensor:
     """COO tensor of strictly positive integer counts; zeros are implicit.
@@ -141,12 +146,12 @@ class SparseCountTensor:
         if subs0.size and ((subs0 < 0).any() or (subs0 >= dims).any()):
             bad = np.flatnonzero(((subs0 < 0) | (subs0 >= dims)).any(axis=1))[0]
             raise IndexOutOfRangeError(
-                f"index {tuple(subs0[bad] + 1)} outside shape {shape.dims}"
+                f"index {_one_based(subs0[bad])} outside shape {shape.dims}"
             )
         if (vals <= 0).any():
             bad = np.flatnonzero(vals <= 0)[0]
             raise NonpositiveCountError(
-                f"count {vals[bad]} at index {tuple(subs0[bad] + 1)} is not positive"
+                f"count {vals[bad]} at index {_one_based(subs0[bad])} is not positive"
             )
         if subs0.shape[0]:
             order = np.lexsort(tuple(subs0[:, k] for k in range(shape.ndim - 1, -1, -1)))
@@ -155,7 +160,7 @@ class SparseCountTensor:
             dup = np.flatnonzero((np.diff(subs0, axis=0) == 0).all(axis=1))
             if dup.size:
                 raise DuplicateIndexError(
-                    f"duplicate index {tuple(subs0[dup[0]] + 1)}"
+                    f"duplicate index {_one_based(subs0[dup[0]])}"
                 )
         return cls(shape, subs0, vals)
 
@@ -290,23 +295,32 @@ def read_coo(path) -> SparseCountTensor:
 
     The first line is ``N I_1 ... I_N``; each following line is one nonzero
     ``i_1 ... i_N count`` with 1-based indices, whitespace separated.
+    Malformed or invalid data raises ValueError (or the validation error
+    subclass) with a message that starts with the path.
     """
     with open(path) as fh:
         header = fh.readline().split()
-        if not header:
-            raise ValueError(f"{path}: empty file")
-        n = int(header[0])
-        if len(header) != n + 1:
-            raise ValueError(f"{path}: header declares {n} modes but lists "
-                             f"{len(header) - 1} dimensions")
-        dims = tuple(int(d) for d in header[1:])
         body = fh.read().split()
+    try:
+        return _parse_coo(header, body)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _parse_coo(header, body) -> SparseCountTensor:
+    if not header:
+        raise ValueError("empty file")
+    n = int(header[0])
+    if len(header) != n + 1:
+        raise ValueError(f"header declares {n} modes but lists "
+                         f"{len(header) - 1} dimensions")
+    dims = tuple(int(d) for d in header[1:])
     if not body:
         return SparseCountTensor.from_arrays(
             dims, np.empty((0, n), dtype=np.int64), np.empty((0,), dtype=np.int64)
         )
     if len(body) % (n + 1):
-        raise ValueError(f"{path}: entries must have {n} indices plus a count")
+        raise ValueError(f"entries must have {n} indices plus a count")
     data = np.asarray(body, dtype=np.int64).reshape(-1, n + 1)
     return SparseCountTensor.from_arrays(dims, data[:, :n], data[:, n])
 

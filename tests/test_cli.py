@@ -159,3 +159,44 @@ class TestBench:
             for key in ("method", "rank", "seed", "final_objective",
                         "exact_zeros", "converged"):
                 assert r1[key] == r2[key]
+
+
+class TestDataErrors:
+    @pytest.fixture()
+    def fit_config(self, tmp_path):
+        return write_json(tmp_path / "fac.json", {"method": "pdnr", "rank": 2})
+
+    @pytest.mark.parametrize("body, message", [
+        ("1 1 1 1.5\n", "'1.5'"),
+        ("1 1 3 4\n", "index (1, 1, 3) outside shape (2, 2, 2)"),
+        ("", "no nonzero entries"),
+    ])
+    def test_bad_coo_is_data_error(self, tmp_path, capsys, fit_config, body,
+                                   message):
+        coo = tmp_path / "bad.coo"
+        coo.write_text("3 2 2 2\n" + body)
+        rc = main(["factorize", "--config", fit_config, "--tensor", str(coo),
+                   "--output-dir", str(tmp_path / "run"), "--strict"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {coo}: ")
+        assert message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("body, message", [
+        ("1 1 1 1.5\n", "'1.5'"),
+        ("1 1 9 4\n", "index (1, 1, 9) outside shape"),
+    ])
+    def test_evaluate_bad_coo_is_data_error(self, generated, capsys, body,
+                                            message):
+        tmp_path, outdir = generated
+        coo = tmp_path / "bad.coo"
+        coo.write_text("3 6 7 8\n" + body)
+        truth = str(outdir / "truth_model.json")
+        rc = main(["evaluate", "--model", truth, "--truth", truth,
+                   "--tensor", str(coo)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {coo}: ")
+        assert message in err
+        assert err.count("\n") == 1

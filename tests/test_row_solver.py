@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import poissoncp.row_solver as row_solver
 from conftest import (
     bfgs_inverse_update,
     central_diff,
@@ -10,6 +13,7 @@ from conftest import (
 )
 from poissoncp.errors import FactorizationFailureError, UndefinedAtZeroModelError
 from poissoncp.row_solver import (
+    FACTORIZATION_RETRIES,
     LbfgsStore,
     RowProblem,
     SolverParams,
@@ -171,6 +175,51 @@ class TestDampedNewtonDirection:
     def test_singular_undamped_raises(self):
         with pytest.raises(FactorizationFailureError):
             damped_newton_direction(np.zeros((2, 2)), np.ones(2), 0.0)
+
+    def test_indefinite_block_raises(self):
+        with pytest.raises(FactorizationFailureError):
+            damped_newton_direction(np.diag([2.0, -1e3]), np.ones(2), 1e-5)
+
+
+class TestFactorizationRetries:
+    def test_mu_grows_tenfold_until_retries_run_out(self, monkeypatch):
+        tried = []
+
+        def recording(h, g, mu):
+            tried.append(mu)
+            return damped_newton_direction(h, g, mu)
+
+        monkeypatch.setattr(row_solver, "damped_newton_direction", recording)
+        g = np.ones(2)
+        d, mu, solved = row_solver._damped_direction_with_retries(
+            np.diag([2.0, -1e3]), g, 1e-5
+        )
+        assert not solved
+        np.testing.assert_array_equal(d, np.zeros(2))
+        assert len(tried) == FACTORIZATION_RETRIES + 1
+        assert tried[0] == 1e-5
+        for before, after in zip(tried, tried[1:] + [mu]):
+            assert after == before * 10.0
+
+    def test_zero_damping_on_singular_block_retries_from_floor(self):
+        d, mu, solved = row_solver._damped_direction_with_retries(
+            np.zeros((2, 2)), np.ones(2), 0.0
+        )
+        assert solved
+        assert mu == 1e-10 * 10.0
+        np.testing.assert_allclose(d, [-1e9, -1e9])
+
+    def test_failed_direction_counts_a_multiplicative_rescue(self, monkeypatch):
+        monkeypatch.setattr(
+            row_solver, "_hessian_block",
+            lambda problem, m, free: np.diag(np.full(int(free.sum()), -1e3)),
+        )
+        p = scalar_problem(1.0)
+        b, report = solve_row_pdnr(p, SolverParams(k_max=1))
+        assert report.iterations == 1
+        assert report.fallback_steps == 1
+        assert report.backtrack_failures == 0
+        np.testing.assert_array_equal(b, multiplicative_step(p, p.b))
 
 
 class TestAssembleDirection:
@@ -427,3 +476,41 @@ class TestMultiplicativeStep:
         p = random_row_problem(rng, r_max=4, j_max=8, interior=False)
         if np.isfinite(f_row(p)):
             assert (multiplicative_step(p, p.b) >= 0.0).all()
+
+
+class TestSharedLoopProperties:
+    """Invariants of the loop shared by both solvers on random feasible
+    rows, including starts off the interior and rows with fewer counts
+    than variables."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), interior=st.booleans(),
+           short=st.booleans(), k_max=st.sampled_from([1, 3, 50]),
+           method=st.sampled_from(["pdnr", "pqnr"]))
+    def test_invariants(self, seed, interior, short, k_max, method):
+        rng = np.random.default_rng(seed)
+        p = random_row_problem(rng, r_max=8, j_max=3 if short else 20,
+                               interior=interior)
+        assume(not short or p.x.size < p.rank)
+        params = SolverParams(k_max=k_max)
+        searches = []
+        search = row_solver.armijo_projected_search
+
+        def recording(*args):
+            result = search(*args)
+            searches.append(result)
+            return result
+
+        solve = solve_row_pdnr if method == "pdnr" else solve_row_pqnr
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(row_solver, "armijo_projected_search", recording)
+            b, report = solve(p, params)
+        assert (b >= 0.0).all()
+        assert f_row(p, b) <= f_row(p)
+        assert (report.final_kkt <= params.tau
+                or report.iterations == params.k_max
+                or report.fallback_steps > 0)
+        for result in searches:
+            if result.alpha is not None:
+                np.testing.assert_array_equal(result.m_next,
+                                              result.b_next @ p.pi)
