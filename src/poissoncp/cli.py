@@ -64,12 +64,19 @@ def _int_list(value):
     return [int(v) for v in value]
 
 
-def _read_tensor(path):
-    """Read a COO tensor, reporting malformed or invalid data as DataError."""
+def _read_input(read, path):
+    """Read an input file with ``read_coo`` or ``load_model``, reporting
+    malformed or invalid data (a ValueError naming the path) as DataError."""
     try:
-        return read_coo(path)
+        return read(path)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+
+
+def _check_model_shape(model, model_path, tensor, tensor_path):
+    if model.shape.dims != tensor.shape.dims:
+        raise DataError(f"{model_path}: model shape {model.shape.dims} does not "
+                        f"match the shape {tensor.shape.dims} of {tensor_path}")
 
 
 def _write_manifest(outdir: Path, command: str, resolved: dict, outputs):
@@ -182,11 +189,16 @@ def cmd_factorize(args) -> int:
     init = None
     init_path = args.init_model or config.get("init_model")
     if init_path:
-        init = normalize(load_model(init_path))
+        init = normalize(_read_input(load_model, init_path))
         resolved["init_model"] = str(init_path)
-    tensor = _read_tensor(tensor_path)
+    tensor = _read_input(read_coo, tensor_path)
     if tensor.nnz == 0:
         raise DataError(f"{tensor_path}: no nonzero entries to fit")
+    if init is not None:
+        _check_model_shape(init, init_path, tensor, tensor_path)
+        if init.rank != fit_config.rank:
+            raise DataError(f"{init_path}: model rank {init.rank} does not "
+                            f"match the configured rank {fit_config.rank}")
     result = fit(tensor, fit_config, init=init)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -203,9 +215,14 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = normalize(load_model(args.model))
-    truth = normalize(load_model(args.truth))
-    tensor = _read_tensor(args.tensor)
+    model = normalize(_read_input(load_model, args.model))
+    truth = normalize(_read_input(load_model, args.truth))
+    tensor = _read_input(read_coo, args.tensor)
+    for path, m in ((args.model, model), (args.truth, truth)):
+        _check_model_shape(m, path, tensor, args.tensor)
+    if model.rank != truth.rank:
+        raise DataError(f"{args.model}: rank {model.rank} does not match "
+                        f"rank {truth.rank} of {args.truth}")
     report = score_greedy(model, truth)
     zeros = exact_zero_count(model)
     per_mode, kkt_max = full_kkt_violation(tensor, model)

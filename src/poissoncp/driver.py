@@ -32,6 +32,7 @@ from .row_solver import (
     solve_row_pqnr,
 )
 from .sparse_tensor import SparseCountTensor, as_shape, mode_row_positions
+from .synth import seeded_rng
 
 __all__ = [
     "METHODS",
@@ -155,7 +156,7 @@ def init_model(shape, rank: int, seed: int = 0) -> KruskalModel:
     sums into the weights.
     """
     shape = as_shape(shape)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = seeded_rng(seed)
     factors = []
     for dim in shape.dims:
         f = rng.random((dim, rank))

@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the path
+prefix that file readers put on data errors."""
 
 
 class IndexOutOfRangeError(ValueError):
@@ -37,3 +38,16 @@ class DataError(ValueError):
 class ZeroColumnWarning(UserWarning):
     """A factor column was identically zero during normalization; its weight
     was set to zero and the column replaced by a uniform distribution."""
+
+
+def prefixed(path, exc: ValueError) -> ValueError:
+    """The same kind of data error with the file path in front of its message.
+
+    Errors whose constructors take more than a message (JSONDecodeError,
+    UnicodeDecodeError) come back as plain ValueError.
+    """
+    message = f"{path}: {exc}"
+    try:
+        return type(exc)(message)
+    except TypeError:
+        return ValueError(message)

@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, ShapeMismatchError, ZeroColumnWarning
+from .errors import (
+    IndexOutOfRangeError,
+    ShapeMismatchError,
+    ZeroColumnWarning,
+    prefixed,
+)
 from .sparse_tensor import Shape, SparseCountTensor, as_shape
 
 __all__ = [
@@ -227,12 +232,27 @@ def save_model(model: KruskalModel, path) -> None:
 
 
 def load_model(path) -> KruskalModel:
-    """Read a model written by :func:`save_model`."""
+    """Read a model written by :func:`save_model`.
+
+    A file that is not JSON, lacks a field, or holds invalid or mutually
+    inconsistent fields raises ValueError (or its ShapeMismatchError
+    subclass) with a message that starts with the path.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            return _parse_model(json.load(fh))
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing model field {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"{path}: malformed model ({exc})") from exc
+        except ValueError as exc:
+            raise prefixed(path, exc) from exc
+
+
+def _parse_model(doc) -> KruskalModel:
     factors = tuple(np.asarray(f, dtype=np.float64) for f in doc["factors"])
     model = KruskalModel(np.asarray(doc["lambda"], dtype=np.float64), factors)
     dims = tuple(doc["dims"])
     if model.shape.dims != dims or model.rank != int(doc["R"]):
-        raise ShapeMismatchError(f"{path}: header fields disagree with factors")
+        raise ShapeMismatchError("header fields disagree with factors")
     return model

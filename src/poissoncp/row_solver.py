@@ -456,7 +456,13 @@ def _solve_row(problem: RowProblem, params: SolverParams, epsilon: float,
                 break
             result = armijo_projected_search(problem, b, f_b, g, d, params)
             if model_decrease is not None and d_free.any():
-                mu = update_damping(mu, f_b, result.f_unit, model_decrease)
+                if model_decrease < 0:
+                    mu = update_damping(mu, f_b, result.f_unit, model_decrease)
+                else:
+                    # Roundoff on a near-singular block (tiny mu, J < R) can
+                    # make the predicted decrease nonnegative; treat it like
+                    # a failed factorization.
+                    mu = max(mu, 1e-10) * 10.0
             accepted = result.alpha is not None
             if not accepted:
                 ls_failures += 1

@@ -18,6 +18,7 @@ from .errors import (
     DuplicateIndexError,
     IndexOutOfRangeError,
     NonpositiveCountError,
+    prefixed,
 )
 
 __all__ = [
@@ -89,6 +90,35 @@ def _one_based(sub0) -> tuple[int, ...]:
     return tuple(int(i) + 1 for i in sub0)
 
 
+def _strictly_increasing(subs0: np.ndarray) -> bool:
+    """True when the subscript rows are strictly increasing in lexicographic
+    order, which also rules out duplicates.  Each pair of neighbouring rows
+    is decided by its first column that differs; only boolean temporaries
+    are made."""
+    tied = np.ones(max(subs0.shape[0] - 1, 0), dtype=bool)
+    for col in subs0.T:
+        if (tied & (col[1:] < col[:-1])).any():
+            return False
+        tied &= col[1:] == col[:-1]
+    return not tied.any()
+
+
+def lexsort_runs(subs0: np.ndarray):
+    """Sort subscript rows lexicographically and find the runs of equal rows.
+
+    Returns (order, starts): ``subs0[order]`` is sorted with the first
+    column varying slowest, and ``starts`` holds the positions in that
+    order where a row differs from the one before, so distinct row k spans
+    ``starts[k]:starts[k + 1]``.  Only comparisons are used, so no shape is
+    too large.
+    """
+    order = np.lexsort(subs0.T[::-1])
+    ordered = subs0[order]
+    new = np.ones(ordered.shape[0], dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, np.flatnonzero(new)
+
+
 @dataclass(frozen=True)
 class SparseCountTensor:
     """COO tensor of strictly positive integer counts; zeros are implicit.
@@ -135,7 +165,11 @@ class SparseCountTensor:
 
     @classmethod
     def from_arrays(cls, shape, subs, vals, one_based: bool = True):
-        """Validate and build a tensor from subscript and count arrays."""
+        """Validate and build a tensor from subscript and count arrays.
+
+        Rows already strictly increasing in lexicographic order, as
+        :func:`write_coo` and the generator produce them, skip the sort.
+        """
         shape = as_shape(shape)
         subs = np.asarray(subs, dtype=np.int64).reshape(-1, shape.ndim)
         vals = np.asarray(vals, dtype=np.int64).reshape(-1)
@@ -153,14 +187,14 @@ class SparseCountTensor:
             raise NonpositiveCountError(
                 f"count {vals[bad]} at index {_one_based(subs0[bad])} is not positive"
             )
-        if subs0.shape[0]:
-            order = np.lexsort(tuple(subs0[:, k] for k in range(shape.ndim - 1, -1, -1)))
+        if not _strictly_increasing(subs0):
+            order, starts = lexsort_runs(subs0)
             subs0 = subs0[order]
             vals = vals[order]
-            dup = np.flatnonzero((np.diff(subs0, axis=0) == 0).all(axis=1))
-            if dup.size:
+            repeated = np.flatnonzero(np.diff(starts, append=subs0.shape[0]) > 1)
+            if repeated.size:
                 raise DuplicateIndexError(
-                    f"duplicate index {_one_based(subs0[dup[0]])}"
+                    f"duplicate index {_one_based(subs0[starts[repeated[0]]])}"
                 )
         return cls(shape, subs0, vals)
 
@@ -294,20 +328,21 @@ def read_coo(path) -> SparseCountTensor:
     """Read a tensor from the COO text format.
 
     The first line is ``N I_1 ... I_N``; each following line is one nonzero
-    ``i_1 ... i_N count`` with 1-based indices, whitespace separated.
-    Malformed or invalid data raises ValueError (or the validation error
+    ``i_1 ... i_N count`` with 1-based indices, whitespace separated; blank
+    lines are skipped.  The body is parsed in chunks, so memory beyond the
+    result stays bounded.  Malformed or invalid data, including a line with
+    the wrong number of fields, raises ValueError (or the validation error
     subclass) with a message that starts with the path.
     """
     with open(path) as fh:
-        header = fh.readline().split()
-        body = fh.read().split()
-    try:
-        return _parse_coo(header, body)
-    except ValueError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        try:
+            return _parse_coo(fh)
+        except ValueError as exc:
+            raise prefixed(path, exc) from exc
 
 
-def _parse_coo(header, body) -> SparseCountTensor:
+def _parse_coo(fh) -> SparseCountTensor:
+    header = fh.readline().split()
     if not header:
         raise ValueError("empty file")
     n = int(header[0])
@@ -315,20 +350,41 @@ def _parse_coo(header, body) -> SparseCountTensor:
         raise ValueError(f"header declares {n} modes but lists "
                          f"{len(header) - 1} dimensions")
     dims = tuple(int(d) for d in header[1:])
-    if not body:
+    if not _has_data_line(fh):
         return SparseCountTensor.from_arrays(
             dims, np.empty((0, n), dtype=np.int64), np.empty((0,), dtype=np.int64)
         )
-    if len(body) % (n + 1):
-        raise ValueError(f"entries must have {n} indices plus a count")
-    data = np.asarray(body, dtype=np.int64).reshape(-1, n + 1)
+    data = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
+    if data.shape[1] != n + 1:
+        raise ValueError(f"entries must have {n} indices plus a count, "
+                         f"got lines of {data.shape[1]} fields")
     return SparseCountTensor.from_arrays(dims, data[:, :n], data[:, n])
+
+
+def _has_data_line(fh) -> bool:
+    """Whether a non-blank line follows; the file position is left as found."""
+    start = fh.tell()
+    for line in iter(fh.readline, ""):
+        if line.strip():
+            fh.seek(start)
+            return True
+    return False
+
+
+# Rows formatted per write: one %-format call each, with bounded transient
+# memory.
+_WRITE_BLOCK_ROWS = 65536
 
 
 def write_coo(tensor: SparseCountTensor, path) -> None:
     """Write a tensor in the COO text format read by :func:`read_coo`."""
+    line = " ".join(["%d"] * (tensor.ndim + 1)) + "\n"
     with open(path, "w") as fh:
         dims = " ".join(str(d) for d in tensor.shape.dims)
         fh.write(f"{tensor.ndim} {dims}\n")
-        for sub, val in zip(tensor.subs0 + 1, tensor.vals):
-            fh.write(" ".join(str(int(s)) for s in sub) + f" {int(val)}\n")
+        for start in range(0, tensor.nnz, _WRITE_BLOCK_ROWS):
+            stop = start + _WRITE_BLOCK_ROWS
+            block = np.column_stack(
+                (tensor.subs0[start:stop] + 1, tensor.vals[start:stop])
+            )
+            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .kruskal import KruskalModel, normalize
-from .sparse_tensor import SparseCountTensor, as_shape
+from .sparse_tensor import SparseCountTensor, as_shape, lexsort_runs
 
 __all__ = [
     "GenConfig",
@@ -27,6 +27,7 @@ __all__ = [
     "sample_tensor",
     "generate_dataset",
     "collinearity_stats",
+    "seeded_rng",
 ]
 
 
@@ -68,7 +69,9 @@ class ModeCollinearity(NamedTuple):
     versus_first: float  # mean cosine of columns 2..R against column 1
 
 
-def _rng(entropy) -> np.random.Generator:
+def seeded_rng(entropy) -> np.random.Generator:
+    """PCG64 generator seeded through a SeedSequence over ``entropy`` (an int
+    or a sequence of ints); the one constructor behind every random draw."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
@@ -79,7 +82,7 @@ def generate_model(config: GenConfig) -> KruskalModel:
     and then each column, one uniform block ranking the boosted positions
     and one block of boost values; finally one block for the weights.
     """
-    rng = _rng(config.seed)
+    rng = seeded_rng(config.seed)
     r = config.rank
     factors = []
     for dim in config.dims:
@@ -114,7 +117,7 @@ def sample_tensor(model: KruskalModel, samples: int, seed=0):
         raise ValueError("weights must sum to one before sampling")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     r = model.rank
     cw = np.cumsum(model.weights)
     cw /= cw[-1]
@@ -131,7 +134,9 @@ def sample_tensor(model: KruskalModel, samples: int, seed=0):
             mask = comp == comp_r
             idx[mask] = np.searchsorted(cum[:, comp_r], u[mask], side="right")
         subs0[:, k] = np.minimum(idx, f.shape[0] - 1)
-    cells, counts = np.unique(subs0, axis=0, return_counts=True)
+    order, starts = lexsort_runs(subs0)
+    cells = subs0[order[starts]]
+    counts = np.diff(starts, append=samples)
     tensor = SparseCountTensor.from_arrays(
         tuple(f.shape[0] for f in model.factors), cells, counts, one_based=False
     )

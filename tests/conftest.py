@@ -127,6 +127,34 @@ def exhaustive_score(c: np.ndarray) -> float:
     return best
 
 
+def per_line_write_coo(tensor, path) -> None:
+    """Reference COO writer: one str.join per nonzero line."""
+    with open(path, "w") as fh:
+        dims = " ".join(str(d) for d in tensor.shape.dims)
+        fh.write(f"{tensor.ndim} {dims}\n")
+        for sub, val in zip(tensor.subs0 + 1, tensor.vals):
+            fh.write(" ".join(str(int(s)) for s in sub) + f" {int(val)}\n")
+
+
+def unique_sample_cells(model: KruskalModel, samples: int, seed):
+    """Reference sampler: the documented draw order of ``sample_tensor``
+    followed by ``np.unique(axis=0)``.  Returns 0-based (cells, counts)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    cw = np.cumsum(model.weights)
+    cw /= cw[-1]
+    comp = np.minimum(np.searchsorted(cw, rng.random(samples), side="right"),
+                      model.rank - 1)
+    subs0 = np.empty((samples, model.ndim), dtype=np.int64)
+    for k, f in enumerate(model.factors):
+        cum = np.cumsum(f, axis=0)
+        cum /= cum[-1:, :]
+        u = rng.random(samples)
+        for s in range(samples):
+            i = np.searchsorted(cum[:, comp[s]], u[s], side="right")
+            subs0[s, k] = min(i, f.shape[0] - 1)
+    return np.unique(subs0, axis=0, return_counts=True)
+
+
 def random_row_problem(rng, r_max=10, j_max=20, strictly_convex=False,
                        interior=True) -> RowProblem:
     """Seeded random row problem with strictly positive pi entries.

@@ -170,6 +170,7 @@ class TestDataErrors:
         ("1 1 1 1.5\n", "'1.5'"),
         ("1 1 3 4\n", "index (1, 1, 3) outside shape (2, 2, 2)"),
         ("", "no nonzero entries"),
+        ("1 1\n1 4\n", "entries must have 3 indices plus a count"),
     ])
     def test_bad_coo_is_data_error(self, tmp_path, capsys, fit_config, body,
                                    message):
@@ -200,3 +201,74 @@ class TestDataErrors:
         assert err.startswith(f"error: {coo}: ")
         assert message in err
         assert err.count("\n") == 1
+
+    @pytest.fixture()
+    def bad_models(self, generated):
+        tmp_path, _ = generated
+        other = tmp_path / "other"
+        cfg = write_json(tmp_path / "gen9.json",
+                         {"dims": [6, 7, 9], "rank": 3, "samples": 50})
+        assert main(["generate", "--config", cfg, "--output-dir", str(other)]) == 0
+        bad = {
+            "{not json": "line 1 column 2",
+            '{"dims": [6, 7, 8], "R": 3}': "missing model field 'factors'",
+            "[1, 2]": "malformed model",
+            '{"dims": [6, 7, 8], "R": 3, "lambda": [1, 1, 1], '
+            '"factors": [[[1, 2, 3]], [[1, 2]]]}': "factor 2 must be",
+        }
+        paths = []
+        for k, (text, message) in enumerate(bad.items()):
+            path = tmp_path / f"bad{k}.json"
+            path.write_text(text)
+            paths.append((str(path), message))
+        paths.append((str(other / "truth_model.json"),
+                      "model shape (6, 7, 9) does not match the shape (6, 7, 8)"))
+        return paths
+
+    @pytest.mark.parametrize("role", ["--model", "--truth"])
+    def test_evaluate_bad_model_is_data_error(self, generated, bad_models,
+                                              capsys, role):
+        _, outdir = generated
+        truth = str(outdir / "truth_model.json")
+        for path, message in bad_models:
+            args = {"--model": truth, "--truth": truth, role: path}
+            rc = main(["evaluate", *[a for kv in args.items() for a in kv],
+                       "--tensor", str(outdir / "tensor.coo")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ")
+            assert message in err
+            assert err.count("\n") == 1
+
+    def test_factorize_bad_init_model_is_data_error(self, generated, bad_models,
+                                                    capsys, fit_config):
+        tmp_path, outdir = generated
+        config = write_json(tmp_path / "fac3.json", {"method": "pdnr", "rank": 3})
+        rank2 = (str(outdir / "truth_model.json"),
+                 "model rank 3 does not match the configured rank 2")
+        for (path, message), cfg in [*((b, config) for b in bad_models),
+                                     (rank2, fit_config)]:
+            rc = main(["factorize", "--config", cfg,
+                       "--tensor", str(outdir / "tensor.coo"),
+                       "--init-model", path,
+                       "--output-dir", str(tmp_path / "run")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ")
+            assert message in err
+            assert err.count("\n") == 1
+
+    def test_evaluate_rank_mismatch_is_data_error(self, generated, capsys):
+        tmp_path, outdir = generated
+        cfg = write_json(tmp_path / "gen2.json", {
+            "dims": [6, 7, 8], "rank": 2, "samples": 50,
+        })
+        other = tmp_path / "rank2"
+        assert main(["generate", "--config", cfg, "--output-dir", str(other)]) == 0
+        model = str(other / "truth_model.json")
+        rc = main(["evaluate", "--model", model,
+                   "--truth", str(outdir / "truth_model.json"),
+                   "--tensor", str(outdir / "tensor.coo")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {model}: rank 2 does not match rank 3")

@@ -221,6 +221,22 @@ class TestFactorizationRetries:
         assert report.backtrack_failures == 0
         np.testing.assert_array_equal(b, multiplicative_step(p, p.b))
 
+    def test_zero_damping_short_row_with_nonnegative_predicted_decrease(self):
+        # Trial 1472 of this stream: J < R and mu0 = 0 leave a near-singular
+        # free block whose predicted decrease rounds to a large positive
+        # value; the solve must grow mu instead of raising.
+        rng = np.random.default_rng(0)
+        for _ in range(1473):
+            j = rng.integers(1, 4)
+            pi = rng.random((6, j))
+            x = rng.integers(1, 20, j).astype(float)
+            b0 = rng.random(6)
+        p = RowProblem(b0, x, pi)
+        b, report = solve_row_pdnr(p, SolverParams(mu0=0.0))
+        assert (b >= 0.0).all()
+        assert f_row(p, b) <= f_row(p)
+        assert report.iterations >= 1
+
 
 class TestAssembleDirection:
     def test_mixed_sets(self):

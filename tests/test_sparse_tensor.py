@@ -1,6 +1,14 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import poissoncp.sparse_tensor as sparse_tensor
+from conftest import per_line_write_coo
 from poissoncp.errors import (
     DuplicateIndexError,
     IndexOutOfRangeError,
@@ -10,6 +18,7 @@ from poissoncp.sparse_tensor import (
     Shape,
     SparseCountTensor,
     group_by_mode,
+    lexsort_runs,
     mode_column_index,
     read_coo,
     reduced_column_index,
@@ -157,4 +166,114 @@ class TestCooRoundTrip:
         t = SparseCountTensor.from_entries((3, 3), [])
         path = tmp_path / "t.coo"
         write_coo(t, path)
+        assert read_coo(path).nnz == 0
+
+
+def random_coo_arrays(seed, ndim, nnz):
+    """Up to ``nnz`` distinct 1-based subscripts in random order, counts and
+    dims; some dims run to a million so indices take several digits."""
+    rng = np.random.default_rng(seed)
+    hi = 7 if rng.random() < 0.5 else 10**6
+    dims = tuple(int(d) for d in rng.integers(1, hi, ndim))
+    subs = np.stack([rng.integers(1, d + 1, nnz) for d in dims], axis=1)
+    subs = np.unique(subs, axis=0).reshape(-1, ndim)
+    subs = subs[rng.permutation(subs.shape[0])]
+    vals = rng.integers(1, 2**40, subs.shape[0])
+    return dims, subs, vals
+
+
+COO_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                        database=None)
+
+
+class TestCooProperties:
+    """The blocked writer, the chunked reader and the sorted-input fast path
+    against the per-line writer and the sort path."""
+
+    @COO_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), ndim=st.integers(2, 4),
+           nnz=st.integers(0, 25), block_rows=st.integers(1, 4))
+    def test_round_trip_and_per_line_bytes(self, seed, ndim, nnz, block_rows):
+        t = SparseCountTensor.from_arrays(*random_coo_arrays(seed, ndim, nnz))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, oracle = Path(tmp) / "t.coo", Path(tmp) / "oracle.coo"
+            with mock.patch.object(sparse_tensor, "_WRITE_BLOCK_ROWS", block_rows):
+                write_coo(t, path)
+            per_line_write_coo(t, oracle)
+            assert path.read_bytes() == oracle.read_bytes()
+            back = read_coo(path)
+        assert back.shape == t.shape
+        np.testing.assert_array_equal(back.subs0, t.subs0)
+        np.testing.assert_array_equal(back.vals, t.vals)
+        assert back.subs0.shape == (t.nnz, ndim)
+
+    @COO_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), ndim=st.integers(2, 4),
+           nnz=st.integers(0, 25))
+    def test_from_arrays_ignores_row_order(self, seed, ndim, nnz):
+        dims, subs, vals = random_coo_arrays(seed, ndim, nnz)
+        order = np.lexsort(subs.T[::-1])
+        shuffled = SparseCountTensor.from_arrays(dims, subs, vals)
+        ordered = SparseCountTensor.from_arrays(dims, subs[order], vals[order])
+        np.testing.assert_array_equal(shuffled.subs0, ordered.subs0)
+        np.testing.assert_array_equal(shuffled.vals, ordered.vals)
+        if subs.shape[0] == 0:
+            return
+        # One duplicated row, then one out-of-range row: each input order
+        # must raise the same error with the same message.
+        dup_subs = np.vstack([subs, subs[-1:]])
+        dup_vals = np.append(vals, 1)
+        bad_subs = subs.copy()
+        bad_subs[-1, -1] = dims[-1] + 1
+        for err, (s, v) in ((DuplicateIndexError, (dup_subs, dup_vals)),
+                            (IndexOutOfRangeError, (bad_subs, vals))):
+            sort = np.lexsort(s.T[::-1])
+            messages = []
+            for rows in (np.arange(s.shape[0]), sort):
+                with pytest.raises(err) as info:
+                    SparseCountTensor.from_arrays(dims, s[rows], v[rows])
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+
+    def test_huge_shape_sorts_without_overflow(self):
+        # A raveled cell index would overflow int64 here.
+        dims = (2**40, 2**40, 2**40)
+        subs = np.array([[2**40, 1, 5], [1, 2**40, 2**40], [2**40, 1, 4]])
+        t = SparseCountTensor.from_arrays(dims, subs, [1, 2, 3])
+        np.testing.assert_array_equal(t.subs0 + 1, subs[[1, 2, 0]])
+        with pytest.raises(DuplicateIndexError, match=r"\(1, 1099511627776,"):
+            SparseCountTensor.from_arrays(dims, subs[[1, 0, 1]], [1, 2, 3])
+
+    def test_lexsort_runs_matches_unique(self, rng):
+        subs0 = rng.integers(0, 3, size=(200, 3))
+        order, starts = lexsort_runs(subs0)
+        cells, counts = np.unique(subs0, axis=0, return_counts=True)
+        np.testing.assert_array_equal(subs0[order[starts]], cells)
+        np.testing.assert_array_equal(np.diff(starts, append=200), counts)
+
+    @pytest.mark.parametrize("body", [
+        "1 1\n1 4\n",
+        "1 1 1\n4\n",
+        "1 2 1 3\n1 1\n1 4\n",
+    ])
+    def test_entry_split_across_lines_is_rejected(self, tmp_path, body):
+        path = tmp_path / "split.coo"
+        path.write_text("3 2 2 2\n" + body)
+        with pytest.raises(ValueError) as info:
+            read_coo(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_undecodable_bytes_keep_the_path(self, tmp_path):
+        path = tmp_path / "binary.coo"
+        path.write_bytes(b"3 2 2 2\n1 1 1 \xff\n")
+        with pytest.raises(ValueError) as info:
+            read_coo(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.coo"
+        path.write_text("2 3 3\n\n  \n2 1 4\n\n1\t3   2\n")
+        t = read_coo(path)
+        assert list(t.entries()) == [((1, 3), 2), ((2, 1), 4)]
+        path.write_text("2 3 3\n \n\n")
         assert read_coo(path).nnz == 0

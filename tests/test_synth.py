@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import dense_model_array
+from conftest import dense_model_array, unique_sample_cells
 from poissoncp.synth import (
     GenConfig,
     collinearity_stats,
@@ -106,6 +108,20 @@ class TestSampleTensor:
         for sub, val in zip(tensor.subs0, tensor.vals):
             freq[tuple(sub)] = val / s
         assert np.abs(freq - probs).max() <= 0.005
+
+
+class TestSampleDedupOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dims=st.lists(st.integers(1, 5), min_size=2, max_size=3),
+           rank=st.integers(1, 3), samples=st.integers(1, 200),
+           seed=st.integers(0, 2**16))
+    def test_matches_unique_oracle(self, dims, rank, samples, seed):
+        model = generate_model(GenConfig(dims=tuple(dims), rank=rank,
+                                         samples=samples, seed=seed))
+        tensor, _ = sample_tensor(model, samples, seed=(seed, 1))
+        cells, counts = unique_sample_cells(model, samples, (seed, 1))
+        np.testing.assert_array_equal(tensor.subs0, cells)
+        np.testing.assert_array_equal(tensor.vals, counts)
 
 
 class TestGenerateDataset:
