@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kruskal import KruskalModel, _pi_product, normalize
-from .sparse_tensor import SparseCountTensor
+from .sparse_tensor import SparseCountTensor, mode_row_positions
 
 __all__ = ["MuParams", "MuSolveResult", "mu_solve_mode"]
 
@@ -42,33 +42,35 @@ class MuSolveResult(NamedTuple):
 
 
 def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
-                  params: MuParams = MuParams()) -> MuSolveResult:
+                  params: MuParams = MuParams(), layout=None) -> MuSolveResult:
     """Run multiplicative updates on mode ``mode`` of a normalized model.
 
     Entries of B are clamped up to 1e-16 before the first inner iteration so
     that no variable starts in the absorbing state at zero.  Rows of the
     unfolded tensor without any nonzero have objective sum(b) and are set to
     zero, their exact optimum.  The recorded objectives are nonincreasing.
+    ``layout`` may carry the mode's precomputed
+    :func:`poissoncp.sparse_tensor.mode_row_positions`.
     """
     if not model.normalized:
         model = normalize(model)
     mode0 = mode - 1
-    b = np.maximum(model.factors[mode0] * model.weights, POSITIVITY_CLAMP)
-    rows = tensor.subs0[:, mode0]
-    has_data = np.zeros(b.shape[0], dtype=bool)
-    has_data[rows] = True
-    b[~has_data] = 0.0
+    if layout is None:
+        layout = mode_row_positions(tensor, mode)
+    b = np.zeros_like(model.factors[mode0])
+    unique_rows = layout.rows
+    b[unique_rows] = np.maximum(
+        model.factors[mode0][unique_rows] * model.weights, POSITIVITY_CLAMP
+    )
     if tensor.nnz == 0:
         return MuSolveResult(b, np.zeros(params.inner_iterations + 1))
 
-    pi = _pi_product(model.factors, mode0, tensor.subs0)  # (nnz, R)
-    x = tensor.vals.astype(np.float64)
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_rows)) + 1))
-    unique_rows = sorted_rows[starts]
-    pi_sorted = pi[order]
-    x_sorted = x[order]
+    # Nonzeros in layout order, so each row's entries are contiguous.
+    order = layout.order
+    starts = layout.starts[:-1]
+    sorted_rows = tensor.subs0[order, mode0]
+    pi_sorted = _pi_product(model.factors, mode0, tensor.subs0[order])
+    x_sorted = tensor.vals[order].astype(np.float64)
 
     objectives = np.empty(params.inner_iterations + 1)
     for it in range(params.inner_iterations):

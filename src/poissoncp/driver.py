@@ -168,18 +168,18 @@ def init_model(shape, rank: int, seed: int = 0) -> KruskalModel:
     return normalize(KruskalModel(np.ones(rank), tuple(factors)))
 
 
-def _solve_rows(b_matrix, row_positions, tensor, factors, mode0, method,
+def _solve_rows(b_matrix, layout, tensor, factors, mode0, method,
                 solver, stores, workers, deadline):
     """Solve each nonempty row subproblem, writing results into b_matrix.
 
+    Rows are taken block by block from the mode's layout: each block's
+    Khatri-Rao rows are gathered at once and each row solve sees its slice.
     Returns (report_rows, timed_out).  A wall-clock deadline is honored
     between row solves only, keeping each row's result deterministic; with
-    a thread pool the whole mode is submitted at once and the deadline
+    a thread pool each block's rows are solved concurrently and the deadline
     applies between modes instead.
     """
-    def solve_one(row0, pos):
-        x = tensor.vals[pos]
-        pi = _pi_product(factors, mode0, tensor.subs0[pos]).T
+    def solve_one(row0, x, pi):
         problem = RowProblem(b_matrix[row0], x, pi)
         if method == "pdnr":
             return solve_row_pdnr(problem, solver)
@@ -188,35 +188,42 @@ def _solve_rows(b_matrix, row_positions, tensor, factors, mode0, method,
         )
         return solve_row_pqnr(problem, solver, store)
 
+    def gathered_blocks():
+        for pos, spans in layout.blocks(b_matrix.shape[1]):
+            x_blk = tensor.vals[pos].astype(np.float64)
+            pi_blk = _pi_product(factors, mode0, tensor.subs0[pos])
+            yield [(row0, x_blk[lo:hi], pi_blk[lo:hi].T)
+                   for row0, lo, hi in spans]
+
     reports = []
-    timed_out = False
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(row0, pool.submit(solve_one, row0, pos))
-                       for row0, pos in row_positions]
-            for row0, fut in futures:
-                b_star, report = fut.result()
-                b_matrix[row0] = b_star
-                reports.append(report)
-        return reports, timed_out
-    for row0, pos in row_positions:
-        if deadline is not None and time.perf_counter() > deadline:
-            timed_out = True
-            break
-        b_star, report = solve_one(row0, pos)
-        b_matrix[row0] = b_star
-        reports.append(report)
-    return reports, timed_out
+            for block in gathered_blocks():
+                solved = pool.map(lambda row: solve_one(*row), block)
+                for (row0, _, _), (b_star, report) in zip(block, solved):
+                    b_matrix[row0] = b_star
+                    reports.append(report)
+        return reports, False
+    for block in gathered_blocks():
+        for row0, x, pi in block:
+            if deadline is not None and time.perf_counter() > deadline:
+                return reports, True
+            b_star, report = solve_one(row0, x, pi)
+            b_matrix[row0] = b_star
+            reports.append(report)
+    return reports, False
 
 
 def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
                method: str = "pdnr", solver: Optional[SolverParams] = None,
-               mu_params: Optional[MuParams] = None, groups=None,
+               mu_params: Optional[MuParams] = None, layout=None,
                stores=None, workers: int = 1, deadline=None):
     """Solve the block subproblem of one mode and rescale.
 
-    Rows of the unfolded tensor without nonzeros are set to zero directly
-    (their optimum, since the objective restricted to them is sum(b)).
+    ``layout`` may carry the mode's precomputed
+    :func:`poissoncp.sparse_tensor.mode_row_positions`.  Rows of the
+    unfolded tensor without nonzeros are set to zero directly (their
+    optimum, since the objective restricted to them is sum(b)).
     Afterwards column sums move into the weights, so the returned model is
     normalized.  Returns (model, ModeSweepReport).
     """
@@ -226,21 +233,20 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
         model = normalize(model)
     mode0 = mode - 1
     report = ModeSweepReport(mode=mode)
-    if groups is None:
-        groups = mode_row_positions(tensor, mode)
+    if layout is None:
+        layout = mode_row_positions(tensor, mode)
     if method == "mu":
-        result = mu_solve_mode(tensor, model, mode, mu_params or MuParams())
+        result = mu_solve_mode(tensor, model, mode, mu_params or MuParams(),
+                               layout)
         b_matrix = result.b_matrix
-        report.rows_solved = len(groups)
+        report.rows_solved = len(layout)
         report.inner_iterations = len(result.objectives) - 1
     else:
         b_matrix = np.zeros_like(model.factors[mode0])
-        rows_with_data = [row0 for row0, _ in groups]
         b_start = model.factors[mode0] * model.weights
-        for row0 in rows_with_data:
-            b_matrix[row0] = b_start[row0]
+        b_matrix[layout.rows] = b_start[layout.rows]
         reports, timed_out = _solve_rows(
-            b_matrix, groups, tensor, model.factors, mode0, method,
+            b_matrix, layout, tensor, model.factors, mode0, method,
             solver, stores, workers, deadline,
         )
         report.rows_solved = len(reports)
@@ -287,7 +293,7 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
         )
     solver = config.solver or SolverParams(tau=config.tau)
     stores = {} if (config.method == "pqnr" and config.persist_lbfgs) else None
-    groups = {n: mode_row_positions(tensor, n) for n in modes}
+    layouts = {n: mode_row_positions(tensor, n) for n in modes}
 
     start = time.perf_counter()
     deadline = None if config.time_limit is None else start + config.time_limit
@@ -301,7 +307,7 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
         for n in modes:
             model, sweep = solve_mode(
                 tensor, model, n, method=config.method, solver=solver,
-                mu_params=config.mu, groups=groups[n], stores=stores,
+                mu_params=config.mu, layout=layouts[n], stores=stores,
                 workers=config.workers, deadline=deadline,
             )
             ls_failures += sweep.line_search_failures
@@ -312,7 +318,7 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
                 timed_out = True
                 break
         mode_kkt = tuple(
-            mode_kkt_violation(tensor, model, n, groups[n]) for n in modes
+            mode_kkt_violation(tensor, model, n, layouts[n]) for n in modes
         )
         final_kkt = max(mode_kkt)
         zeros = sum(int(np.count_nonzero(f == 0.0)) for f in model.factors)

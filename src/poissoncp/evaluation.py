@@ -117,37 +117,34 @@ def thresholded_zero_count(model: KruskalModel, threshold: float) -> ZeroCountRe
 
 
 def mode_kkt_violation(tensor: SparseCountTensor, model: KruskalModel,
-                       mode: int, groups=None) -> float:
+                       mode: int, layout=None) -> float:
     """Largest row-subproblem KKT violation of one mode at the current model.
 
-    Pure recomputation: rebuilds B and the per-row Khatri-Rao columns from
-    the model.  ``groups`` may carry precomputed row positions from
-    :func:`poissoncp.sparse_tensor.mode_row_positions`.
+    Pure recomputation: rebuilds B and the Khatri-Rao rows from the model,
+    one cache-sized block of rows at a time.  ``layout`` may carry the
+    mode's precomputed :func:`poissoncp.sparse_tensor.mode_row_positions`.
     """
     if not model.normalized:
         model = normalize(model)
     mode0 = mode - 1
     b_matrix = model.factors[mode0] * model.weights
-    if groups is None:
-        groups = mode_row_positions(tensor, mode)
-    worst = 0.0
-    has_data = np.zeros(b_matrix.shape[0], dtype=bool)
-    for row0, pos in groups:
-        has_data[row0] = True
-        b = b_matrix[row0]
-        pi = _pi_product(model.factors, mode0, tensor.subs0[pos])
-        m = pi @ b
-        if (m <= 0.0).any():
-            return float("inf")
-        g = 1.0 - (tensor.vals[pos] / m) @ pi
-        worst = max(worst, float(np.abs(np.minimum(b, g)).max()))
-    if not has_data.all():
-        # Rows without data have gradient 1 everywhere; their violation is
-        # max(min(b, 1)) elementwise.
-        empty = b_matrix[~has_data]
-        if empty.size:
-            worst = max(worst, float(np.minimum(empty, 1.0).max()))
-    return worst
+    if layout is None:
+        layout = mode_row_positions(tensor, mode)
+    # Rows without data have gradient 1 everywhere, so min(b, 1) is their
+    # residual; rows with data overwrite theirs.
+    residual = np.minimum(b_matrix, 1.0)
+    for pos, spans in layout.blocks(model.rank):
+        x_blk = tensor.vals[pos].astype(np.float64)
+        pi_blk = _pi_product(model.factors, mode0, tensor.subs0[pos])
+        for row0, lo, hi in spans:
+            b = b_matrix[row0]
+            pi = pi_blk[lo:hi]
+            m = pi @ b
+            if (m <= 0.0).any():
+                return float("inf")
+            g = 1.0 - (x_blk[lo:hi] / m) @ pi
+            residual[row0] = np.minimum(b, g)
+    return float(np.abs(residual).max())
 
 
 def full_kkt_violation(tensor: SparseCountTensor, model: KruskalModel):

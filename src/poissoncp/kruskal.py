@@ -186,12 +186,22 @@ def model_entry(model: KruskalModel, multi_index) -> float:
     return float(prod.sum())
 
 
+# Subscript rows per block of model_entries: bounds its (rows, R) temporaries.
+# A multiple of 4, so the blocked matrix-vector products sum each row as
+# the one-shot product over all rows does.
+_ENTRY_BLOCK_ROWS = 65536
+
+
 def model_entries(model: KruskalModel, subs0: np.ndarray) -> np.ndarray:
     """Vectorized model values at the given 0-based subscript rows."""
-    vecs = np.ones((subs0.shape[0], model.rank), dtype=np.float64)
-    for k, f in enumerate(model.factors):
-        vecs *= f[subs0[:, k], :]
-    return vecs @ model.weights
+    out = np.empty(subs0.shape[0], dtype=np.float64)
+    for start in range(0, subs0.shape[0], _ENTRY_BLOCK_ROWS):
+        block = subs0[start:start + _ENTRY_BLOCK_ROWS]
+        vecs = np.ones((block.shape[0], model.rank), dtype=np.float64)
+        for k, f in enumerate(model.factors):
+            vecs *= f[block[:, k], :]
+        out[start:start + block.shape[0]] = vecs @ model.weights
+    return out
 
 
 def kl_objective(model: KruskalModel, tensor: SparseCountTensor) -> float:

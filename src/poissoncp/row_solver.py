@@ -150,7 +150,7 @@ def _f_at(problem: RowProblem, b: np.ndarray, m: Optional[np.ndarray] = None) ->
     total = float(b.sum())
     if m.size == 0:
         return total
-    if (m <= 0.0).any():
+    if m.min() <= 0.0:
         return float("inf")
     return total - float(problem.x @ np.log(m))
 
@@ -209,16 +209,16 @@ def partition_variables(b: np.ndarray, g: np.ndarray, epsilon: float):
     With w = ||b - P+(b - g)||_2 and eps_k = min(w, epsilon):
     active holds variables at zero with positive gradient, gradient holds
     variables within eps_k of zero with positive gradient, and free holds
-    the rest.  The three masks partition 1..R.
+    the rest.  The three masks partition 1..R.  Requires b >= 0, so that
+    the variables within eps_k of zero include those at zero.
     """
     v = b - np.maximum(b - g, 0.0)
     w = math.sqrt(v.dot(v))
     eps_k = min(w, epsilon)
     positive_grad = g > 0.0
+    bound = (b <= eps_k) & positive_grad
     active = (b == 0.0) & positive_grad
-    gradient = (b > 0.0) & (b <= eps_k) & positive_grad
-    free = ~(active | gradient)
-    return active, gradient, free
+    return active, bound ^ active, ~bound
 
 
 def damped_newton_direction(hess_free: np.ndarray, grad_free: np.ndarray,
@@ -232,7 +232,11 @@ def damped_newton_direction(hess_free: np.ndarray, grad_free: np.ndarray,
     k = grad_free.shape[0]
     if k == 0:
         return np.zeros(0)
-    chol, info = dpotrf(hess_free + mu * np.eye(k), lower=1, clean=0)
+    # A Fortran-ordered copy, so LAPACK factors it in place and reads the
+    # same lower triangle as of hess_free itself.
+    damped = np.array(hess_free, order="F")
+    damped.flat[::k + 1] += mu
+    chol, info = dpotrf(damped, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise FactorizationFailureError(
             f"{info}-th leading minor of the damped block is not positive definite"
@@ -242,8 +246,11 @@ def damped_newton_direction(hess_free: np.ndarray, grad_free: np.ndarray,
 
 def assemble_direction(d_free: np.ndarray, g: np.ndarray, sets) -> np.ndarray:
     """Expand a free-block step to all variables: zeros on the active set,
-    the negative gradient on the gradient set."""
+    the negative gradient on the gradient set.  Returns ``d_free`` itself
+    when every variable is free."""
     active, gradient, free = sets
+    if free.all():
+        return d_free
     d = np.zeros_like(g)
     d[free] = d_free
     d[gradient] = -g[gradient]
@@ -267,7 +274,7 @@ def armijo_projected_search(problem: RowProblem, b: np.ndarray, f_b: float,
     evals = 0
     for t in range(params.max_backtracks + 1):
         step = params.beta ** t
-        b_try = np.maximum(b + step * d, 0.0)
+        b_try = np.maximum(b + step * d if t else b + d, 0.0)
         predicted = float(g @ (b_try - b))
         if predicted < 0.0:
             m_try = _cell_values(problem, b_try)
@@ -333,37 +340,39 @@ class LbfgsStore:
         return len(self._s)
 
     def update(self, s: np.ndarray, y: np.ndarray) -> bool:
-        """Store a pair, evicting the oldest past capacity; returns whether
-        the pair was kept."""
-        s = np.asarray(s, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+        """Store a float64 pair, evicting the oldest past capacity; returns
+        whether the pair was kept.  The arrays are kept, not copied."""
         sy = float(s @ y)
-        if sy <= CURVATURE_SKIP_REL * (math.sqrt(s.dot(s)) * math.sqrt(y.dot(y))):
+        yy = y.dot(y)
+        if sy <= CURVATURE_SKIP_REL * (math.sqrt(s.dot(s)) * math.sqrt(yy)):
             self.skipped += 1
             return False
-        self._s.append(s.copy())
-        self._y.append(y.copy())
+        self._s.append(s)
+        self._y.append(y)
         self._rho.append(1.0 / sy)
         if len(self._s) > self.memory:
             del self._s[0], self._y[0], self._rho[0]
-        self.gamma = sy / float(y @ y)
+        self.gamma = sy / float(yy)
         return True
 
     def direction(self, g: np.ndarray) -> np.ndarray:
         """Two-loop recursion returning the inverse-Hessian approximation
-        applied to g; the bare g when the store is empty."""
-        q = np.asarray(g, dtype=np.float64).copy()
-        n = len(self._s)
-        if n == 0:
+        applied to float64 g, as a new array; a copy of g when the store is
+        empty."""
+        q = g.copy()
+        alphas = []
+        for s, y, rho in zip(reversed(self._s), reversed(self._y),
+                             reversed(self._rho)):
+            alpha = rho * float(s @ q)
+            q -= alpha * y
+            alphas.append(alpha)
+        if not alphas:
             return q
-        alphas = np.empty(n)
-        for i in range(n - 1, -1, -1):
-            alphas[i] = self._rho[i] * float(self._s[i] @ q)
-            q -= alphas[i] * self._y[i]
         r = self.gamma * q
-        for i in range(n):
-            beta = self._rho[i] * float(self._y[i] @ r)
-            r += (alphas[i] - beta) * self._s[i]
+        for s, y, rho, alpha in zip(self._s, self._y, self._rho,
+                                    reversed(alphas)):
+            beta = rho * float(y @ r)
+            r += (alpha - beta) * s
         return r
 
 
@@ -440,7 +449,10 @@ def _solve_row(problem: RowProblem, params: SolverParams, epsilon: float,
             # gradient instead lets large bound-set components leak into the
             # free direction and ruin descent.
             prev_b, prev_g = b, g
-            d_free = -store.direction(np.where(free, g, 0.0))[free]
+            if free.all():
+                d_free = -store.direction(g)
+            else:
+                d_free = -store.direction(np.where(free, g, 0.0))[free]
         elif free.any():
             g_free = g[free]
             h_free = _hessian_block(problem, m, free)

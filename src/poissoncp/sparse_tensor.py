@@ -10,6 +10,7 @@ deterministic.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "Shape",
     "SparseCountTensor",
     "ModeRowGroup",
+    "ModeLayout",
     "as_shape",
     "mode_column_index",
     "reduced_column_index",
@@ -32,6 +34,9 @@ __all__ = [
     "read_coo",
     "write_coo",
 ]
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,8 @@ class Shape:
             raise ValueError(f"need at least 2 modes, got {len(dims)}")
         if any(d < 1 for d in dims):
             raise ValueError(f"all dimensions must be >= 1, got {dims}")
+        if any(d > _INT64_MAX for d in dims):
+            raise ValueError(f"dimensions must not exceed {_INT64_MAX}, got {dims}")
 
     @property
     def ndim(self) -> int:
@@ -287,20 +294,66 @@ def _reduced_to_column(shape: Shape, mode: int, reduced) -> int:
     return j + 1
 
 
-def mode_row_positions(tensor: SparseCountTensor, mode: int):
-    """Positions of each nonempty row's entries in the tensor's COO arrays.
+# Gathered doubles per block of a mode layout: 128 KiB, which stays in
+# cache and below glibc's mmap threshold, so a block neither spills to
+# memory nor raises the peak RSS.
+BLOCK_DOUBLES = 16384
 
-    Returns a list of (row0, positions) with 0-based rows in increasing
-    order; ``positions`` indexes into ``tensor.subs0`` / ``tensor.vals``.
+
+@dataclass(frozen=True)
+class ModeLayout:
+    """The tensor's nonzeros grouped by mode-n row, built once per fit.
+
+    ``order`` lists the COO positions sorted by row (stably, so each row
+    keeps its entries in COO order); nonempty row ``k`` has the 0-based id
+    ``rows[k]`` and spans ``order[starts[k]:starts[k + 1]]``.  Iterating
+    yields ``(row0, positions)`` per nonempty row; :meth:`blocks` walks
+    runs of consecutive rows whose gathered Khatri-Rao rows fit in cache.
     """
+
+    order: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return int(self.rows.shape[0])
+
+    def __iter__(self):
+        for k, row0 in enumerate(self.rows.tolist()):
+            yield row0, self.order[self.starts[k]:self.starts[k + 1]]
+
+    def blocks(self, rank: int):
+        """Yield ``(positions, spans)`` per block of consecutive rows.
+
+        A block holds at most ``BLOCK_DOUBLES // rank`` nonzeros unless it
+        is a single longer row.  ``positions`` are the block's COO positions
+        in layout order, and each ``(row0, lo, hi)`` in ``spans`` says that
+        row ``row0`` holds ``positions[lo:hi]``.
+        """
+        limit = max(BLOCK_DOUBLES // rank, 1)
+        starts = self.starts
+        k0 = 0
+        while k0 < len(self):
+            k1 = int(np.searchsorted(starts, starts[k0] + limit, side="right")) - 1
+            k1 = max(k1, k0 + 1)
+            bounds = (starts[k0:k1 + 1] - starts[k0]).tolist()
+            spans = list(zip(self.rows[k0:k1].tolist(), bounds[:-1], bounds[1:]))
+            yield self.order[starts[k0]:starts[k1]], spans
+            k0 = k1
+
+
+def mode_row_positions(tensor: SparseCountTensor, mode: int) -> ModeLayout:
+    """Group the tensor's nonzeros by their mode-n row into a ModeLayout,
+    rows in increasing order."""
     _check_mode(tensor.shape, mode)
-    if tensor.nnz == 0:
-        return []
     col = tensor.subs0[:, mode - 1]
     order = np.argsort(col, kind="stable")
-    boundaries = np.flatnonzero(np.diff(col[order])) + 1
-    chunks = np.split(order, boundaries)
-    return [(int(col[c[0]]), c) for c in chunks]
+    sorted_rows = col[order]
+    new = np.ones(sorted_rows.shape[0], dtype=bool)
+    new[1:] = sorted_rows[1:] != sorted_rows[:-1]
+    first = np.flatnonzero(new)
+    starts = np.append(first, sorted_rows.shape[0])
+    return ModeLayout(order, sorted_rows[first], starts)
 
 
 def group_by_mode(tensor: SparseCountTensor, mode: int) -> list[ModeRowGroup]:
@@ -332,7 +385,8 @@ def read_coo(path) -> SparseCountTensor:
     lines are skipped.  The body is parsed in chunks, so memory beyond the
     result stays bounded.  Malformed or invalid data, including a line with
     the wrong number of fields, raises ValueError (or the validation error
-    subclass) with a message that starts with the path.
+    subclass) with a message that starts with the path; a malformed line is
+    named by its 1-based line number in the file.
     """
     with open(path) as fh:
         try:
@@ -350,15 +404,42 @@ def _parse_coo(fh) -> SparseCountTensor:
         raise ValueError(f"header declares {n} modes but lists "
                          f"{len(header) - 1} dimensions")
     dims = tuple(int(d) for d in header[1:])
+    body = fh.tell()
     if not _has_data_line(fh):
         return SparseCountTensor.from_arrays(
             dims, np.empty((0, n), dtype=np.int64), np.empty((0,), dtype=np.int64)
         )
-    data = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
-    if data.shape[1] != n + 1:
-        raise ValueError(f"entries must have {n} indices plus a count, "
-                         f"got lines of {data.shape[1]} fields")
+    try:
+        data = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
+        if data.shape[1] != n + 1:
+            raise ValueError(f"entries must have {n} indices plus a count, "
+                             f"got lines of {data.shape[1]} fields")
+    except ValueError as exc:
+        fh.seek(body)
+        raise _first_bad_line(fh, n) or exc
     return SparseCountTensor.from_arrays(dims, data[:, :n], data[:, n])
+
+
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def _first_bad_line(fh, n: int):
+    """A ValueError naming the first body line, by its 1-based number in
+    the file, that does not hold ``n`` indices plus a count of int64
+    tokens; None when every line does."""
+    for number, line in enumerate(iter(fh.readline, ""), start=2):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != n + 1:
+            return ValueError(f"line {number}: entries must have {n} indices "
+                              f"plus a count, got {len(fields)} fields")
+        for token in fields:
+            if not (_INT_TOKEN.fullmatch(token)
+                    and -_INT64_MAX - 1 <= int(token) <= _INT64_MAX):
+                return ValueError(f"line {number}: {token!r} is not an int64 "
+                                  "integer")
+    return None
 
 
 def _has_data_line(fh) -> bool:

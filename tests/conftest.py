@@ -3,18 +3,33 @@
 The oracles here deliberately avoid the library's production code paths:
 dense reconstruction uses einsum over the full cell grid, derivatives come
 from finite differences, row optima from a first-order projected-gradient
-loop, and scores from exhaustive permutation search.
+loop, and scores from exhaustive permutation search.  The reference
+implementations (``per_row_*``, ``argsort_*``, ``one_shot_*``,
+``Reference*``) are the plain forms of optimized code paths, kept to show
+that each optimization leaves results bitwise unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from poissoncp.kruskal import KruskalModel
-from poissoncp.row_solver import RowProblem, f_row, grad_row, kkt_violation_row
+from poissoncp.baselines import POSITIVITY_CLAMP, MuSolveResult
+from poissoncp.kruskal import KruskalModel, _pi_product, normalize
+from poissoncp.row_solver import (
+    CURVATURE_SKIP_REL,
+    LbfgsStore,
+    RowProblem,
+    f_row,
+    grad_row,
+    kkt_violation_row,
+    solve_row_pdnr,
+    solve_row_pqnr,
+)
 
 LETTERS = "abcdefgh"
 
@@ -153,6 +168,143 @@ def unique_sample_cells(model: KruskalModel, samples: int, seed):
             i = np.searchsorted(cum[:, comp[s]], u[s], side="right")
             subs0[s, k] = min(i, f.shape[0] - 1)
     return np.unique(subs0, axis=0, return_counts=True)
+
+
+def row_groups(tensor, mode: int):
+    """(row0, positions) per nonempty mode row, from one stable argsort."""
+    col = tensor.subs0[:, mode - 1]
+    order = np.argsort(col, kind="stable")
+    chunks = np.split(order, np.flatnonzero(np.diff(col[order])) + 1)
+    return [(int(col[c[0]]), c) for c in chunks if c.size]
+
+
+def per_row_mode_kkt_violation(tensor, model: KruskalModel, mode: int) -> float:
+    """Reference mode KKT check: one Khatri-Rao gather per row and a running
+    maximum, empty rows handled after the loop."""
+    if not model.normalized:
+        model = normalize(model)
+    mode0 = mode - 1
+    b_matrix = model.factors[mode0] * model.weights
+    worst = 0.0
+    has_data = np.zeros(b_matrix.shape[0], dtype=bool)
+    for row0, pos in row_groups(tensor, mode):
+        has_data[row0] = True
+        b = b_matrix[row0]
+        pi = _pi_product(model.factors, mode0, tensor.subs0[pos])
+        m = pi @ b
+        if (m <= 0.0).any():
+            return float("inf")
+        g = 1.0 - (tensor.vals[pos] / m) @ pi
+        worst = max(worst, float(np.abs(np.minimum(b, g)).max()))
+    empty = b_matrix[~has_data]
+    if empty.size:
+        worst = max(worst, float(np.minimum(empty, 1.0).max()))
+    return worst
+
+
+def argsort_mu_solve_mode(tensor, model: KruskalModel, mode: int,
+                          inner_iterations: int) -> MuSolveResult:
+    """Reference multiplicative mode solve: a whole-tensor gather permuted
+    by a fresh stable argsort of the mode column."""
+    if not model.normalized:
+        model = normalize(model)
+    mode0 = mode - 1
+    b = np.maximum(model.factors[mode0] * model.weights, POSITIVITY_CLAMP)
+    rows = tensor.subs0[:, mode0]
+    has_data = np.zeros(b.shape[0], dtype=bool)
+    has_data[rows] = True
+    b[~has_data] = 0.0
+    pi = _pi_product(model.factors, mode0, tensor.subs0)
+    x = tensor.vals.astype(np.float64)
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_rows)) + 1))
+    unique_rows = sorted_rows[starts]
+    pi_sorted = pi[order]
+    x_sorted = x[order]
+    objectives = np.empty(inner_iterations + 1)
+    for it in range(inner_iterations):
+        m = np.einsum("zr,zr->z", b[sorted_rows], pi_sorted)
+        objectives[it] = b.sum() - float(x_sorted @ np.log(m))
+        phi = np.add.reduceat(pi_sorted * (x_sorted / m)[:, None], starts, axis=0)
+        b[unique_rows] *= phi
+    m = np.einsum("zr,zr->z", b[sorted_rows], pi_sorted)
+    objectives[-1] = b.sum() - float(x_sorted @ np.log(m))
+    return MuSolveResult(b, objectives)
+
+
+def per_row_solve_mode(tensor, model: KruskalModel, mode: int, method: str,
+                       solver=None, inner_iterations: int = 10):
+    """Reference mode solve: pdnr/pqnr gather each row's Khatri-Rao columns
+    on their own, mu runs :func:`argsort_mu_solve_mode`; then the model is
+    renormalized.  Returns (model, row reports), reports empty for mu."""
+    if not model.normalized:
+        model = normalize(model)
+    mode0 = mode - 1
+    reports = []
+    if method == "mu":
+        b_matrix = argsort_mu_solve_mode(tensor, model, mode,
+                                         inner_iterations).b_matrix
+    else:
+        b_matrix = np.zeros_like(model.factors[mode0])
+        b_start = model.factors[mode0] * model.weights
+        for row0, pos in row_groups(tensor, mode):
+            pi = _pi_product(model.factors, mode0, tensor.subs0[pos]).T
+            problem = RowProblem(b_start[row0], tensor.vals[pos], pi)
+            if method == "pdnr":
+                b_star, report = solve_row_pdnr(problem, solver)
+            else:
+                b_star, report = solve_row_pqnr(problem, solver)
+            b_matrix[row0] = b_star
+            reports.append(report)
+    factors = list(model.factors)
+    factors[mode0] = b_matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return normalize(KruskalModel(np.ones(model.rank), tuple(factors))), reports
+
+
+def one_shot_model_entries(model: KruskalModel, subs0) -> np.ndarray:
+    """Reference model values: one (nnz, R) gather and one product."""
+    vecs = np.ones((subs0.shape[0], model.rank))
+    for k, f in enumerate(model.factors):
+        vecs *= f[subs0[:, k], :]
+    return vecs @ model.weights
+
+
+class ReferenceLbfgsStore(LbfgsStore):
+    """The L-BFGS pair update and two-loop recursion with an alphas array
+    and a masked copy of g on every call."""
+
+    def update(self, s, y) -> bool:
+        s = np.asarray(s, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        sy = float(s @ y)
+        if sy <= CURVATURE_SKIP_REL * (math.sqrt(s.dot(s)) * math.sqrt(y.dot(y))):
+            self.skipped += 1
+            return False
+        self._s.append(s.copy())
+        self._y.append(y.copy())
+        self._rho.append(1.0 / sy)
+        if len(self._s) > self.memory:
+            del self._s[0], self._y[0], self._rho[0]
+        self.gamma = sy / float(y @ y)
+        return True
+
+    def direction(self, g):
+        q = np.asarray(g, dtype=np.float64).copy()
+        n = len(self._s)
+        if n == 0:
+            return q
+        alphas = np.empty(n)
+        for i in range(n - 1, -1, -1):
+            alphas[i] = self._rho[i] * float(self._s[i] @ q)
+            q -= alphas[i] * self._y[i]
+        r = self.gamma * q
+        for i in range(n):
+            beta = self._rho[i] * float(self._y[i] @ r)
+            r += (alphas[i] - beta) * self._s[i]
+        return r
 
 
 def random_row_problem(rng, r_max=10, j_max=20, strictly_convex=False,

@@ -184,6 +184,17 @@ class TestDataErrors:
         assert message in err
         assert err.count("\n") == 1
 
+    def test_header_dimension_beyond_int64_is_data_error(self, tmp_path, capsys,
+                                                         fit_config):
+        coo = tmp_path / "huge.coo"
+        coo.write_text("2 99999999999999999999 3\n1 1 1\n")
+        rc = main(["factorize", "--config", fit_config, "--tensor", str(coo),
+                   "--output-dir", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {coo}: dimensions must not exceed")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("body, message", [
         ("1 1 1 1.5\n", "'1.5'"),
         ("1 1 9 4\n", "index (1, 1, 9) outside shape"),

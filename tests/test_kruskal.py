@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import poissoncp.kruskal as kruskal
 from conftest import (
     dense_kl_objective,
     dense_model_array,
     khatri_rao_columns,
+    one_shot_model_entries,
     random_model,
 )
 from poissoncp.errors import IndexOutOfRangeError, ZeroColumnWarning
@@ -14,6 +16,7 @@ from poissoncp.kruskal import (
     KruskalModel,
     kl_objective,
     load_model,
+    model_entries,
     model_entry,
     normalize,
     pi_columns,
@@ -142,6 +145,22 @@ class TestModelEntry:
         for _ in range(20):
             idx = tuple(int(rng.integers(1, 4)) for _ in range(3))
             assert model_entry(m, idx) >= 0.0
+
+
+class TestModelEntries:
+    @pytest.mark.parametrize("block, nnz", [(8, 37), (4, 3), (65536, 65536 * 2 + 5)])
+    def test_blocked_values_equal_one_shot_bitwise(self, rng, monkeypatch,
+                                                   block, nnz):
+        monkeypatch.setattr(kruskal, "_ENTRY_BLOCK_ROWS", block)
+        model = random_model(rng, (50, 40, 30), 7)
+        subs0 = np.stack([rng.integers(0, d, size=nnz) for d in (50, 40, 30)],
+                         axis=1)
+        assert np.array_equal(model_entries(model, subs0),
+                              one_shot_model_entries(model, subs0))
+
+    def test_no_rows(self, rng):
+        model = random_model(rng, (3, 4), 2)
+        assert model_entries(model, np.empty((0, 2), dtype=np.int64)).shape == (0,)
 
 
 class TestKlObjective:

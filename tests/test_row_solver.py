@@ -8,6 +8,7 @@ from conftest import (
     bfgs_inverse_update,
     central_diff,
     central_diff_jacobian,
+    ReferenceLbfgsStore,
     projected_gradient_solve,
     random_row_problem,
 )
@@ -391,6 +392,31 @@ class TestLbfgsStore:
             store.update(s, s)  # s'y = |s|^2 > 0
         assert len(store) == 3
         np.testing.assert_array_equal(store._s[0], pairs[1])
+
+    def test_empty_store_returns_fresh_array(self):
+        store = LbfgsStore(3)
+        g = np.array([3.0, -1.0])
+        d = store.direction(g)
+        assert d is not g
+        d[0] = 7.0
+        assert g[0] == 3.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), memory=st.integers(1, 3),
+           pairs=st.integers(0, 6))
+    def test_two_loop_matches_reference_bitwise(self, seed, memory, pairs):
+        rng = np.random.default_rng(seed)
+        r = int(rng.integers(1, 8))
+        store, reference = LbfgsStore(memory), ReferenceLbfgsStore(memory)
+        for _ in range(pairs):
+            s = rng.normal(size=r)
+            # Some pairs have negative curvature and are skipped.
+            y = s * rng.uniform(-0.2, 2.0) + 0.3 * rng.normal(size=r)
+            assert store.update(s, y) == reference.update(s, y)
+            g = rng.normal(size=r)
+            assert np.array_equal(store.direction(g), reference.direction(g))
+        assert store.gamma == reference.gamma
+        assert store.skipped == reference.skipped
 
     def test_gamma_tracks_newest_pair(self, rng):
         store = LbfgsStore(2)

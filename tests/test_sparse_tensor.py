@@ -270,6 +270,33 @@ class TestCooProperties:
             read_coo(path)
         assert str(info.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("body, message", [
+        ("1 1 1\n1 x 2\n", "line 3: 'x' is not an int64 integer"),
+        ("1 1 1\n1 2\n", "line 3: entries must have 2 indices plus a count, "
+                           "got 2 fields"),
+        ("1 1 1\n\n  \n1 2 1 4\n", "line 5: entries must have 2 indices"),
+        ("1 1 1 1\n2 2 2 2\n", "line 2: entries must have 2 indices"),
+        ("1 1 1\n2 2 99999999999999999999\n",
+         "line 3: '99999999999999999999' is not an int64 integer"),
+    ])
+    def test_malformed_line_is_named_by_file_line(self, tmp_path, body,
+                                                  message):
+        path = tmp_path / "bad.coo"
+        path.write_text("2 3 3\n" + body)
+        with pytest.raises(ValueError) as info:
+            read_coo(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+        assert "usecols" not in str(info.value)
+
+    def test_header_dimension_beyond_int64_is_value_error(self, tmp_path):
+        path = tmp_path / "huge.coo"
+        path.write_text("2 99999999999999999999 3\n1 1 1\n")
+        with pytest.raises(ValueError, match=r"dimensions must not exceed"):
+            read_coo(path)
+        with pytest.raises(ValueError):
+            Shape((2**63, 3))
+        assert Shape((2**63 - 1, 3)).dims == (2**63 - 1, 3)
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "blank.coo"
         path.write_text("2 3 3\n\n  \n2 1 4\n\n1\t3   2\n")
