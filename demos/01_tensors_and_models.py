@@ -13,12 +13,12 @@ import numpy as np
 from poissoncp import (
     KruskalModel,
     SparseCountTensor,
-    group_by_mode,
     kl_objective,
     mode_column_index,
-    model_entry,
     normalize,
 )
+from poissoncp.kruskal import model_entries
+from poissoncp.sparse_tensor import mode_row_positions
 
 # ---------------------------------------------------------------------------
 # A tiny 3-way tensor: counts of events indexed by (source, target, hour).
@@ -39,9 +39,13 @@ for mode in (1, 2, 3):
     print(f"mode-{mode} unfolding columns of the nonzeros: {cols}")
 
 # Row grouping is how the fitting loop sees the data: one group per
-# nonempty row of the unfolded tensor.
-for g in group_by_mode(tensor, 1):
-    print(f"mode-1 row {g.row}: {g.items}")
+# nonempty row of the unfolded tensor, listed by the positions of its
+# nonzeros.
+layout = mode_row_positions(tensor, 1)
+for row0, lo, hi in zip(layout.rows, layout.starts[:-1], layout.starts[1:]):
+    items = [(tuple(int(i) + 1 for i in tensor.subs0[p, 1:]),
+              int(tensor.vals[p])) for p in layout.order[lo:hi]]
+    print(f"mode-1 row {row0 + 1}: {items}")
 
 # ---------------------------------------------------------------------------
 # A rank-2 model of the same shape.
@@ -58,8 +62,9 @@ print("factor column sums after normalize:",
 
 # The represented tensor is unchanged by normalization.
 idx = (2, 3, 1)
-print(f"model entry at {idx}: {model_entry(model, idx):.6f} == "
-      f"{model_entry(nm, idx):.6f}")
+subs0 = np.array([idx]) - 1
+print(f"model entry at {idx}: {model_entries(model, subs0)[0]:.6f} == "
+      f"{model_entries(nm, subs0)[0]:.6f}")
 
 # The KL fit of a model to a count tensor; lower is better, and the value
 # is finite as long as no positive count sits on a zero model cell.

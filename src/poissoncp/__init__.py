@@ -28,12 +28,9 @@ from .evaluation import (
 )
 from .kruskal import (
     KruskalModel,
-    PiBlock,
     kl_objective,
     load_model,
-    model_entry,
     normalize,
-    pi_columns,
     save_model,
 )
 from .row_solver import (
@@ -49,10 +46,8 @@ from .row_solver import (
     solve_row_pqnr,
 )
 from .sparse_tensor import (
-    ModeRowGroup,
     Shape,
     SparseCountTensor,
-    group_by_mode,
     mode_column_index,
     read_coo,
     write_coo,
@@ -69,16 +64,11 @@ __all__ = [
     "__version__",
     "Shape",
     "SparseCountTensor",
-    "ModeRowGroup",
-    "group_by_mode",
     "mode_column_index",
     "read_coo",
     "write_coo",
     "KruskalModel",
-    "PiBlock",
     "normalize",
-    "pi_columns",
-    "model_entry",
     "kl_objective",
     "save_model",
     "load_model",

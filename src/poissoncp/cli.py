@@ -150,10 +150,7 @@ def _fit_config(config: dict, args) -> tuple[FitConfig, dict]:
                        else config.get("time_limit")),
         "seed": int(args.seed if args.seed is not None else config.get("seed", 0)),
         "mode1_only": bool(args.mode1_only or config.get("mode1_only", False)),
-        "workers": int(args.workers if args.workers is not None
-                       else config.get("workers", 1)),
         "inner_iterations": int(config.get("inner_iterations", 10)),
-        "persist_lbfgs": bool(config.get("persist_lbfgs", False)),
         "solver": solver_cfg,
     }
     if resolved["method"] not in METHODS:
@@ -171,8 +168,6 @@ def _fit_config(config: dict, args) -> tuple[FitConfig, dict]:
             mu=MuParams(inner_iterations=resolved["inner_iterations"]),
             seed=resolved["seed"],
             modes=(1,) if resolved["mode1_only"] else None,
-            workers=resolved["workers"],
-            persist_lbfgs=resolved["persist_lbfgs"],
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -261,7 +256,6 @@ def cmd_bench(args) -> int:
     tau = float(config.get("tau", 1e-4))
     outer_max = int(config.get("outer_max", 200))
     time_limit = config.get("time_limit")
-    workers = int(config.get("workers", 1))
     inner = int(config.get("inner_iterations", 10))
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -274,7 +268,7 @@ def cmd_bench(args) -> int:
                 fc = FitConfig(
                     method=method, rank=rank, outer_max=outer_max, tau=tau,
                     time_limit=time_limit, mu=MuParams(inner_iterations=inner),
-                    seed=seed, workers=workers,
+                    seed=seed,
                 )
                 result = fit(tensor, fc)
                 last = result.trace.records[-1]
@@ -329,8 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode1-only", action="store_true",
                    help="sweep only mode 1 (single convex block subproblem)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="row-solve thread count; results do not depend on it")
     p.add_argument("--init-model", default=None,
                    help="JSON model to start from instead of a random init")
     p.add_argument("--strict", action="store_true",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,13 +23,7 @@ from .baselines import MuParams, mu_solve_mode
 from .errors import IndexOutOfRangeError
 from .evaluation import mode_kkt_violation
 from .kruskal import KruskalModel, _pi_product, kl_objective, normalize
-from .row_solver import (
-    LbfgsStore,
-    RowProblem,
-    SolverParams,
-    solve_row_pdnr,
-    solve_row_pqnr,
-)
+from .row_solver import RowProblem, SolverParams, solve_row_pdnr, solve_row_pqnr
 from .sparse_tensor import SparseCountTensor, as_shape, mode_row_positions
 from .synth import seeded_rng
 
@@ -66,7 +59,10 @@ class FitConfig:
 
     ``modes`` restricts the sweep to the listed 1-based modes (used to study
     a single convex block subproblem); None sweeps every mode.  ``solver``
-    defaults to row solves at the global tolerance ``tau``.
+    defaults to row solves at the global tolerance ``tau``.  ``workers`` is
+    validated (at least 1) but has no effect: rows are always solved one
+    after another in a single thread.  It remains only because the
+    benchmark in ``perfbench/`` still passes it.
     """
 
     method: str
@@ -79,7 +75,6 @@ class FitConfig:
     seed: int = 0
     modes: Optional[tuple[int, ...]] = None
     workers: int = 1
-    persist_lbfgs: bool = False
 
     def __post_init__(self):
         self.method = str(self.method).lower()
@@ -168,48 +163,25 @@ def init_model(shape, rank: int, seed: int = 0) -> KruskalModel:
     return normalize(KruskalModel(np.ones(rank), tuple(factors)))
 
 
-def _solve_rows(b_matrix, layout, tensor, factors, mode0, method,
-                solver, stores, workers, deadline):
+def _solve_rows(b_matrix, layout, tensor, factors, mode0, method, solver,
+                deadline):
     """Solve each nonempty row subproblem, writing results into b_matrix.
 
     Rows are taken block by block from the mode's layout: each block's
     Khatri-Rao rows are gathered at once and each row solve sees its slice.
     Returns (report_rows, timed_out).  A wall-clock deadline is honored
-    between row solves only, keeping each row's result deterministic; with
-    a thread pool each block's rows are solved concurrently and the deadline
-    applies between modes instead.
+    between row solves only, keeping each row's result deterministic.
     """
-    def solve_one(row0, x, pi):
-        problem = RowProblem(b_matrix[row0], x, pi)
-        if method == "pdnr":
-            return solve_row_pdnr(problem, solver)
-        store = None if stores is None else stores.setdefault(
-            (mode0, row0), LbfgsStore(solver.lbfgs_memory if solver else 3)
-        )
-        return solve_row_pqnr(problem, solver, store)
-
-    def gathered_blocks():
-        for pos, spans in layout.blocks(b_matrix.shape[1]):
-            x_blk = tensor.vals[pos].astype(np.float64)
-            pi_blk = _pi_product(factors, mode0, tensor.subs0[pos])
-            yield [(row0, x_blk[lo:hi], pi_blk[lo:hi].T)
-                   for row0, lo, hi in spans]
-
+    solve_row = solve_row_pdnr if method == "pdnr" else solve_row_pqnr
     reports = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for block in gathered_blocks():
-                solved = pool.map(lambda row: solve_one(*row), block)
-                for (row0, _, _), (b_star, report) in zip(block, solved):
-                    b_matrix[row0] = b_star
-                    reports.append(report)
-        return reports, False
-    for block in gathered_blocks():
-        for row0, x, pi in block:
+    for pos, spans in layout.blocks(b_matrix.shape[1]):
+        x_blk = tensor.vals[pos].astype(np.float64)
+        pi_blk = _pi_product(factors, mode0, tensor.subs0[pos])
+        for row0, lo, hi in spans:
             if deadline is not None and time.perf_counter() > deadline:
                 return reports, True
-            b_star, report = solve_one(row0, x, pi)
-            b_matrix[row0] = b_star
+            problem = RowProblem(b_matrix[row0], x_blk[lo:hi], pi_blk[lo:hi].T)
+            b_matrix[row0], report = solve_row(problem, solver)
             reports.append(report)
     return reports, False
 
@@ -217,7 +189,7 @@ def _solve_rows(b_matrix, layout, tensor, factors, mode0, method,
 def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
                method: str = "pdnr", solver: Optional[SolverParams] = None,
                mu_params: Optional[MuParams] = None, layout=None,
-               stores=None, workers: int = 1, deadline=None):
+               deadline=None):
     """Solve the block subproblem of one mode and rescale.
 
     ``layout`` may carry the mode's precomputed
@@ -246,8 +218,8 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
         b_start = model.factors[mode0] * model.weights
         b_matrix[layout.rows] = b_start[layout.rows]
         reports, timed_out = _solve_rows(
-            b_matrix, layout, tensor, model.factors, mode0, method,
-            solver, stores, workers, deadline,
+            b_matrix, layout, tensor, model.factors, mode0, method, solver,
+            deadline,
         )
         report.rows_solved = len(reports)
         report.inner_iterations = sum(r.iterations for r in reports)
@@ -292,7 +264,6 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
             "initial model assigns zero to a cell with a positive count"
         )
     solver = config.solver or SolverParams(tau=config.tau)
-    stores = {} if (config.method == "pqnr" and config.persist_lbfgs) else None
     layouts = {n: mode_row_positions(tensor, n) for n in modes}
 
     start = time.perf_counter()
@@ -307,8 +278,7 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
         for n in modes:
             model, sweep = solve_mode(
                 tensor, model, n, method=config.method, solver=solver,
-                mu_params=config.mu, layout=layouts[n], stores=stores,
-                workers=config.workers, deadline=deadline,
+                mu_params=config.mu, layout=layouts[n], deadline=deadline,
             )
             ls_failures += sweep.line_search_failures
             fallbacks += sweep.fallback_steps

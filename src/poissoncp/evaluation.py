@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 from .kruskal import KruskalModel, _pi_product, normalize
+from .row_solver import _pi_x_over_m
 from .sparse_tensor import SparseCountTensor, mode_row_positions
 
 __all__ = [
@@ -138,11 +139,11 @@ def mode_kkt_violation(tensor: SparseCountTensor, model: KruskalModel,
         pi_blk = _pi_product(model.factors, mode0, tensor.subs0[pos])
         for row0, lo, hi in spans:
             b = b_matrix[row0]
-            pi = pi_blk[lo:hi]
-            m = pi @ b
+            pi = pi_blk[lo:hi].T
+            m = b @ pi
             if (m <= 0.0).any():
                 return float("inf")
-            g = 1.0 - (x_blk[lo:hi] / m) @ pi
+            g = 1.0 - _pi_x_over_m(pi, x_blk[lo:hi], m)
             residual[row0] = np.minimum(b, g)
     return float(np.abs(residual).max())
 

@@ -14,20 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRangeError,
-    ShapeMismatchError,
-    ZeroColumnWarning,
-    prefixed,
-)
+from .errors import ShapeMismatchError, ZeroColumnWarning, prefixed
 from .sparse_tensor import Shape, SparseCountTensor, as_shape
 
 __all__ = [
     "KruskalModel",
-    "PiBlock",
     "normalize",
-    "pi_columns",
-    "model_entry",
     "model_entries",
     "kl_objective",
     "save_model",
@@ -96,18 +88,6 @@ class KruskalModel:
         return Shape(tuple(f.shape[0] for f in self.factors))
 
 
-@dataclass(frozen=True)
-class PiBlock:
-    """Columns of the mode-n Khatri-Rao product matrix for selected cells.
-
-    ``columns[:, j]`` is the R-vector prod_{k != n} A[k][i_k, :] for the jth
-    requested reduced index.
-    """
-
-    mode: int
-    columns: np.ndarray = field(repr=False)
-
-
 def normalize(model: KruskalModel) -> KruskalModel:
     """Rescale factor columns to unit l1 norm, absorbing mass into weights.
 
@@ -145,45 +125,6 @@ def _pi_product(factors, mode0: int, subs0: np.ndarray) -> np.ndarray:
         if k != mode0:
             out *= f[subs0[:, k], :]
     return out
-
-
-def pi_columns(model: KruskalModel, mode: int, reduced_indices) -> PiBlock:
-    """Khatri-Rao columns for the given 1-based reduced indices of a mode.
-
-    ``reduced_indices`` is (J, N-1): for each requested unfolding column,
-    the indices of all modes except ``mode`` in increasing mode order.  Only
-    the requested columns are formed; the full R x J_n matrix never is.
-    Renormalizes lazily when the model is not flagged normalized.
-    """
-    if not model.normalized:
-        model = normalize(model)
-    n = model.ndim
-    if not 1 <= mode <= n:
-        raise IndexOutOfRangeError(f"mode {mode} out of range for {n} modes")
-    reduced = np.asarray(reduced_indices, dtype=np.int64).reshape(-1, n - 1)
-    other = [k for k in range(n) if k != mode - 1]
-    dims = np.asarray([model.factors[k].shape[0] for k in other], dtype=np.int64)
-    if reduced.size and ((reduced < 1).any() or (reduced > dims).any()):
-        raise IndexOutOfRangeError("reduced index outside the model shape")
-    subs0 = np.zeros((reduced.shape[0], n), dtype=np.int64)
-    subs0[:, other] = reduced - 1
-    return PiBlock(mode=mode, columns=_pi_product(model.factors, mode - 1, subs0).T)
-
-
-def model_entry(model: KruskalModel, multi_index) -> float:
-    """Evaluate one tensor entry: sum_r lambda_r prod_n A[n][i_n, r]."""
-    idx = tuple(int(i) for i in multi_index)
-    if len(idx) != model.ndim:
-        raise IndexOutOfRangeError(
-            f"multi-index must have {model.ndim} components"
-        )
-    for n, (i, f) in enumerate(zip(idx, model.factors), start=1):
-        if not 1 <= i <= f.shape[0]:
-            raise IndexOutOfRangeError(f"index {i} out of range for mode {n}")
-    prod = model.weights.copy()
-    for i, f in zip(idx, model.factors):
-        prod *= f[i - 1, :]
-    return float(prod.sum())
 
 
 # Subscript rows per block of model_entries: bounds its (rows, R) temporaries.

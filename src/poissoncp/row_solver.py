@@ -168,14 +168,18 @@ def _check_defined(m: np.ndarray) -> None:
         )
 
 
+def _pi_x_over_m(pi: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """pi @ (x / m) for an (R, J) pi: the data term of the row gradient,
+    negated, and the multiplicative update factor.  Zeros when J = 0."""
+    return pi @ (x / m)
+
+
 def grad_row(problem: RowProblem, b: Optional[np.ndarray] = None) -> np.ndarray:
     """Gradient 1 - pi @ (x / (b @ pi))."""
     b = problem.b if b is None else np.asarray(b, dtype=np.float64)
     m = _cell_values(problem, b)
     _check_defined(m)
-    if m.size == 0:
-        return np.ones_like(b)
-    return 1.0 - problem.pi @ (problem.x / m)
+    return 1.0 - _pi_x_over_m(problem.pi, problem.x, m)
 
 
 def hess_row(problem: RowProblem, b: Optional[np.ndarray] = None) -> np.ndarray:
@@ -183,10 +187,7 @@ def hess_row(problem: RowProblem, b: Optional[np.ndarray] = None) -> np.ndarray:
     b = problem.b if b is None else np.asarray(b, dtype=np.float64)
     m = _cell_values(problem, b)
     _check_defined(m)
-    if m.size == 0:
-        return np.zeros((b.shape[0], b.shape[0]))
-    w = problem.x / (m * m)
-    return (problem.pi * w) @ problem.pi.T
+    return _hessian_block(problem, m, np.ones(b.shape[0], dtype=bool))
 
 
 def _hessian_block(problem: RowProblem, m: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -313,10 +314,8 @@ def multiplicative_step(problem: RowProblem, b: np.ndarray,
     """
     if m is None:
         m = _cell_values(problem, b)
-    if m.size == 0:
-        return np.zeros_like(b)
     _check_defined(m)
-    return b * (problem.pi @ (problem.x / m))
+    return b * _pi_x_over_m(problem.pi, problem.x, m)
 
 
 class LbfgsStore:
@@ -431,7 +430,7 @@ def _solve_row(problem: RowProblem, params: SolverParams, epsilon: float,
     iters = ls_failures = fallbacks = 0
     prev_b = prev_g = None
     while True:
-        g = 1.0 - problem.pi @ (problem.x / m) if m.size else np.ones_like(b)
+        g = 1.0 - _pi_x_over_m(problem.pi, problem.x, m)
         if prev_b is not None:
             store.update(b - prev_b, g - prev_g)
         kkt = kkt_violation_row(b, g)
@@ -502,17 +501,14 @@ def solve_row_pdnr(problem: RowProblem, params: Optional[SolverParams] = None):
     return _solve_row(problem, params, epsilon, None)
 
 
-def solve_row_pqnr(problem: RowProblem, params: Optional[SolverParams] = None,
-                   store: Optional[LbfgsStore] = None):
+def solve_row_pqnr(problem: RowProblem, params: Optional[SolverParams] = None):
     """Projected quasi-Newton solve of one row subproblem.
 
     Same loop as :func:`solve_row_pdnr` with the free-set direction taken
     from a limited-memory BFGS approximation over all variables; the
-    curvature pair from each step feeds the store.  Passing a ``store``
-    lets callers persist curvature between invocations.
+    curvature pair from each step feeds a store that starts empty.
     Returns (b_star, RowSolveReport).
     """
     params = SolverParams() if params is None else params
     epsilon = PQNR_EPSILON if params.epsilon is None else params.epsilon
-    store = LbfgsStore(params.lbfgs_memory) if store is None else store
-    return _solve_row(problem, params, epsilon, store)
+    return _solve_row(problem, params, epsilon, LbfgsStore(params.lbfgs_memory))

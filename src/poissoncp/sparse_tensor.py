@@ -25,12 +25,9 @@ from .errors import (
 __all__ = [
     "Shape",
     "SparseCountTensor",
-    "ModeRowGroup",
     "ModeLayout",
     "as_shape",
     "mode_column_index",
-    "reduced_column_index",
-    "group_by_mode",
     "read_coo",
     "write_coo",
 ]
@@ -227,27 +224,6 @@ class SparseCountTensor:
         return self.nnz / self.shape.size
 
 
-@dataclass(frozen=True)
-class ModeRowGroup:
-    """All nonzeros of one mode-n row, keyed by the other modes' indices.
-
-    ``reduced_subs`` holds 1-based indices of the modes other than ``mode``,
-    in increasing mode order; ``counts`` the matching tensor counts.
-    """
-
-    mode: int
-    row: int
-    reduced_subs: np.ndarray = field(repr=False)
-    counts: np.ndarray = field(repr=False)
-
-    @property
-    def items(self):
-        return [
-            (tuple(int(i) for i in sub), int(c))
-            for sub, c in zip(self.reduced_subs, self.counts)
-        ]
-
-
 def mode_column_index(shape, mode: int, multi_index) -> int:
     """Column of the mode-n unfolding holding the given 1-based multi-index.
 
@@ -261,36 +237,14 @@ def mode_column_index(shape, mode: int, multi_index) -> int:
         raise IndexOutOfRangeError(
             f"multi-index must have {shape.ndim} components, got {len(idx)}"
         )
+    j = 0
+    stride = 1
     for k, (i, d) in enumerate(zip(idx, shape.dims), start=1):
         if not 1 <= i <= d:
             raise IndexOutOfRangeError(f"index {i} out of range for mode {k}")
-    reduced = tuple(i for k, i in enumerate(idx, start=1) if k != mode)
-    return _reduced_to_column(shape, mode, reduced)
-
-
-def reduced_column_index(shape, mode: int, reduced_index) -> int:
-    """Unfolding column for a 1-based index over all modes except ``mode``."""
-    shape = as_shape(shape)
-    _check_mode(shape, mode)
-    reduced = tuple(int(i) for i in reduced_index)
-    other_dims = [d for k, d in enumerate(shape.dims, start=1) if k != mode]
-    if len(reduced) != len(other_dims):
-        raise IndexOutOfRangeError(
-            f"reduced index must have {len(other_dims)} components"
-        )
-    for i, d in zip(reduced, other_dims):
-        if not 1 <= i <= d:
-            raise IndexOutOfRangeError(f"reduced index component {i} exceeds {d}")
-    return _reduced_to_column(shape, mode, reduced)
-
-
-def _reduced_to_column(shape: Shape, mode: int, reduced) -> int:
-    j = 0
-    stride = 1
-    other_dims = [d for k, d in enumerate(shape.dims, start=1) if k != mode]
-    for i, d in zip(reduced, other_dims):
-        j += (i - 1) * stride
-        stride *= d
+        if k != mode:
+            j += (i - 1) * stride
+            stride *= d
     return j + 1
 
 
@@ -306,9 +260,9 @@ class ModeLayout:
 
     ``order`` lists the COO positions sorted by row (stably, so each row
     keeps its entries in COO order); nonempty row ``k`` has the 0-based id
-    ``rows[k]`` and spans ``order[starts[k]:starts[k + 1]]``.  Iterating
-    yields ``(row0, positions)`` per nonempty row; :meth:`blocks` walks
-    runs of consecutive rows whose gathered Khatri-Rao rows fit in cache.
+    ``rows[k]`` and spans ``order[starts[k]:starts[k + 1]]``.
+    :meth:`blocks` walks runs of consecutive rows whose gathered Khatri-Rao
+    rows fit in cache.
     """
 
     order: np.ndarray = field(repr=False)
@@ -317,10 +271,6 @@ class ModeLayout:
 
     def __len__(self) -> int:
         return int(self.rows.shape[0])
-
-    def __iter__(self):
-        for k, row0 in enumerate(self.rows.tolist()):
-            yield row0, self.order[self.starts[k]:self.starts[k + 1]]
 
     def blocks(self, rank: int):
         """Yield ``(positions, spans)`` per block of consecutive rows.
@@ -354,27 +304,6 @@ def mode_row_positions(tensor: SparseCountTensor, mode: int) -> ModeLayout:
     first = np.flatnonzero(new)
     starts = np.append(first, sorted_rows.shape[0])
     return ModeLayout(order, sorted_rows[first], starts)
-
-
-def group_by_mode(tensor: SparseCountTensor, mode: int) -> list[ModeRowGroup]:
-    """Group the tensor's nonzeros by their mode-n row.
-
-    Returns one ModeRowGroup per nonempty row, sorted by row.  Every entry
-    of the tensor lands in exactly one group, so the groups conserve the
-    total count.
-    """
-    keep = [k for k in range(tensor.ndim) if k != mode - 1]
-    groups = []
-    for row0, pos in mode_row_positions(tensor, mode):
-        groups.append(
-            ModeRowGroup(
-                mode=mode,
-                row=row0 + 1,
-                reduced_subs=tensor.subs0[np.ix_(pos, keep)] + 1,
-                counts=tensor.vals[pos].copy(),
-            )
-        )
-    return groups
 
 
 def read_coo(path) -> SparseCountTensor:

@@ -94,7 +94,10 @@ class TestMuSolveMode:
         b_start = np.maximum(model.factors[0] * model.weights, 1e-16)
         from poissoncp.sparse_tensor import mode_row_positions
 
-        for row0, pos in mode_row_positions(tensor, 1):
+        layout = mode_row_positions(tensor, 1)
+        for row0, lo, hi in zip(layout.rows, layout.starts[:-1],
+                                layout.starts[1:]):
+            pos = layout.order[lo:hi]
             pi = _pi_product(model.factors, 0, tensor.subs0[pos]).T
             problem = RowProblem(b_start[row0], tensor.vals[pos], pi)
             expected = multiplicative_step(problem, b_start[row0])

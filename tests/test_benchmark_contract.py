@@ -1,0 +1,37 @@
+"""What the benchmark in ``perfbench/`` needs from the package.
+
+The benchmark wraps named module attributes with timing spans and builds
+``FitConfig`` objects with a ``workers`` field.  Its own tests check the
+same and more, but take about a minute; these checks are fast enough to
+run with the rest of the suite, so a rename or a removed field shows here
+first.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from poissoncp.driver import METHODS, FitConfig
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    return importlib.import_module("tracing")
+
+
+def test_every_wrapped_site_is_a_module_attribute(tracing):
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in tracing.wrapped_sites()
+               if attr not in owner.__dict__]
+    assert missing == []
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fit_config_accepts_the_benchmark_fields(method):
+    config = FitConfig(method=method, rank=5, outer_max=1, tau=1e-4, seed=0,
+                       workers=2)
+    assert config.workers == 2

@@ -182,11 +182,19 @@ class TestFit:
         for a, b in zip(base.model.factors, multi.model.factors):
             np.testing.assert_array_equal(a, b)
 
-    def test_persistent_lbfgs_runs(self, small_dataset):
-        _, tensor = small_dataset
-        res = fit(tensor, FitConfig(method="pqnr", rank=2, tau=1e-3,
-                                    outer_max=100, seed=1, persist_lbfgs=True))
-        assert res.converged
+    def test_expired_deadline_result_does_not_depend_on_workers(self):
+        # An already expired time limit stops the first mode before any row
+        # is solved, whatever the worker count.
+        _, tensor = generate_dataset(GenConfig(dims=(20, 30, 40), rank=5,
+                                               samples=50_000, seed=0))
+        one, two = (fit(tensor, FitConfig(method="pdnr", rank=5,
+                                          time_limit=0.0, seed=0, workers=w))
+                    for w in (1, 2))
+        assert len(one.trace) == len(two.trace) == 1
+        assert one.trace.records[0].objective == two.trace.records[0].objective
+        np.testing.assert_array_equal(one.model.weights, two.model.weights)
+        for a, b in zip(one.model.factors, two.model.factors):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestTraceCsv:

@@ -11,15 +11,13 @@ from conftest import (
     one_shot_model_entries,
     random_model,
 )
-from poissoncp.errors import IndexOutOfRangeError, ZeroColumnWarning
+from poissoncp.errors import ZeroColumnWarning
 from poissoncp.kruskal import (
     KruskalModel,
     kl_objective,
     load_model,
     model_entries,
-    model_entry,
     normalize,
-    pi_columns,
     save_model,
 )
 from poissoncp.sparse_tensor import SparseCountTensor
@@ -48,12 +46,10 @@ class TestNormalize:
     def test_represented_tensor_unchanged(self, rng):
         # Direct multilinear evaluation before and after must agree.
         m = random_model(rng, (4, 5, 3), 3)
-        nm = normalize(m)
-        for _ in range(10):
-            idx = tuple(int(rng.integers(1, d + 1)) for d in (4, 5, 3))
-            assert model_entry(nm, idx) == pytest.approx(
-                model_entry(m, idx), rel=1e-10
-            )
+        subs0 = np.stack([rng.integers(0, d, size=10) for d in (4, 5, 3)],
+                         axis=1)
+        np.testing.assert_allclose(model_entries(normalize(m), subs0),
+                                   model_entries(m, subs0), rtol=1e-10)
 
     def test_zero_column_warns_and_zeroes_weight(self):
         f1 = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -65,86 +61,80 @@ class TestNormalize:
 
 
 class TestPiColumns:
+    """Khatri-Rao columns as the row solves gather them, with
+    :func:`poissoncp.kruskal._pi_product`."""
+
     def test_two_way_is_other_factor_row(self):
         a2 = np.array([[0.3, 0.7], [0.7, 0.3]])
-        m = KruskalModel(
-            np.ones(2), (np.full((2, 2), 0.5), a2), normalized=True
-        )
-        block = pi_columns(m, 1, [(1,)])
-        np.testing.assert_allclose(block.columns[:, 0], [0.3, 0.7])
+        factors = (np.full((2, 2), 0.5), a2)
+        rows = kruskal._pi_product(factors, 0, np.array([[1, 0]]))
+        np.testing.assert_allclose(rows[0], [0.3, 0.7])
 
     def test_three_way_rank_one_product(self):
-        f1 = np.array([[1.0]])
-        f2 = np.array([[0.2], [0.8]])
-        f3 = np.array([[0.5], [0.5]])
-        m = KruskalModel(np.ones(1), (f1, f2, f3), normalized=True)
-        block = pi_columns(m, 1, [(1, 1)])
-        assert block.columns[0, 0] == pytest.approx(0.2 * 0.5)
+        factors = (np.array([[1.0]]), np.array([[0.2], [0.8]]),
+                   np.array([[0.5], [0.5]]))
+        rows = kruskal._pi_product(factors, 0, np.array([[0, 0, 0]]))
+        assert rows[0, 0] == pytest.approx(0.2 * 0.5)
 
     def test_matches_dense_khatri_rao(self, rng):
         # Dense oracle: all J_1 columns against the full Khatri-Rao product.
         m = normalize(random_model(rng, (3, 4, 2), 3))
-        reduced = [
-            (i2 + 1, i3 + 1) for i3 in range(2) for i2 in range(4)
-        ]  # first listed mode varies fastest
-        block = pi_columns(m, 1, reduced)
-        dense = khatri_rao_columns([m.factors[1], m.factors[2]]).T
-        np.testing.assert_allclose(block.columns, dense, rtol=1e-12)
+        subs0 = np.array([
+            (0, i2, i3) for i3 in range(2) for i2 in range(4)
+        ])  # first listed mode varies fastest
+        dense = khatri_rao_columns([m.factors[1], m.factors[2]])
+        np.testing.assert_allclose(kruskal._pi_product(m.factors, 0, subs0),
+                                   dense, rtol=1e-12)
 
     def test_row_sums_over_all_columns_are_one(self, rng):
         # Summed across the full reduced index space, each component's pi
-        # row adds to one for a normalized model.
+        # column adds to one for a normalized model.
         m = normalize(random_model(rng, (3, 4, 2), 3))
-        for mode, other in ((1, (4, 2)), (2, (3, 2)), (3, (3, 4))):
-            reduced = [
-                tuple(i + 1 for i in idx)
-                for idx in np.ndindex(*other)
-            ]
-            block = pi_columns(m, mode, reduced)
-            np.testing.assert_allclose(
-                block.columns.sum(axis=1), np.ones(m.rank), atol=1e-10
-            )
+        for mode0 in range(3):
+            subs0 = np.array(list(np.ndindex(3, 4, 2)))
+            subs0 = subs0[subs0[:, mode0] == 0]
+            rows = kruskal._pi_product(m.factors, mode0, subs0)
+            np.testing.assert_allclose(rows.sum(axis=0), np.ones(m.rank),
+                                       atol=1e-10)
 
     def test_rejects_bad_reduced_index(self, rng):
         m = normalize(random_model(rng, (3, 4, 2), 2))
-        with pytest.raises(IndexOutOfRangeError):
-            pi_columns(m, 1, [(5, 1)])
+        with pytest.raises(IndexError):
+            kruskal._pi_product(m.factors, 0, np.array([[0, 4, 0]]))
 
-    def test_unnormalized_model_renormalizes_lazily(self, rng):
+    def test_uses_factors_as_given(self, rng):
+        # No normalization happens inside the gather.
         m = random_model(rng, (3, 4), 2)
-        block = pi_columns(m, 1, [(2,)])
-        expected = normalize(m).factors[1][1, :]
-        np.testing.assert_allclose(block.columns[:, 0], expected)
+        rows = kruskal._pi_product(m.factors, 0, np.array([[0, 1]]))
+        np.testing.assert_array_equal(rows[0], m.factors[1][1, :])
 
 
 class TestModelEntry:
     def test_rank_one(self):
         factors = tuple(np.full((2, 1), 0.5) for _ in range(3))
         m = KruskalModel(np.array([2.0]), factors)
-        assert model_entry(m, (1, 2, 1)) == pytest.approx(0.25)
+        assert model_entries(m, np.array([[0, 1, 0]]))[0] == pytest.approx(0.25)
 
     def test_zero_weights(self, rng):
         m = random_model(rng, (3, 3), 2)
         z = KruskalModel(np.zeros(2), m.factors)
-        assert model_entry(z, (2, 2)) == 0.0
+        assert model_entries(z, np.array([[1, 1]]))[0] == 0.0
 
     def test_consistent_with_pi_columns(self, rng):
-        # m(i) must equal lambda . (pi column at the reduced index) * row of
-        # factor 1.
+        # m(i) must equal lambda . (Khatri-Rao row at the other indices) *
+        # row of factor 1.
         m = normalize(random_model(rng, (3, 4, 2), 3))
-        for _ in range(10):
-            idx = tuple(int(rng.integers(1, d + 1)) for d in (3, 4, 2))
-            col = pi_columns(m, 1, [idx[1:]]).columns[:, 0]
-            expected = float(
-                (m.weights * col * m.factors[0][idx[0] - 1, :]).sum()
-            )
-            assert model_entry(m, idx) == pytest.approx(expected, rel=1e-12)
+        subs0 = np.stack([rng.integers(0, d, size=10) for d in (3, 4, 2)],
+                         axis=1)
+        pi = kruskal._pi_product(m.factors, 0, subs0)
+        expected = (m.weights * pi * m.factors[0][subs0[:, 0], :]).sum(axis=1)
+        np.testing.assert_allclose(model_entries(m, subs0), expected,
+                                   rtol=1e-12)
 
     def test_nonnegative(self, rng):
         m = random_model(rng, (3, 3, 3), 2)
-        for _ in range(20):
-            idx = tuple(int(rng.integers(1, 4)) for _ in range(3))
-            assert model_entry(m, idx) >= 0.0
+        subs0 = rng.integers(0, 3, size=(20, 3))
+        assert (model_entries(m, subs0) >= 0.0).all()
 
 
 class TestModelEntries:

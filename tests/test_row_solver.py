@@ -519,6 +519,10 @@ class TestMultiplicativeStep:
         if np.isfinite(f_row(p)):
             assert (multiplicative_step(p, p.b) >= 0.0).all()
 
+    def test_row_without_counts_goes_to_zero(self):
+        p = empty_problem([0.3, 0.8])
+        np.testing.assert_array_equal(multiplicative_step(p, p.b), np.zeros(2))
+
 
 class TestSharedLoopProperties:
     """Invariants of the loop shared by both solvers on random feasible

@@ -17,11 +17,10 @@ from poissoncp.errors import (
 from poissoncp.sparse_tensor import (
     Shape,
     SparseCountTensor,
-    group_by_mode,
     lexsort_runs,
     mode_column_index,
+    mode_row_positions,
     read_coo,
-    reduced_column_index,
     write_coo,
 )
 
@@ -80,8 +79,9 @@ class TestModeColumnIndex:
         other_dims = [d for k, d in enumerate(shape.dims, start=1) if k != mode]
         seen = []
         for reduced in np.ndindex(*reversed(other_dims)):
-            idx = tuple(reversed([i + 1 for i in reduced]))
-            seen.append(reduced_column_index(shape, mode, idx))
+            idx = list(reversed([i + 1 for i in reduced]))
+            idx.insert(mode - 1, 1)
+            seen.append(mode_column_index(shape, mode, idx))
         assert sorted(seen) == list(range(1, shape.reduced_size(mode) + 1))
 
     def test_rejects_bad_index(self):
@@ -92,34 +92,41 @@ class TestModeColumnIndex:
 
 
 class TestGroupByMode:
+    """Grouping of the nonzeros by mode row, as ``mode_row_positions``
+    lays it out."""
+
     def test_empty_tensor(self):
         t = SparseCountTensor.from_entries((2, 2), [])
-        assert group_by_mode(t, 1) == []
+        layout = mode_row_positions(t, 1)
+        assert len(layout) == 0
+        assert layout.rows.size == 0 and layout.order.size == 0
 
     def test_direct_regrouping(self):
         t = SparseCountTensor.from_entries((2, 2), [((1, 2), 5), ((2, 2), 7)])
-        groups = group_by_mode(t, 1)
-        assert [(g.row, g.items) for g in groups] == [
-            (1, [((2,), 5)]),
-            (2, [((2,), 7)]),
-        ]
+        layout = mode_row_positions(t, 1)
+        assert layout.rows.tolist() == [0, 1]
+        assert layout.starts.tolist() == [0, 1, 2]
+        assert t.subs0[layout.order].tolist() == [[0, 1], [1, 1]]
+        assert t.vals[layout.order].tolist() == [5, 7]
 
     @pytest.mark.parametrize("mode", [1, 2, 3])
     def test_count_conservation_random(self, rng, mode):
-        # Conservation oracle: regrouping must reproduce the entry multiset.
+        # Conservation oracle: regrouping must reproduce the entry multiset,
+        # each entry under the row it belongs to.
         for _ in range(5):
             cells = rng.choice(1000, size=50, replace=False)
             subs = np.stack(np.unravel_index(cells, (10, 10, 10)), axis=1) + 1
             vals = rng.integers(1, 9, size=50)
             t = SparseCountTensor.from_arrays((10, 10, 10), subs, vals)
-            groups = group_by_mode(t, mode)
-            assert sum(int(g.counts.sum()) for g in groups) == t.total_count()
+            layout = mode_row_positions(t, mode)
+            assert int(t.vals[layout.order].sum()) == t.total_count()
+            assert sorted(layout.order.tolist()) == list(range(t.nnz))
             rebuilt = set()
-            for g in groups:
-                for reduced, count in g.items:
-                    full = list(reduced)
-                    full.insert(mode - 1, g.row)
-                    rebuilt.add((tuple(full), count))
+            for k, row0 in enumerate(layout.rows.tolist()):
+                for p in layout.order[layout.starts[k]:layout.starts[k + 1]]:
+                    assert t.subs0[p, mode - 1] == row0
+                    rebuilt.add((tuple(int(i) + 1 for i in t.subs0[p]),
+                                 int(t.vals[p])))
             assert rebuilt == set(t.entries())
 
 
