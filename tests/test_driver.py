@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from poissoncp.driver import (
+    METHODS,
     FitConfig,
     fit,
     init_model,
@@ -79,6 +80,16 @@ class TestSolveMode:
         b_row = out.factors[0][1] * out.weights
         np.testing.assert_array_equal(b_row, np.zeros(2))
 
+    def test_unknown_method_is_rejected(self, small_dataset):
+        _, tensor = small_dataset
+        model = init_model(tensor.shape, 3, seed=0)
+        with pytest.raises(ValueError) as from_config:
+            FitConfig(method="bogus", rank=3)
+        with pytest.raises(ValueError) as from_solve:
+            solve_mode(tensor, model, 1, method="bogus")
+        assert str(from_solve.value) == str(from_config.value)
+        assert "method must be one of" in str(from_solve.value)
+
     def test_mode_subproblem_unique_across_starts(self, small_dataset):
         # Strictly convex block subproblem: identical B* from any start.
         _, tensor = small_dataset
@@ -152,6 +163,11 @@ class TestFit:
             tensor.total_count(), rel=1e-4
         )
 
+    @pytest.mark.parametrize("time_limit", ["soon", True, [1.0]])
+    def test_time_limit_must_be_a_number(self, time_limit):
+        with pytest.raises(ValueError, match="time_limit must be a number"):
+            FitConfig(method="mu", rank=2, time_limit=time_limit)
+
     def test_empty_tensor_rejected(self):
         t = SparseCountTensor.from_entries((2, 2), [])
         with pytest.raises(ValueError):
@@ -195,6 +211,25 @@ class TestFit:
         np.testing.assert_array_equal(one.model.weights, two.model.weights)
         for a, b in zip(one.model.factors, two.model.factors):
             np.testing.assert_array_equal(a, b)
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_same_config_and_seed_give_identical_fits(self, small_dataset,
+                                                      method):
+        _, tensor = small_dataset
+        config = FitConfig(method=method, rank=3, tau=1e-4, outer_max=40,
+                           seed=7)
+        first, second = fit(tensor, config), fit(tensor, config)
+        np.testing.assert_array_equal(first.model.weights, second.model.weights)
+        for a, b in zip(first.model.factors, second.model.factors):
+            np.testing.assert_array_equal(a, b)
+        assert first.converged == second.converged
+        assert first.final_kkt == second.final_kkt
+        untimed = [[(r.outer, r.mode_kkt, r.objective, r.exact_zeros,
+                     r.line_search_failures, r.fallback_steps) for r in res.trace]
+                   for res in (first, second)]
+        assert untimed[0] == untimed[1]
 
 
 class TestTraceCsv:

@@ -13,6 +13,7 @@ from poissoncp.evaluation import (
     thresholded_zero_count,
 )
 from poissoncp.kruskal import KruskalModel, normalize
+from poissoncp.sparse_tensor import SparseCountTensor
 from poissoncp.synth import GenConfig, generate_dataset
 
 
@@ -147,6 +148,15 @@ class TestKktReports:
         bumped = KruskalModel(res.model.weights, factors)
         _, worst = full_kkt_violation(tensor, bumped)
         assert worst > 1e-4
+
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_zero_model_value_at_positive_count_is_infinite(self, mode):
+        # The count at (2, 2) sits on a cell the model gives zero.
+        tensor = SparseCountTensor.from_entries((2, 2), [((1, 1), 1),
+                                                         ((2, 2), 4)])
+        model = KruskalModel(np.array([5.0]), (np.array([[1.0], [0.0]]),
+                                               np.array([[0.5], [0.5]])))
+        assert mode_kkt_violation(tensor, model, mode) == np.inf
 
     def test_mode_kkt_pure_function(self, fitted):
         tensor, res = fitted

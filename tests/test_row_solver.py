@@ -502,6 +502,22 @@ class TestSolvePqnr:
         assert report.final_kkt == 0.0
 
 
+class TestZeroKhatriRaoColumn:
+    """A positive count whose Khatri-Rao column is all zero: no b >= 0 gives
+    that cell a positive model value, so the objective is +inf everywhere
+    and the solvers return the start untouched."""
+
+    @pytest.mark.parametrize("solve", [solve_row_pdnr, solve_row_pqnr])
+    def test_returns_start_with_infinite_kkt(self, solve):
+        b0 = np.array([1.0, 1.0])
+        p = RowProblem(b0, np.array([2.0, 3.0]),
+                       np.array([[1.0, 0.0], [0.0, 0.0]]))
+        b, report = solve(p)
+        np.testing.assert_array_equal(b, b0)
+        assert report.iterations == 0
+        assert report.final_kkt == np.inf
+
+
 class TestMultiplicativeStep:
     def test_scalar_reaches_optimum_in_one_step(self):
         p = scalar_problem(1.0)
