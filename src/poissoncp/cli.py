@@ -16,6 +16,7 @@ bit; each run writes a manifest recording the resolved config and its hash.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -40,7 +41,8 @@ from .synth import GenConfig, generate_dataset
 __all__ = ["main"]
 
 
-def _load_config(path) -> dict:
+def _load_config(path, keys) -> dict:
+    """The JSON object in ``path``, whose keys must all be among ``keys``."""
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -50,6 +52,9 @@ def _load_config(path) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
+    unknown = [key for key in config if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config field {unknown[0]!r}")
     return config
 
 
@@ -72,22 +77,51 @@ def _field(config: dict, key: str, kind, what: str, default=_REQUIRED,
         return default
     try:
         return kind(config[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config field {key!r} is not a valid {what}") from exc
 
 
-def _int_list(value):
-    return [int(v) for v in value]
+def _fields(config: dict, table: dict, overrides: dict) -> dict:
+    """The ``table`` fields that ``overrides`` or ``config`` set, converted.
+
+    ``table`` maps a key to its ``(kind, what)`` for :func:`_field`.  Keys
+    set by neither are left out, so the dataclass built from the result
+    supplies its own default.
+    """
+    return {key: _field(config, key, kind, what, override=overrides.get(key))
+            for key, (kind, what) in table.items()
+            if key in config or overrides.get(key) is not None}
 
 
-def _method_list(value):
-    return [str(m).lower() for m in value]
+def _exactly(cls):
+    """``kind`` that accepts only a JSON value decoded as ``cls``."""
+    def check(value):
+        if not isinstance(value, cls):
+            raise TypeError(f"expected {cls.__name__}")
+        return value
+    return check
 
 
-def _path(value):
-    if not isinstance(value, str):
-        raise TypeError("a path must be a string")
-    return value
+def _int(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _number(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError("not a number")
+    return float(value)
+
+
+def _list(kind):
+    """``kind`` applied to each element of a non-empty JSON array."""
+    def convert(value):
+        if not isinstance(value, list) or not value:
+            raise TypeError("expected a non-empty array")
+        return [kind(v) for v in value]
+    return convert
 
 
 def _optional(kind):
@@ -96,7 +130,12 @@ def _optional(kind):
 
 
 def _build(cls, **fields):
-    """``cls(**fields)``, reporting its own range checks as ConfigError."""
+    """``cls(**fields)``, naming a missing required field and reporting the
+    class's own range checks as ConfigError."""
+    for f in dataclasses.fields(cls):
+        if (f.name not in fields and f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING):
+            raise ConfigError(f"missing required config field {f.name!r}")
     try:
         return cls(**fields)
     except (TypeError, ValueError) as exc:
@@ -133,88 +172,97 @@ def _write_manifest(outdir: Path, command: str, resolved: dict, outputs):
         fh.write("\n")
 
 
-def _gen_config(config: dict, seed_override=None) -> GenConfig:
-    return _build(
-        GenConfig,
-        dims=tuple(_field(config, "dims", _int_list, "list of integers")),
-        rank=_field(config, "rank", int, "integer"),
-        samples=_field(config, "samples", int, "integer"),
-        boost_fraction=_field(config, "boost_fraction", float, "number", 0.2),
-        boost_scale=_field(config, "boost_scale", float, "number", 10.0),
-        small_value=_field(config, "small_value", float, "number", 0.1),
-        collinearity_alpha=_field(config, "collinearity_alpha",
-                                  _optional(float), "number", None),
-        seed=_field(config, "seed", int, "integer", 0, seed_override),
-    )
+# Config key -> (kind, what) for :func:`_field`.  The generator keys are
+# GenConfig's fields, in its order; the fit keys map onto FitConfig, with
+# ``inner_iterations`` building its MuParams, ``mode1_only`` its modes and
+# ``solver`` its SolverParams.
+_GEN_FIELDS = {
+    "dims": (_list(_int), "non-empty list of integers"),
+    "rank": (_int, "integer"),
+    "samples": (_int, "integer"),
+    "boost_fraction": (_number, "number"),
+    "boost_scale": (_number, "number"),
+    "small_value": (_number, "number"),
+    "collinearity_alpha": (_optional(_number), "number"),
+    "seed": (_int, "integer"),
+}
+_FIT_FIELDS = {
+    "method": (str.lower, "method name"),
+    "rank": (_int, "integer"),
+    "tau": (_number, "number"),
+    "outer_max": (_int, "integer"),
+    "time_limit": (_optional(_number), "number"),
+    "seed": (_int, "integer"),
+    "mode1_only": (_exactly(bool), "boolean"),
+    "inner_iterations": (_int, "integer"),
+    "solver": (_exactly(dict), "object"),
+}
+
+
+def _gen_config(config: dict, **overrides) -> GenConfig:
+    return _build(GenConfig, **_fields(config, _GEN_FIELDS, overrides))
 
 
 def cmd_generate(args) -> int:
-    config = _load_config(args.config)
-    gen = _gen_config(config, args.seed)
+    config = _load_config(args.config, _GEN_FIELDS)
+    gen = _gen_config(config, seed=args.seed)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     truth, tensor = generate_dataset(gen)
     write_coo(tensor, outdir / "tensor.coo")
     save_model(truth, outdir / "truth_model.json")
-    resolved = {
-        "dims": list(gen.dims), "rank": gen.rank, "samples": gen.samples,
-        "boost_fraction": gen.boost_fraction, "boost_scale": gen.boost_scale,
-        "small_value": gen.small_value,
-        "collinearity_alpha": gen.collinearity_alpha, "seed": gen.seed,
-    }
-    _write_manifest(outdir, "generate", resolved,
+    _write_manifest(outdir, "generate", dataclasses.asdict(gen),
                     ["tensor.coo", "truth_model.json"])
     print(f"wrote {outdir / 'tensor.coo'}: dims={gen.dims} nnz={tensor.nnz} "
           f"density={tensor.density():.4%} total_count={tensor.total_count()}")
     return 0
 
 
-def _fit_config(config: dict, args) -> tuple[FitConfig, dict]:
-    method = args.method or config.get("method")
-    if method is None:
-        raise ConfigError("missing required config field 'method'")
-    solver_cfg = config.get("solver") or {}
-    if not isinstance(solver_cfg, dict):
-        raise ConfigError("config field 'solver' must be an object")
+def _fit_config(config: dict, **overrides) -> tuple[FitConfig, dict]:
+    """The FitConfig and the resolved fit fields, for the manifest."""
+    fields = _fields(config, _FIT_FIELDS, overrides)
+    solver = fields.pop("solver", {})
+    if solver:
+        fields["solver"] = _build(
+            SolverParams, **{"tau": fields.get("tau", FitConfig.tau), **solver})
+    if "inner_iterations" in fields:
+        fields["mu"] = _build(MuParams,
+                              inner_iterations=fields.pop("inner_iterations"))
+    if fields.pop("mode1_only", False):
+        fields["modes"] = (1,)
+    fit_config = _build(FitConfig, **fields)
     resolved = {
-        "method": str(method).lower(),
-        "rank": _field(config, "rank", int, "integer", override=args.rank),
-        "tau": _field(config, "tau", float, "number", 1e-4, args.tau),
-        "outer_max": _field(config, "outer_max", int, "integer", 200,
-                            args.outer_max),
-        "time_limit": _field(config, "time_limit", _optional(float), "number",
-                             None, args.time_limit),
-        "seed": _field(config, "seed", int, "integer", 0, args.seed),
-        "mode1_only": bool(args.mode1_only or config.get("mode1_only", False)),
-        "inner_iterations": _field(config, "inner_iterations", int,
-                                   "integer", 10),
-        "solver": solver_cfg,
+        "method": fit_config.method,
+        "rank": fit_config.rank,
+        "tau": fit_config.tau,
+        "outer_max": fit_config.outer_max,
+        "time_limit": fit_config.time_limit,
+        "seed": fit_config.seed,
+        "mode1_only": fit_config.modes == (1,),
+        "inner_iterations": fit_config.mu.inner_iterations,
+        "solver": solver,
     }
-    solver = (_build(SolverParams, **{"tau": resolved["tau"], **solver_cfg})
-              if solver_cfg else None)
-    fit_config = _build(
-        FitConfig,
-        method=resolved["method"],
-        rank=resolved["rank"],
-        outer_max=resolved["outer_max"],
-        tau=resolved["tau"],
-        time_limit=resolved["time_limit"],
-        solver=solver,
-        mu=_build(MuParams, inner_iterations=resolved["inner_iterations"]),
-        seed=resolved["seed"],
-        modes=(1,) if resolved["mode1_only"] else None,
-    )
     return fit_config, resolved
 
 
+# "workers" is accepted and ignored because the benchmark's chain config in
+# perfbench/workloads.py still writes it; ROADMAP item 1 removes both it and
+# FitConfig.workers.
+_FACTORIZE_KEYS = {*_FIT_FIELDS, "tensor", "init_model", "workers"}
+
+
 def cmd_factorize(args) -> int:
-    config = _load_config(args.config)
-    tensor_path = _field(config, "tensor", _path, "path", override=args.tensor)
-    fit_config, resolved = _fit_config(config, args)
+    config = _load_config(args.config, _FACTORIZE_KEYS)
+    tensor_path = _field(config, "tensor", _exactly(str), "path",
+                         override=args.tensor)
+    fit_config, resolved = _fit_config(
+        config, method=args.method, rank=args.rank, tau=args.tau,
+        outer_max=args.outer_max, time_limit=args.time_limit, seed=args.seed,
+        mode1_only=args.mode1_only or None)
     resolved["tensor"] = tensor_path
     init = None
-    init_path = _field(config, "init_model", _optional(_path), "path", None,
-                       args.init_model)
+    init_path = _field(config, "init_model", _optional(_exactly(str)), "path",
+                       None, args.init_model)
     if init_path:
         init = normalize(_read_input(load_model, init_path))
         resolved["init_model"] = init_path
@@ -277,55 +325,49 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+# The sweep sets each run's method, rank and seed; its fits use the default
+# solver and sweep every mode.
+_BENCH_KEYS = {"methods", "ranks", "seeds", *_GEN_FIELDS, *_FIT_FIELDS} - {
+    "method", "rank", "seed", "solver", "mode1_only"}
+_BENCH_COLUMNS = ("method", "rank", "seed", "time_to_tau", "final_objective",
+                  "exact_zeros", "converged")
+
+
 def cmd_bench(args) -> int:
-    config = _load_config(args.config)
-    methods = _field(config, "methods", _method_list, "list of method names",
-                     list(METHODS))
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r} in 'methods'")
-    ranks = _field(config, "ranks", _int_list, "list of integers")
-    seeds = _field(config, "seeds", _int_list, "list of integers")
-    tau = _field(config, "tau", float, "number", 1e-4)
-    outer_max = _field(config, "outer_max", int, "integer", 200)
-    time_limit = _field(config, "time_limit", _optional(float), "number", None)
-    mu = _build(MuParams,
-                inner_iterations=_field(config, "inner_iterations", int,
-                                        "integer", 10))
+    config = _load_config(args.config, _BENCH_KEYS)
+    methods = _field(config, "methods", _list(str.lower),
+                     "non-empty list of method names", list(METHODS))
+    ranks = _field(config, "ranks", _list(_int), "non-empty list of integers")
+    seeds = _field(config, "seeds", _list(_int), "non-empty list of integers")
+    runs = [(_gen_config(config, rank=rank, seed=seed),
+             [_fit_config(config, method=method, rank=rank, seed=seed)
+              for method in methods])
+            for rank in ranks for seed in seeds]
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for rank in ranks:
-        for seed in seeds:
-            gen = _gen_config({**config, "rank": rank}, seed)
-            _, tensor = generate_dataset(gen)
-            for method in methods:
-                fc = _build(
-                    FitConfig, method=method, rank=rank, outer_max=outer_max,
-                    tau=tau, time_limit=time_limit, mu=mu, seed=seed,
-                )
-                result = fit(tensor, fc)
-                last = result.trace.records[-1]
-                rows.append({
-                    "method": method,
-                    "rank": rank,
-                    "seed": seed,
-                    "time_to_tau": f"{last.seconds:.3f}" if result.converged else "",
-                    "final_objective": f"{last.objective:.17g}",
-                    "exact_zeros": last.exact_zeros,
-                    "converged": int(result.converged),
-                })
-                print(f"bench: method={method} rank={rank} seed={seed} "
-                      f"converged={result.converged} "
-                      f"objective={last.objective:.6g}")
+    for gen, fits in runs:
+        _, tensor = generate_dataset(gen)
+        for fc, _ in fits:
+            result = fit(tensor, fc)
+            last = result.trace.records[-1]
+            rows.append((
+                fc.method, fc.rank, fc.seed,
+                f"{last.seconds:.3f}" if result.converged else "",
+                f"{last.objective:.17g}", last.exact_zeros,
+                int(result.converged),
+            ))
+            print(f"bench: method={fc.method} rank={fc.rank} seed={fc.seed} "
+                  f"converged={result.converged} "
+                  f"objective={last.objective:.6g}")
     out = outdir / "bench.csv"
     with open(out, "w") as fh:
-        fh.write("method,rank,seed,time_to_tau,final_objective,exact_zeros,converged\n")
-        for row in rows:
-            fh.write(",".join(str(row[k]) for k in (
-                "method", "rank", "seed", "time_to_tau", "final_objective",
-                "exact_zeros", "converged")) + "\n")
-    resolved = {k: config.get(k) for k in sorted(config)}
+        for row in (_BENCH_COLUMNS, *rows):
+            fh.write(",".join(map(str, row)) + "\n")
+    gen, fits = runs[0]
+    settings = {**dataclasses.asdict(gen), **fits[0][1]}
+    resolved = {"methods": methods, "ranks": ranks, "seeds": seeds,
+                **{k: v for k, v in settings.items() if k in _BENCH_KEYS}}
     _write_manifest(outdir, "bench", resolved, ["bench.csv"])
     print(f"wrote {out} ({len(rows)} rows)")
     return 0

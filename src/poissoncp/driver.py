@@ -94,6 +94,8 @@ class FitConfig:
             raise ValueError("outer_max must be at least 1")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.time_limit is not None and (

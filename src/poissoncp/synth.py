@@ -62,6 +62,8 @@ class GenConfig:
             raise ValueError("boost_fraction must lie in (0, 1]")
         if self.boost_scale < 0 or self.small_value <= 0:
             raise ValueError("boost_scale must be >= 0 and small_value > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 class ModeCollinearity(NamedTuple):

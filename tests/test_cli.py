@@ -303,6 +303,15 @@ class TestConfigErrors:
         ("time_limit", "soon", "config field 'time_limit' is not a valid number"),
         ("outer_max", 0, "outer_max must be at least 1"),
         ("tensor", 5, "config field 'tensor' is not a valid path"),
+        ("tua", 1e-9, "unknown config field 'tua'"),
+        ("mode1_only", "no", "config field 'mode1_only' is not a valid boolean"),
+        ("rank", 2.7, "config field 'rank' is not a valid integer"),
+        ("rank", True, "config field 'rank' is not a valid integer"),
+        ("outer_max", True, "config field 'outer_max' is not a valid integer"),
+        ("tau", True, "config field 'tau' is not a valid number"),
+        ("time_limit", True, "config field 'time_limit' is not a valid number"),
+        ("solver", [], "config field 'solver' is not a valid object"),
+        ("seed", -1, "seed must be nonnegative"),
     ])
     def test_factorize_bad_field(self, generated, capsys, field, value,
                                  message):
@@ -319,6 +328,11 @@ class TestConfigErrors:
         ("boost_fraction", "x", "config field 'boost_fraction' is not a valid number"),
         ("rank", 0, "rank must be at least 1"),
         ("seed", [1], "config field 'seed' is not a valid integer"),
+        ("tua", 1, "unknown config field 'tua'"),
+        ("samples", 100.9, "config field 'samples' is not a valid integer"),
+        ("rank", True, "config field 'rank' is not a valid integer"),
+        ("dims", "678", "config field 'dims' is not a valid non-empty list"),
+        ("seed", -1, "seed must be nonnegative"),
     ])
     def test_generate_bad_field(self, tmp_path, capsys, field, value, message):
         doc = {"dims": [6, 7, 8], "rank": 3, "samples": 100, field: value}
@@ -328,6 +342,40 @@ class TestConfigErrors:
                            message)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("seeds", [-1], "seed must be nonnegative"),
+        ("ranks", [], "config field 'ranks' is not a valid non-empty list"),
+        ("ranks", [True], "config field 'ranks' is not a valid non-empty list"),
+        ("methods", "pdnr", "config field 'methods' is not a valid non-empty list"),
+        ("methods", ["newton"], "method must be one of"),
+        ("outer_max", True, "config field 'outer_max' is not a valid integer"),
+        ("rank", 3, "unknown config field 'rank'"),
+        ("seed", 1, "unknown config field 'seed'"),
+        ("solver", {}, "unknown config field 'solver'"),
+        ("mode1_only", True, "unknown config field 'mode1_only'"),
+    ])
+    def test_bench_bad_field(self, tmp_path, capsys, field, value, message):
+        doc = {"dims": [5, 6, 4], "samples": 100, "ranks": [2], "seeds": [0],
+               "methods": ["mu"], "outer_max": 1, field: value}
+        cfg = write_json(tmp_path / "bench.json", doc)
+        self.run_and_check(capsys, ["bench", "--config", cfg,
+                                    "--output-dir", str(tmp_path / "out")],
+                           message)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "factorize"])
+    def test_negative_seed_flag(self, generated, capsys, command):
+        tmp_path, outdir = generated
+        cfg = write_json(tmp_path / "cfg.json", {
+            "generate": {"dims": [6, 7, 8], "rank": 3, "samples": 100},
+            "factorize": {"tensor": str(outdir / "tensor.coo"),
+                          "method": "mu", "rank": 3},
+        }[command])
+        self.run_and_check(capsys, [command, "--config", cfg, "--seed", "-1",
+                                    "--output-dir", str(tmp_path / "out")],
+                           "seed must be nonnegative")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["generate", "factorize", "bench"])
     def test_config_that_is_not_an_object(self, tmp_path, capsys, command):
         cfg = tmp_path / "list.json"
@@ -335,6 +383,66 @@ class TestConfigErrors:
         self.run_and_check(capsys, [command, "--config", str(cfg),
                                     "--output-dir", str(tmp_path / "out")],
                            f"{cfg}: config must be a JSON object")
+
+
+class TestManifests:
+    """The resolved config each command records, pinned for the README
+    configs, with every default filled in and keys in order."""
+
+    GEN = {"dims": [20, 30, 40], "rank": 5, "samples": 50000, "seed": 5}
+    FIT = {"tensor": "data/tensor.coo", "method": "pdnr", "rank": 5,
+           "tau": 1e-4}
+
+    @staticmethod
+    def config_items(outdir):
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        return list(manifest["config"].items())
+
+    @pytest.mark.parametrize("flags, seed", [([], 5), (["--seed", "7"], 7)])
+    def test_generate(self, tmp_path, flags, seed):
+        cfg = write_json(tmp_path / "gen.json", self.GEN)
+        out = tmp_path / "data"
+        assert main(["generate", "--config", cfg, "--output-dir", str(out),
+                     *flags]) == 0
+        assert self.config_items(out) == list({
+            "dims": [20, 30, 40], "rank": 5, "samples": 50000,
+            "boost_fraction": 0.2, "boost_scale": 10.0, "small_value": 0.1,
+            "collinearity_alpha": None, "seed": seed,
+        }.items())
+
+    @pytest.mark.parametrize("flags, overridden", [
+        ([], {}),
+        (["--seed", "1", "--method", "mu", "--outer-max", "1", "--mode1-only"],
+         {"method": "mu", "outer_max": 1, "seed": 1, "mode1_only": True}),
+    ])
+    def test_factorize(self, tmp_path, monkeypatch, flags, overridden):
+        monkeypatch.chdir(tmp_path)
+        gen = write_json(tmp_path / "gen.json", self.GEN)
+        fac = write_json(tmp_path / "fit.json", self.FIT)
+        assert main(["generate", "--config", gen, "--output-dir", "data"]) == 0
+        assert main(["factorize", "--config", fac, "--output-dir", "run",
+                     *flags]) == 0
+        expected = {
+            "method": "pdnr", "rank": 5, "tau": 0.0001, "outer_max": 200,
+            "time_limit": None, "seed": 0, "mode1_only": False,
+            "inner_iterations": 10, "solver": {}, "tensor": "data/tensor.coo",
+        }
+        assert self.config_items(tmp_path / "run") == list(
+            {**expected, **overridden}.items())
+
+    def test_bench_records_its_defaults(self, tmp_path):
+        cfg = write_json(tmp_path / "bench.json", {
+            "dims": [5, 6, 4], "samples": 200, "ranks": [2], "seeds": [1],
+            "methods": ["MU"], "outer_max": 2,
+        })
+        out = tmp_path / "bench"
+        assert main(["bench", "--config", cfg, "--output-dir", str(out)]) == 0
+        assert self.config_items(out) == list({
+            "methods": ["mu"], "ranks": [2], "seeds": [1], "dims": [5, 6, 4],
+            "samples": 200, "boost_fraction": 0.2, "boost_scale": 10.0,
+            "small_value": 0.1, "collinearity_alpha": None, "tau": 0.0001,
+            "outer_max": 2, "time_limit": None, "inner_iterations": 10,
+        }.items())
 
 
 class TestDeterminism:

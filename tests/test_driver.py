@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from poissoncp.driver import (
     solve_mode,
     write_trace,
 )
+from poissoncp.errors import ZeroColumnWarning
 from poissoncp.evaluation import full_kkt_violation
 from poissoncp.kruskal import KruskalModel, kl_objective, normalize
 from poissoncp.sparse_tensor import SparseCountTensor
@@ -168,6 +170,10 @@ class TestFit:
         with pytest.raises(ValueError, match="time_limit must be a number"):
             FitConfig(method="mu", rank=2, time_limit=time_limit)
 
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            FitConfig(method="mu", rank=2, seed=-1)
+
     def test_empty_tensor_rejected(self):
         t = SparseCountTensor.from_entries((2, 2), [])
         with pytest.raises(ValueError):
@@ -211,6 +217,22 @@ class TestFit:
         np.testing.assert_array_equal(one.model.weights, two.model.weights)
         for a, b in zip(one.model.factors, two.model.factors):
             np.testing.assert_array_equal(a, b)
+
+
+class TestZeroColumnInsideFit:
+    @pytest.mark.parametrize("method", ["pdnr", "pqnr"])
+    def test_column_reaching_zero_keeps_the_fit_sound(self, method):
+        # Two counts cannot use three components: one column goes to zero
+        # during the first sweep, and the fit reports it as a zero weight.
+        tensor = SparseCountTensor.from_entries(
+            (3, 3, 3), [((1, 1, 1), 5), ((2, 2, 2), 3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ZeroColumnWarning)
+            res = fit(tensor, FitConfig(method=method, rank=3, seed=0))
+        assert np.count_nonzero(res.model.weights == 0) == 1
+        objs = [r.objective for r in res.trace]
+        assert np.isfinite(objs).all()
+        assert all(b <= a for a, b in zip(objs, objs[1:]))
 
 
 class TestDeterminism:
