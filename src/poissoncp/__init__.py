@@ -9,7 +9,7 @@ data generator, and factor-recovery evaluation.
 
 __version__ = "0.1.0"
 
-from .baselines import MuParams, mu_solve_mode
+from .baselines import mu_solve_mode
 from .driver import (
     FitConfig,
     FitResult,
@@ -82,7 +82,6 @@ __all__ = [
     "kkt_violation_row",
     "solve_row_pdnr",
     "solve_row_pqnr",
-    "MuParams",
     "mu_solve_mode",
     "FitConfig",
     "FitResult",

@@ -12,7 +12,6 @@ computed over nonzero unfolding columns only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,20 +19,9 @@ import numpy as np
 from .kruskal import KruskalModel, _pi_product, normalize
 from .sparse_tensor import SparseCountTensor, mode_row_positions
 
-__all__ = ["MuParams", "MuSolveResult", "mu_solve_mode"]
+__all__ = ["MuSolveResult", "mu_solve_mode"]
 
 POSITIVITY_CLAMP = 1e-16
-
-
-@dataclass(frozen=True)
-class MuParams:
-    """Inner iteration count for one multiplicative mode solve."""
-
-    inner_iterations: int = 10
-
-    def __post_init__(self):
-        if self.inner_iterations < 1:
-            raise ValueError("inner_iterations must be at least 1")
 
 
 class MuSolveResult(NamedTuple):
@@ -42,8 +30,9 @@ class MuSolveResult(NamedTuple):
 
 
 def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
-                  params: MuParams = MuParams(), layout=None) -> MuSolveResult:
-    """Run multiplicative updates on mode ``mode`` of a normalized model.
+                  inner_iterations: int = 10, layout=None) -> MuSolveResult:
+    """Run ``inner_iterations`` multiplicative updates on mode ``mode`` of
+    a normalized model.
 
     Entries of B are clamped up to 1e-16 before the first inner iteration so
     that no variable starts in the absorbing state at zero.  Rows of the
@@ -52,6 +41,8 @@ def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     ``layout`` may carry the mode's precomputed
     :func:`poissoncp.sparse_tensor.mode_row_positions`.
     """
+    if inner_iterations < 1:
+        raise ValueError("inner_iterations must be at least 1")
     if not model.normalized:
         model = normalize(model)
     mode0 = mode - 1
@@ -63,7 +54,7 @@ def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
         model.factors[mode0][unique_rows] * model.weights, POSITIVITY_CLAMP
     )
     if tensor.nnz == 0:
-        return MuSolveResult(b, np.zeros(params.inner_iterations + 1))
+        return MuSolveResult(b, np.zeros(inner_iterations + 1))
 
     # Nonzeros in layout order, so each row's entries are contiguous.
     order = layout.order
@@ -72,8 +63,8 @@ def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     pi_sorted = _pi_product(model.factors, mode0, tensor.subs0[order])
     x_sorted = tensor.vals[order].astype(np.float64)
 
-    objectives = np.empty(params.inner_iterations + 1)
-    for it in range(params.inner_iterations):
+    objectives = np.empty(inner_iterations + 1)
+    for it in range(inner_iterations):
         m = np.einsum("zr,zr->z", b[sorted_rows], pi_sorted)
         objectives[it] = b.sum() - float(x_sorted @ np.log(m))
         ratio = x_sorted / m

@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .baselines import MuParams
 from .driver import METHODS, FitConfig, fit, write_trace
 from .errors import ConfigError, DataError
 from .evaluation import (
@@ -52,10 +51,14 @@ def _load_config(path, keys) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
+    _check_keys(config, keys)
+    return config
+
+
+def _check_keys(config: dict, keys) -> None:
     unknown = [key for key in config if key not in keys]
     if unknown:
         raise ConfigError(f"unknown config field {unknown[0]!r}")
-    return config
 
 
 _REQUIRED = object()
@@ -174,8 +177,8 @@ def _write_manifest(outdir: Path, command: str, resolved: dict, outputs):
 
 # Config key -> (kind, what) for :func:`_field`.  The generator keys are
 # GenConfig's fields, in its order; the fit keys map onto FitConfig, with
-# ``inner_iterations`` building its MuParams, ``mode1_only`` its modes and
-# ``solver`` its SolverParams.
+# ``mode1_only`` building its modes and ``solver`` its SolverParams from
+# the ``_SOLVER_FIELDS`` of that object.
 _GEN_FIELDS = {
     "dims": (_list(_int), "non-empty list of integers"),
     "rank": (_int, "integer"),
@@ -196,6 +199,10 @@ _FIT_FIELDS = {
     "mode1_only": (_exactly(bool), "boolean"),
     "inner_iterations": (_int, "integer"),
     "solver": (_exactly(dict), "object"),
+}
+_SOLVER_FIELDS = {
+    "tau": (_number, "number"),
+    "k_max": (_int, "integer"),
 }
 
 
@@ -223,11 +230,10 @@ def _fit_config(config: dict, **overrides) -> tuple[FitConfig, dict]:
     fields = _fields(config, _FIT_FIELDS, overrides)
     solver = fields.pop("solver", {})
     if solver:
-        fields["solver"] = _build(
-            SolverParams, **{"tau": fields.get("tau", FitConfig.tau), **solver})
-    if "inner_iterations" in fields:
-        fields["mu"] = _build(MuParams,
-                              inner_iterations=fields.pop("inner_iterations"))
+        _check_keys(solver, _SOLVER_FIELDS)
+        fields["solver"] = _build(SolverParams, **{
+            "tau": fields.get("tau", FitConfig.tau),
+            **_fields(solver, _SOLVER_FIELDS, {})})
     if fields.pop("mode1_only", False):
         fields["modes"] = (1,)
     fit_config = _build(FitConfig, **fields)
@@ -239,7 +245,7 @@ def _fit_config(config: dict, **overrides) -> tuple[FitConfig, dict]:
         "time_limit": fit_config.time_limit,
         "seed": fit_config.seed,
         "mode1_only": fit_config.modes == (1,),
-        "inner_iterations": fit_config.mu.inner_iterations,
+        "inner_iterations": fit_config.inner_iterations,
         "solver": solver,
     }
     return fit_config, resolved
@@ -301,17 +307,16 @@ def cmd_evaluate(args) -> int:
     report = score_greedy(model, truth)
     zeros = exact_zero_count(model)
     per_mode, kkt_max = full_kkt_violation(tensor, model)
+    thresholded = {f"{t:g}": thresholded_zero_count(model, t)
+                   for t in DEFAULT_ZERO_THRESHOLDS}
     doc = {
         "score": report.score,
         "permutation": list(report.permutation),
         "per_component": list(report.per_component),
         "exact_zeros": {"per_factor": list(zeros.per_factor), "total": zeros.total},
         "thresholded_zeros": {
-            f"{t:g}": {
-                "per_factor": list(thresholded_zero_count(model, t).per_factor),
-                "total": thresholded_zero_count(model, t).total,
-            }
-            for t in DEFAULT_ZERO_THRESHOLDS
+            t: {"per_factor": list(c.per_factor), "total": c.total}
+            for t, c in thresholded.items()
         },
         "mode_kkt": list(per_mode),
         "kkt_max": kkt_max,

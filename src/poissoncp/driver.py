@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .baselines import MuParams, mu_solve_mode
+from .baselines import mu_solve_mode
 from .errors import IndexOutOfRangeError
 from .evaluation import mode_kkt_violation
 from .kruskal import KruskalModel, _pi_product, kl_objective, normalize
@@ -66,11 +66,12 @@ class FitConfig:
 
     ``modes`` restricts the sweep to the listed 1-based modes (used to study
     a single convex block subproblem); None sweeps every mode.  ``solver``
-    defaults to row solves at the global tolerance ``tau``.  ``workers`` is
-    validated (at least 1) but has no effect: rows are always solved one
-    after another in a single thread.  It remains only because the
-    benchmark in ``perfbench/`` still passes it.  Building a ``pdnr``
-    config imports LAPACK from scipy, which only the damped Newton
+    defaults to row solves at the global tolerance ``tau``, and
+    ``inner_iterations`` counts the updates of each ``mu`` mode solve.
+    ``workers`` is validated (at least 1) but has no effect: rows are
+    always solved one after another in a single thread.  It remains only
+    because the benchmark in ``perfbench/`` still passes it.  Building a
+    ``pdnr`` config imports LAPACK from scipy, which only the damped Newton
     direction uses, so that one-time cost falls outside ``fit``.
     """
 
@@ -80,7 +81,7 @@ class FitConfig:
     tau: float = 1e-4
     time_limit: Optional[float] = None
     solver: Optional[SolverParams] = None
-    mu: MuParams = field(default_factory=MuParams)
+    inner_iterations: int = 10
     seed: int = 0
     modes: Optional[tuple[int, ...]] = None
     workers: int = 1
@@ -94,6 +95,8 @@ class FitConfig:
             raise ValueError("outer_max must be at least 1")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        if self.inner_iterations < 1:
+            raise ValueError("inner_iterations must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.workers < 1:
@@ -209,7 +212,7 @@ def _solve_rows(b_matrix, layout, tensor, factors, mode0, method, solver,
 
 def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
                method: str = "pdnr", solver: Optional[SolverParams] = None,
-               mu_params: Optional[MuParams] = None, layout=None,
+               inner_iterations: int = 10, layout=None,
                deadline=None):
     """Solve the block subproblem of one mode and rescale.
 
@@ -231,8 +234,7 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     if layout is None:
         layout = mode_row_positions(tensor, mode)
     if method == "mu":
-        result = mu_solve_mode(tensor, model, mode, mu_params or MuParams(),
-                               layout)
+        result = mu_solve_mode(tensor, model, mode, inner_iterations, layout)
         b_matrix = result.b_matrix
         report.rows_solved = len(layout)
         report.inner_iterations = len(result.objectives) - 1
@@ -301,7 +303,8 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
         for n in modes:
             model, sweep = solve_mode(
                 tensor, model, n, method=config.method, solver=solver,
-                mu_params=config.mu, layout=layouts[n], deadline=deadline,
+                inner_iterations=config.inner_iterations, layout=layouts[n],
+                deadline=deadline,
             )
             ls_failures += sweep.line_search_failures
             fallbacks += sweep.fallback_steps

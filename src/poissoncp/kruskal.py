@@ -116,8 +116,11 @@ def normalize(model: KruskalModel) -> KruskalModel:
     return KruskalModel(weights, tuple(factors), normalized=True)
 
 
-def _pi_product(factors, mode0: int, subs0: np.ndarray) -> np.ndarray:
-    """(J, R) rows prod_{k != mode0} factors[k][subs0[:, k], :], 0-based."""
+def _pi_product(factors, mode0: int | None, subs0: np.ndarray) -> np.ndarray:
+    """(J, R) rows prod_{k != mode0} factors[k][subs0[:, k], :], 0-based.
+
+    A ``mode0`` of None skips no mode, giving the rows whose products with
+    the weights are the model values at ``subs0``."""
     j = subs0.shape[0]
     r = factors[0].shape[1]
     out = np.ones((j, r), dtype=np.float64)
@@ -138,10 +141,8 @@ def model_entries(model: KruskalModel, subs0: np.ndarray) -> np.ndarray:
     out = np.empty(subs0.shape[0], dtype=np.float64)
     for start in range(0, subs0.shape[0], _ENTRY_BLOCK_ROWS):
         block = subs0[start:start + _ENTRY_BLOCK_ROWS]
-        vecs = np.ones((block.shape[0], model.rank), dtype=np.float64)
-        for k, f in enumerate(model.factors):
-            vecs *= f[block[:, k], :]
-        out[start:start + block.shape[0]] = vecs @ model.weights
+        out[start:start + block.shape[0]] = (
+            _pi_product(model.factors, None, block) @ model.weights)
     return out
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -51,8 +52,14 @@ __all__ = [
     "solve_row_pqnr",
 ]
 
-PDNR_EPSILON = 1e-3
-PQNR_EPSILON = 1e-8
+# Fixed constants of the row solvers.
+PDNR_EPSILON = 1e-3  # two-metric closeness threshold, damped Newton
+PQNR_EPSILON = 1e-8  # two-metric closeness threshold, quasi-Newton
+MU0 = 1e-5  # initial Levenberg-Marquardt damping
+SIGMA = 1e-4  # Armijo sufficient-decrease constant
+BETA = 0.5  # backtrack factor
+MAX_BACKTRACKS = 10
+LBFGS_MEMORY = 3  # stored curvature pairs
 CURVATURE_SKIP_REL = 1e-12
 FACTORIZATION_RETRIES = 5
 
@@ -90,34 +97,22 @@ class RowProblem:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Tuning constants for the row solvers.
-
-    ``epsilon`` is the two-metric closeness threshold; when None each solver
-    substitutes its own default (1e-3 damped Newton, 1e-8 quasi-Newton).
-    """
+    """Stopping rule of a row solve: the KKT tolerance ``tau`` and at most
+    ``k_max`` iterations.  The algorithm's other constants are fixed at
+    module level (``MU0``, ``SIGMA``, ``BETA``, ``MAX_BACKTRACKS``,
+    ``LBFGS_MEMORY`` and the two-metric epsilon of each direction)."""
 
     tau: float = 1e-8
-    mu0: float = 1e-5
-    sigma: float = 1e-4
-    beta: float = 0.5
-    epsilon: Optional[float] = None
     k_max: int = 50
-    lbfgs_memory: int = 3
-    max_backtracks: int = 10
 
     def __post_init__(self):
-        if not 0 < self.sigma < 1:
-            raise ValueError("sigma must lie in (0, 1)")
-        if not 0 < self.beta < 1:
-            raise ValueError("beta must lie in (0, 1)")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.mu0 < 0:
-            raise ValueError("mu0 must be nonnegative")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.k_max < 1 or self.lbfgs_memory < 1 or self.max_backtracks < 0:
-            raise ValueError("iteration limits must be positive")
+        if isinstance(self.k_max, bool) or not isinstance(self.k_max,
+                                                          numbers.Integral):
+            raise ValueError("k_max must be an integer")
+        if self.k_max < 1:
+            raise ValueError("k_max must be at least 1")
 
 
 @dataclass
@@ -273,22 +268,21 @@ def assemble_direction(d_free: np.ndarray, g: np.ndarray, sets) -> np.ndarray:
 
 
 def armijo_projected_search(problem: RowProblem, b: np.ndarray, f_b: float,
-                            g: np.ndarray, d: np.ndarray,
-                            params: SolverParams) -> LineSearchResult:
+                            g: np.ndarray, d: np.ndarray) -> LineSearchResult:
     """Projected backtracking search for the smallest t with
 
-        f(P+(b + beta^t d)) - f(b) <= sigma * (P+(b + beta^t d) - b)' g.
+        f(P+(b + BETA^t d)) - f(b) <= SIGMA * (P+(b + BETA^t d) - b)' g.
 
     Trial points where the predicted change is not a strict decrease, or
     where f is +inf, fail the test and trigger another backtrack.  When t
-    exceeds ``max_backtracks`` the result carries ``alpha=None`` and the
+    exceeds ``MAX_BACKTRACKS`` the result carries ``alpha=None`` and the
     caller applies a fallback step.  An accepted result carries the cell
     values ``m_next = b_next @ pi`` for the caller's next gradient.
     """
     f_unit = float("inf")
     evals = 0
-    for t in range(params.max_backtracks + 1):
-        step = params.beta ** t
+    for t in range(MAX_BACKTRACKS + 1):
+        step = BETA ** t
         b_try = np.maximum(b + step * d if t else b + d, 0.0)
         predicted = float(g @ (b_try - b))
         if predicted < 0.0:
@@ -297,7 +291,7 @@ def armijo_projected_search(problem: RowProblem, b: np.ndarray, f_b: float,
             evals += 1
             if t == 0:
                 f_unit = f_try
-            if f_try - f_b <= params.sigma * predicted:
+            if f_try - f_b <= SIGMA * predicted:
                 return LineSearchResult(step, b_try, f_try, f_unit, evals, m_try)
     return LineSearchResult(None, b, f_b, f_unit, evals)
 
@@ -339,7 +333,7 @@ class LbfgsStore:
     the implied approximation positive definite despite roundoff.
     """
 
-    def __init__(self, memory: int = 3):
+    def __init__(self, memory: int = LBFGS_MEMORY):
         if memory < 1:
             raise ValueError("memory must be at least 1")
         self.memory = int(memory)
@@ -430,17 +424,19 @@ def _damped_direction_with_retries(h_free, g_free, mu):
     return np.zeros_like(g_free), mu, False
 
 
-def _solve_row(problem: RowProblem, params: SolverParams, epsilon: float,
+def _solve_row(problem: RowProblem, params: SolverParams,
                store: Optional[LbfgsStore]):
     """The loop shared by both solvers: gradient -> KKT check -> two-metric
     partition -> free-set direction -> projected Armijo search, with a
     multiplicative rescue step when no certified step is found.  The
     free-set direction is damped Newton when ``store`` is None and the
-    L-BFGS two-loop over ``store`` otherwise."""
+    L-BFGS two-loop over ``store`` otherwise, each with its own two-metric
+    epsilon."""
+    epsilon = PDNR_EPSILON if store is None else PQNR_EPSILON
     b, f_b, m = _repair_start(problem, problem.b.copy())
     if not math.isfinite(f_b):
         return b, _finish(b, float("inf"), 0, 0, 0)
-    mu = params.mu0
+    mu = MU0
     iters = ls_failures = fallbacks = 0
     prev_b = prev_g = None
     while True:
@@ -479,7 +475,7 @@ def _solve_row(problem: RowProblem, params: SolverParams, epsilon: float,
             d = assemble_direction(d_free, g, sets)
             if not d.any():
                 break
-            result = armijo_projected_search(problem, b, f_b, g, d, params)
+            result = armijo_projected_search(problem, b, f_b, g, d)
             if model_decrease is not None and d_free.any():
                 if model_decrease < 0:
                     mu = update_damping(mu, f_b, result.f_unit, model_decrease)
@@ -510,9 +506,7 @@ def solve_row_pdnr(problem: RowProblem, params: Optional[SolverParams] = None):
     stopping when the KKT violation falls to ``params.tau`` or after
     ``params.k_max`` steps.  Returns (b_star, RowSolveReport).
     """
-    params = SolverParams() if params is None else params
-    epsilon = PDNR_EPSILON if params.epsilon is None else params.epsilon
-    return _solve_row(problem, params, epsilon, None)
+    return _solve_row(problem, params or SolverParams(), None)
 
 
 def solve_row_pqnr(problem: RowProblem, params: Optional[SolverParams] = None):
@@ -523,6 +517,4 @@ def solve_row_pqnr(problem: RowProblem, params: Optional[SolverParams] = None):
     curvature pair from each step feeds a store that starts empty.
     Returns (b_star, RowSolveReport).
     """
-    params = SolverParams() if params is None else params
-    epsilon = PQNR_EPSILON if params.epsilon is None else params.epsilon
-    return _solve_row(problem, params, epsilon, LbfgsStore(params.lbfgs_memory))
+    return _solve_row(problem, params or SolverParams(), LbfgsStore())

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from poissoncp.baselines import MuParams, mu_solve_mode
+from poissoncp.baselines import mu_solve_mode
+from poissoncp.driver import FitConfig
 from poissoncp.kruskal import KruskalModel, normalize
 from poissoncp.row_solver import RowProblem, multiplicative_step
 from poissoncp.sparse_tensor import SparseCountTensor
@@ -23,16 +24,21 @@ def exact_fit_instance():
     return tensor, model, b
 
 
-class TestMuParams:
-    def test_rejects_zero_inner(self):
+class TestInnerIterations:
+    def test_fit_config_rejects_zero_inner(self):
         with pytest.raises(ValueError):
-            MuParams(inner_iterations=0)
+            FitConfig(method="mu", rank=2, inner_iterations=0)
+
+    def test_mu_solve_mode_rejects_zero_inner(self):
+        tensor, model, _ = exact_fit_instance()
+        with pytest.raises(ValueError):
+            mu_solve_mode(tensor, model, 1, inner_iterations=0)
 
 
 class TestMuSolveMode:
     def test_exact_fit_is_fixed_point(self):
         tensor, model, b = exact_fit_instance()
-        result = mu_solve_mode(tensor, model, 1, MuParams(inner_iterations=3))
+        result = mu_solve_mode(tensor, model, 1, inner_iterations=3)
         np.testing.assert_allclose(result.b_matrix, b, rtol=1e-12)
 
     def test_scalar_case_one_update_reaches_optimum(self):
@@ -41,7 +47,7 @@ class TestMuSolveMode:
         a1 = np.array([[1.0]])
         model = KruskalModel(np.array([1.0]), (a1, a2), normalized=True)
         tensor = SparseCountTensor.from_entries((1, 1), [((1, 1), 2)])
-        result = mu_solve_mode(tensor, model, 1, MuParams(inner_iterations=1))
+        result = mu_solve_mode(tensor, model, 1, inner_iterations=1)
         assert result.b_matrix[0, 0] == pytest.approx(2.0)
 
     def test_output_nonnegative(self, rng):
@@ -75,7 +81,7 @@ class TestMuSolveMode:
             )
             model = normalize(random_model(rng, dims, int(rng.integers(1, 4))))
             mode = int(rng.integers(1, 4))
-            result = mu_solve_mode(tensor, model, mode, MuParams(inner_iterations=5))
+            result = mu_solve_mode(tensor, model, mode, inner_iterations=5)
             diffs = np.diff(result.objectives)
             assert (diffs <= 1e-9).all()
 
@@ -90,7 +96,7 @@ class TestMuSolveMode:
         tensor = SparseCountTensor.from_arrays(
             (4, 3, 2), subs, rng.integers(1, 6, size=10)
         )
-        result = mu_solve_mode(tensor, model, 1, MuParams(inner_iterations=1))
+        result = mu_solve_mode(tensor, model, 1, inner_iterations=1)
         b_start = np.maximum(model.factors[0] * model.weights, 1e-16)
         from poissoncp.sparse_tensor import mode_row_positions
 

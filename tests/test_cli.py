@@ -1,9 +1,13 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
+import poissoncp.cli as cli
 from poissoncp.cli import main
+from poissoncp.driver import FitConfig
+from poissoncp.row_solver import SolverParams
 from poissoncp.sparse_tensor import read_coo
 
 
@@ -312,6 +316,10 @@ class TestConfigErrors:
         ("time_limit", True, "config field 'time_limit' is not a valid number"),
         ("solver", [], "config field 'solver' is not a valid object"),
         ("seed", -1, "seed must be nonnegative"),
+        ("solver", {"lbfgs_memory": 3}, "unknown config field 'lbfgs_memory'"),
+        ("solver", {"k_max": 2.5}, "config field 'k_max' is not a valid integer"),
+        ("solver", {"k_max": True}, "config field 'k_max' is not a valid integer"),
+        ("solver", {"tau": "x"}, "config field 'tau' is not a valid number"),
     ])
     def test_factorize_bad_field(self, generated, capsys, field, value,
                                  message):
@@ -383,6 +391,17 @@ class TestConfigErrors:
         self.run_and_check(capsys, [command, "--config", str(cfg),
                                     "--output-dir", str(tmp_path / "out")],
                            f"{cfg}: config must be a JSON object")
+
+
+def test_config_readers_cover_every_settable_field():
+    # A knob added to FitConfig or SolverParams without a config key (or
+    # the reverse) fails here.  ``modes`` is set through ``mode1_only``,
+    # and ``workers`` has no effect.
+    assert [f.name for f in dataclasses.fields(SolverParams)] == list(
+        cli._SOLVER_FIELDS)
+    fit_fields = {f.name for f in dataclasses.fields(FitConfig)}
+    assert fit_fields - {"modes", "solver", "workers"} == set(
+        cli._FIT_FIELDS) - {"mode1_only", "solver"}
 
 
 class TestManifests:

@@ -19,7 +19,7 @@ from conftest import (
     per_row_solve_mode,
     row_groups,
 )
-from poissoncp.baselines import MuParams, mu_solve_mode
+from poissoncp.baselines import mu_solve_mode
 from poissoncp.driver import FitConfig, fit, solve_mode
 from poissoncp.evaluation import mode_kkt_violation
 from poissoncp.kruskal import KruskalModel, kl_objective, normalize
@@ -126,7 +126,7 @@ class TestLayoutMatchesPerRowReference:
             mp.setattr(sparse_tensor, "BLOCK_DOUBLES", doubles)
             for mode in range(1, tensor.ndim + 1):
                 got, report = solve_mode(tensor, model, mode, method=method,
-                                         solver=solver, mu_params=MuParams(3))
+                                         solver=solver, inner_iterations=3)
                 want, rows = per_row_solve_mode(tensor, model, mode, method,
                                                 solver, inner_iterations=3)
                 assert_models_equal(got, want)
@@ -142,7 +142,7 @@ class TestLayoutMatchesPerRowReference:
     def test_mu_solve_mode(self, seed):
         tensor, model = layout_case(seed)
         for mode in range(1, tensor.ndim + 1):
-            got = mu_solve_mode(tensor, model, mode, MuParams(4))
+            got = mu_solve_mode(tensor, model, mode, 4)
             want = argsort_mu_solve_mode(tensor, model, mode, 4)
             assert np.array_equal(got.b_matrix, want.b_matrix, equal_nan=True)
             assert np.array_equal(got.objectives, want.objectives,

@@ -222,8 +222,9 @@ class TestFactorizationRetries:
         assert report.backtrack_failures == 0
         np.testing.assert_array_equal(b, multiplicative_step(p, p.b))
 
-    def test_zero_damping_short_row_with_nonnegative_predicted_decrease(self):
-        # Trial 1472 of this stream: J < R and mu0 = 0 leave a near-singular
+    def test_zero_damping_short_row_with_nonnegative_predicted_decrease(
+            self, monkeypatch):
+        # Trial 1472 of this stream: J < R and MU0 = 0 leave a near-singular
         # free block whose predicted decrease rounds to a large positive
         # value; the solve must grow mu instead of raising.
         rng = np.random.default_rng(0)
@@ -233,7 +234,8 @@ class TestFactorizationRetries:
             x = rng.integers(1, 20, j).astype(float)
             b0 = rng.random(6)
         p = RowProblem(b0, x, pi)
-        b, report = solve_row_pdnr(p, SolverParams(mu0=0.0))
+        monkeypatch.setattr(row_solver, "MU0", 0.0)
+        b, report = solve_row_pdnr(p)
         assert (b >= 0.0).all()
         assert f_row(p, b) <= f_row(p)
         assert report.iterations >= 1
@@ -272,7 +274,7 @@ class TestArmijoSearch:
         b = np.array([1.0])
         f_b = f_row(p, b)
         g = grad_row(p, b)  # -1: descent towards the optimum at 2
-        res = armijo_projected_search(p, b, f_b, g, np.array([1.0]), SolverParams())
+        res = armijo_projected_search(p, b, f_b, g, np.array([1.0]))
         assert res.alpha == 1.0
         np.testing.assert_allclose(res.b_next, [2.0])
         assert res.f_next == pytest.approx(2 - 2 * np.log(2))
@@ -289,7 +291,7 @@ class TestArmijoSearch:
         g = grad_row(p, b)
         d = np.array([1.0, -3.0])
         assert float(g @ d) < 0.0
-        res = armijo_projected_search(p, b, f_b, g, d, SolverParams())
+        res = armijo_projected_search(p, b, f_b, g, d)
         assert res.alpha is not None and res.alpha < 1.0
         assert np.isinf(res.f_unit)
         assert res.f_next < f_b
@@ -298,7 +300,7 @@ class TestArmijoSearch:
         p = scalar_problem(2.0 - 1e-7)
         b = p.b
         g = grad_row(p, b)
-        res = armijo_projected_search(p, b, f_row(p, b), g, -g, SolverParams())
+        res = armijo_projected_search(p, b, f_row(p, b), g, -g)
         assert res.alpha == 1.0
 
     def test_exhaustion_returns_failure(self):
@@ -306,7 +308,7 @@ class TestArmijoSearch:
         p = scalar_problem(2.0)
         b = p.b
         res = armijo_projected_search(
-            p, b, f_row(p, b), np.array([0.5]), np.array([1.0]), SolverParams()
+            p, b, f_row(p, b), np.array([0.5]), np.array([1.0])
         )
         assert res.alpha is None
         np.testing.assert_array_equal(res.b_next, b)
@@ -426,6 +428,15 @@ class TestLbfgsStore:
         assert store.gamma == pytest.approx(float(s @ y) / float(y @ y))
 
 
+class TestSolverParams:
+    @pytest.mark.parametrize("fields", [
+        {"k_max": 2.5}, {"k_max": True}, {"k_max": 0}, {"tau": 0.0},
+    ])
+    def test_rejects_invalid_stopping_rule(self, fields):
+        with pytest.raises(ValueError):
+            SolverParams(**fields)
+
+
 class TestSolvePdnr:
     def test_already_optimal_returns_no_iterations(self):
         b, report = solve_row_pdnr(scalar_problem(2.0))
@@ -489,9 +500,7 @@ class TestSolvePqnr:
         g = grad_row(p)
         sets = partition_variables(p.b, g, 1e-8)
         d = assemble_direction(-g[sets[2]], g, sets)
-        expected = armijo_projected_search(
-            p, p.b, f_row(p), g, d, SolverParams()
-        ).b_next
+        expected = armijo_projected_search(p, p.b, f_row(p), g, d).b_next
         b, _ = solve_row_pqnr(p, SolverParams(k_max=1))
         np.testing.assert_allclose(b, expected, rtol=1e-12)
 
