@@ -19,12 +19,14 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .driver import METHODS, FitConfig, fit, write_trace
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 from .evaluation import (
     DEFAULT_ZERO_THRESHOLDS,
     exact_zero_count,
@@ -45,9 +47,10 @@ def _load_config(path, keys) -> dict:
     try:
         with open(path) as fh:
             config = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(
+            f"{path}: cannot read config ({exc.strerror or exc})") from exc
+    except ValueError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -66,7 +69,7 @@ _REQUIRED = object()
 
 def _field(config: dict, key: str, kind, what: str, default=_REQUIRED,
            override=None):
-    """Config field ``key`` converted by ``kind``.
+    """Config field ``key``, one that only the CLI reads, checked by ``kind``.
 
     A command-line ``override`` (already typed by argparse) wins over the
     file, and ``default`` stands in for a missing key; without a default a
@@ -80,42 +83,17 @@ def _field(config: dict, key: str, kind, what: str, default=_REQUIRED,
         return default
     try:
         return kind(config[key])
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field {key!r} is not a valid {what}") from exc
-
-
-def _fields(config: dict, table: dict, overrides: dict) -> dict:
-    """The ``table`` fields that ``overrides`` or ``config`` set, converted.
-
-    ``table`` maps a key to its ``(kind, what)`` for :func:`_field`.  Keys
-    set by neither are left out, so the dataclass built from the result
-    supplies its own default.
-    """
-    return {key: _field(config, key, kind, what, override=overrides.get(key))
-            for key, (kind, what) in table.items()
-            if key in config or overrides.get(key) is not None}
 
 
 def _exactly(cls):
     """``kind`` that accepts only a JSON value decoded as ``cls``."""
     def check(value):
         if not isinstance(value, cls):
-            raise TypeError(f"expected {cls.__name__}")
+            raise TypeError(f"expected {cls}")
         return value
     return check
-
-
-def _int(value) -> int:
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
-        raise ValueError("not an integer")
-    return int(value)
-
-
-def _number(value) -> float:
-    if isinstance(value, bool):
-        raise ValueError("not a number")
-    return float(value)
 
 
 def _list(kind):
@@ -127,29 +105,31 @@ def _list(kind):
     return convert
 
 
-def _optional(kind):
-    """``kind`` that lets a JSON null through as None."""
-    return lambda value: None if value is None else kind(value)
-
-
-def _build(cls, **fields):
-    """``cls(**fields)``, naming a missing required field and reporting the
-    class's own range checks as ConfigError."""
+def _build(cls, config: dict, names, **overrides):
+    """``cls`` from the ``config`` entries named in ``names`` and the set
+    ``overrides``, which win.  The class checks each value; a missing
+    required field and a value the class rejects are ConfigErrors."""
+    fields = {key: config[key] for key in names if key in config}
+    fields.update((k, v) for k, v in overrides.items() if v is not None)
     for f in dataclasses.fields(cls):
         if (f.name not in fields and f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING):
             raise ConfigError(f"missing required config field {f.name!r}")
     try:
         return cls(**fields)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _read_input(read, path):
-    """Read an input file with ``read_coo`` or ``load_model``, reporting
-    malformed or invalid data (a ValueError naming the path) as DataError."""
+    """Read an input file with ``read_coo`` or ``load_model``, reporting an
+    unreadable file or malformed or invalid data (a ValueError naming the
+    path) as DataError."""
     try:
         return read(path)
+    except OSError as exc:
+        raise DataError(
+            f"{path}: cannot read ({exc.strerror or exc})") from exc
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
@@ -175,43 +155,23 @@ def _write_manifest(outdir: Path, command: str, resolved: dict, outputs):
         fh.write("\n")
 
 
-# Config key -> (kind, what) for :func:`_field`.  The generator keys are
-# GenConfig's fields, in its order; the fit keys map onto FitConfig, with
-# ``mode1_only`` building its modes and ``solver`` its SolverParams from
-# the ``_SOLVER_FIELDS`` of that object.
-_GEN_FIELDS = {
-    "dims": (_list(_int), "non-empty list of integers"),
-    "rank": (_int, "integer"),
-    "samples": (_int, "integer"),
-    "boost_fraction": (_number, "number"),
-    "boost_scale": (_number, "number"),
-    "small_value": (_number, "number"),
-    "collinearity_alpha": (_optional(_number), "number"),
-    "seed": (_int, "integer"),
-}
-_FIT_FIELDS = {
-    "method": (str.lower, "method name"),
-    "rank": (_int, "integer"),
-    "tau": (_number, "number"),
-    "outer_max": (_int, "integer"),
-    "time_limit": (_optional(_number), "number"),
-    "seed": (_int, "integer"),
-    "mode1_only": (_exactly(bool), "boolean"),
-    "inner_iterations": (_int, "integer"),
-    "solver": (_exactly(dict), "object"),
-}
-_SOLVER_FIELDS = {
-    "tau": (_number, "number"),
-    "k_max": (_int, "integer"),
-}
+# A config key named after a field of GenConfig, FitConfig or SolverParams
+# goes to that class as it is, and the class checks it.  The CLI reads the
+# other keys itself: factorize's ``mode1_only`` sets FitConfig.modes, its
+# ``solver`` object holds SolverParams fields, and ``tensor`` and
+# ``init_model`` are paths.
+_GEN_KEYS = {f.name for f in dataclasses.fields(GenConfig)}
+_FIT_KEYS = {f.name for f in dataclasses.fields(FitConfig)} - {
+    "modes", "solver"}
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverParams)}
 
 
 def _gen_config(config: dict, **overrides) -> GenConfig:
-    return _build(GenConfig, **_fields(config, _GEN_FIELDS, overrides))
+    return _build(GenConfig, config, _GEN_KEYS, **overrides)
 
 
 def cmd_generate(args) -> int:
-    config = _load_config(args.config, _GEN_FIELDS)
+    config = _load_config(args.config, _GEN_KEYS)
     gen = _gen_config(config, seed=args.seed)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -225,18 +185,20 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _fit_config(config: dict, **overrides) -> tuple[FitConfig, dict]:
+def _fit_config(config: dict, mode1_only=None,
+                **overrides) -> tuple[FitConfig, dict]:
     """The FitConfig and the resolved fit fields, for the manifest."""
-    fields = _fields(config, _FIT_FIELDS, overrides)
-    solver = fields.pop("solver", {})
+    solver = _field(config, "solver", _exactly(dict), "object", {})
+    _check_keys(solver, _SOLVER_KEYS)
+    mode1_only = _field(config, "mode1_only", _exactly(bool), "boolean",
+                        False, mode1_only)
+    fit_config = _build(FitConfig, config, _FIT_KEYS,
+                        modes=(1,) if mode1_only else None, **overrides)
     if solver:
-        _check_keys(solver, _SOLVER_FIELDS)
-        fields["solver"] = _build(SolverParams, **{
-            "tau": fields.get("tau", FitConfig.tau),
-            **_fields(solver, _SOLVER_FIELDS, {})})
-    if fields.pop("mode1_only", False):
-        fields["modes"] = (1,)
-    fit_config = _build(FitConfig, **fields)
+        # The row tolerance defaults to the fit's.
+        fit_config.solver = _build(SolverParams,
+                                   {"tau": fit_config.tau, **solver},
+                                   _SOLVER_KEYS)
     resolved = {
         "method": fit_config.method,
         "rank": fit_config.rank,
@@ -244,17 +206,14 @@ def _fit_config(config: dict, **overrides) -> tuple[FitConfig, dict]:
         "outer_max": fit_config.outer_max,
         "time_limit": fit_config.time_limit,
         "seed": fit_config.seed,
-        "mode1_only": fit_config.modes == (1,),
+        "mode1_only": mode1_only,
         "inner_iterations": fit_config.inner_iterations,
         "solver": solver,
     }
     return fit_config, resolved
 
 
-# "workers" is accepted and ignored because the benchmark's chain config in
-# perfbench/workloads.py still writes it; ROADMAP item 1 removes both it and
-# FitConfig.workers.
-_FACTORIZE_KEYS = {*_FIT_FIELDS, "tensor", "init_model", "workers"}
+_FACTORIZE_KEYS = {*_FIT_KEYS, "mode1_only", "solver", "tensor", "init_model"}
 
 
 def cmd_factorize(args) -> int:
@@ -267,8 +226,8 @@ def cmd_factorize(args) -> int:
         mode1_only=args.mode1_only or None)
     resolved["tensor"] = tensor_path
     init = None
-    init_path = _field(config, "init_model", _optional(_exactly(str)), "path",
-                       None, args.init_model)
+    init_path = _field(config, "init_model", _exactly((str, type(None))),
+                       "path", None, args.init_model)
     if init_path:
         init = normalize(_read_input(load_model, init_path))
         resolved["init_model"] = init_path
@@ -280,6 +239,9 @@ def cmd_factorize(args) -> int:
         if init.rank != fit_config.rank:
             raise DataError(f"{init_path}: model rank {init.rank} does not "
                             f"match the configured rank {fit_config.rank}")
+        if not math.isfinite(kl_objective(init, tensor)):
+            raise DataError(f"{init_path}: model is zero at a positive count "
+                            f"of {tensor_path}")
     result = fit(tensor, fit_config, init=init)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -332,8 +294,8 @@ def cmd_evaluate(args) -> int:
 
 # The sweep sets each run's method, rank and seed; its fits use the default
 # solver and sweep every mode.
-_BENCH_KEYS = {"methods", "ranks", "seeds", *_GEN_FIELDS, *_FIT_FIELDS} - {
-    "method", "rank", "seed", "solver", "mode1_only"}
+_BENCH_KEYS = {"methods", "ranks", "seeds", *_GEN_KEYS, *_FIT_KEYS} - {
+    "method", "rank", "seed", "workers"}
 _BENCH_COLUMNS = ("method", "rank", "seed", "time_to_tau", "final_objective",
                   "exact_zeros", "converged")
 
@@ -342,8 +304,9 @@ def cmd_bench(args) -> int:
     config = _load_config(args.config, _BENCH_KEYS)
     methods = _field(config, "methods", _list(str.lower),
                      "non-empty list of method names", list(METHODS))
-    ranks = _field(config, "ranks", _list(_int), "non-empty list of integers")
-    seeds = _field(config, "seeds", _list(_int), "non-empty list of integers")
+    ranks, seeds = (_field(config, key, _list(partial(check_integer, key)),
+                           "non-empty list of integers")
+                    for key in ("ranks", "seeds"))
     runs = [(_gen_config(config, rank=rank, seed=seed),
              [_fit_config(config, method=method, rank=rank, seed=seed)
               for method in methods])
@@ -429,7 +392,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, FileNotFoundError) as exc:
+    except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,6 @@ largest violation falls below the tolerance.
 from __future__ import annotations
 
 import csv
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .baselines import mu_solve_mode
-from .errors import IndexOutOfRangeError
+from .errors import IndexOutOfRangeError, check_integer, check_number
 from .evaluation import mode_kkt_violation
 from .kruskal import KruskalModel, _pi_product, kl_objective, normalize
 from .row_solver import (
@@ -89,24 +88,20 @@ class FitConfig:
     def __post_init__(self):
         self.method = str(self.method).lower()
         _check_method(self.method)
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
-        if self.outer_max < 1:
-            raise ValueError("outer_max must be at least 1")
+        self.rank = check_integer("rank", self.rank, 1)
+        self.outer_max = check_integer("outer_max", self.outer_max, 1)
+        self.tau = check_number("tau", self.tau)
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.inner_iterations < 1:
-            raise ValueError("inner_iterations must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.time_limit is not None and (
-                isinstance(self.time_limit, bool)
-                or not isinstance(self.time_limit, numbers.Real)):
-            raise ValueError("time_limit must be a number of seconds or None")
+        if self.time_limit is not None:
+            self.time_limit = check_number("time_limit", self.time_limit)
+        self.inner_iterations = check_integer(
+            "inner_iterations", self.inner_iterations, 1)
+        self.seed = check_integer("seed", self.seed, 0)
         if self.modes is not None:
-            self.modes = tuple(int(n) for n in self.modes)
+            self.modes = tuple(check_integer("modes", n, 1)
+                               for n in self.modes)
+        self.workers = check_integer("workers", self.workers, 1)
         if self.method == "pdnr":
             lapack_cholesky()
 
@@ -164,7 +159,6 @@ class ModeSweepReport:
     inner_iterations: int = 0
     line_search_failures: int = 0
     fallback_steps: int = 0
-    timed_out: bool = False
 
 
 def init_model(shape, rank: int, seed: int = 0) -> KruskalModel:
@@ -193,8 +187,8 @@ def _solve_rows(b_matrix, layout, tensor, factors, mode0, method, solver,
 
     Rows are taken block by block from the mode's layout: each block's
     Khatri-Rao rows are gathered at once and each row solve sees its slice.
-    Returns (report_rows, timed_out).  A wall-clock deadline is honored
-    between row solves only, keeping each row's result deterministic.
+    Returns the row reports.  A wall-clock deadline is honored between row
+    solves only, keeping each row's result deterministic.
     """
     solve_row = solve_row_pdnr if method == "pdnr" else solve_row_pqnr
     reports = []
@@ -203,11 +197,11 @@ def _solve_rows(b_matrix, layout, tensor, factors, mode0, method, solver,
         pi_blk = _pi_product(factors, mode0, tensor.subs0[pos])
         for row0, lo, hi in spans:
             if deadline is not None and time.perf_counter() > deadline:
-                return reports, True
+                return reports
             problem = RowProblem(b_matrix[row0], x_blk[lo:hi], pi_blk[lo:hi].T)
             b_matrix[row0], report = solve_row(problem, solver)
             reports.append(report)
-    return reports, False
+    return reports
 
 
 def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
@@ -242,7 +236,7 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
         b_matrix = np.zeros_like(model.factors[mode0])
         b_start = model.factors[mode0] * model.weights
         b_matrix[layout.rows] = b_start[layout.rows]
-        reports, timed_out = _solve_rows(
+        reports = _solve_rows(
             b_matrix, layout, tensor, model.factors, mode0, method, solver,
             deadline,
         )
@@ -250,7 +244,6 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
         report.inner_iterations = sum(r.iterations for r in reports)
         report.line_search_failures = sum(r.backtrack_failures for r in reports)
         report.fallback_steps = sum(r.fallback_steps for r in reports)
-        report.timed_out = timed_out
     factors = list(model.factors)
     factors[mode0] = b_matrix
     with warnings.catch_warnings():
@@ -299,7 +292,6 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
     for outer in range(1, config.outer_max + 1):
         ls_failures = 0
         fallbacks = 0
-        timed_out = False
         for n in modes:
             model, sweep = solve_mode(
                 tensor, model, n, method=config.method, solver=solver,
@@ -308,10 +300,7 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
             )
             ls_failures += sweep.line_search_failures
             fallbacks += sweep.fallback_steps
-            if sweep.timed_out or (
-                deadline is not None and time.perf_counter() > deadline
-            ):
-                timed_out = True
+            if deadline is not None and time.perf_counter() > deadline:
                 break
         mode_kkt = tuple(
             mode_kkt_violation(tensor, model, n, layouts[n]) for n in modes
@@ -330,7 +319,7 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
         if final_kkt <= config.tau:
             converged = True
             break
-        if timed_out or (deadline is not None and time.perf_counter() > deadline):
+        if deadline is not None and time.perf_counter() > deadline:
             break
     return FitResult(model=model, trace=trace, converged=converged,
                      final_kkt=final_kkt)

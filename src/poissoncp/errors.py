@@ -1,5 +1,9 @@
-"""Exception and warning types shared across the package, and the path
-prefix that file readers put on data errors."""
+"""Exception and warning types shared across the package, the path prefix
+that file readers put on data errors, and the checks that every config
+class applies to its integer and number fields."""
+
+import math
+import numbers
 
 
 class IndexOutOfRangeError(ValueError):
@@ -51,3 +55,40 @@ def prefixed(path, exc: ValueError) -> ValueError:
         return type(exc)(message)
     except TypeError:
         return ValueError(message)
+
+
+def is_integral(value) -> bool:
+    """Whether ``value`` is an integer or an integral float (not a bool)."""
+    return not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and float(value).is_integer())
+
+
+def check_integer(name: str, value, minimum=None) -> int:
+    """Config field ``name`` as an int, of at least ``minimum`` if given.
+
+    An integral float counts as an integer.  A boolean, a fraction, a
+    non-finite float or a non-number raises ValueError naming the field.
+    """
+    if not is_integral(value):
+        raise ValueError(f"config field {name!r} is not a valid integer, "
+                         f"got {value!r}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def check_number(name: str, value) -> float:
+    """Config field ``name`` as a finite float.  A boolean, a non-number,
+    NaN or an infinity (also an integer too large for a float) raises
+    ValueError naming the field."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"config field {name!r} is not a valid number, "
+                     f"got {value!r}")

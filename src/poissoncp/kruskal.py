@@ -64,8 +64,10 @@ class KruskalModel:
                 )
             if f.shape[0] < 1:
                 raise ShapeMismatchError(f"factor {n} has no rows")
-        if (weights < 0).any() or any((f < 0).any() for f in factors):
-            raise ValueError("weights and factor entries must be nonnegative")
+        if not all(((a >= 0.0) & (a < np.inf)).all()  # False at NaN
+                   for a in (weights, *factors)):
+            raise ValueError("weights and factor entries must be finite and "
+                             "nonnegative")
         if self.normalized:
             for n, f in enumerate(factors, start=1):
                 err = np.abs(f.sum(axis=0) - 1.0).max()

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import FactorizationFailureError, UndefinedAtZeroModelError
+from .errors import (FactorizationFailureError, UndefinedAtZeroModelError,
+                     check_integer, check_number)
 
 __all__ = [
     "RowProblem",
@@ -106,13 +106,10 @@ class SolverParams:
     k_max: int = 50
 
     def __post_init__(self):
+        object.__setattr__(self, "tau", check_number("tau", self.tau))
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if isinstance(self.k_max, bool) or not isinstance(self.k_max,
-                                                          numbers.Integral):
-            raise ValueError("k_max must be an integer")
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
+        object.__setattr__(self, "k_max", check_integer("k_max", self.k_max, 1))
 
 
 @dataclass

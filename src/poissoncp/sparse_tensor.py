@@ -19,6 +19,7 @@ from .errors import (
     DuplicateIndexError,
     IndexOutOfRangeError,
     NonpositiveCountError,
+    is_integral,
     prefixed,
 )
 
@@ -43,6 +44,8 @@ class Shape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(map(is_integral, self.dims)):
+            raise ValueError(f"dimensions must be integers, got {self.dims}")
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) < 2:
@@ -77,9 +80,7 @@ class Shape:
 
 def as_shape(shape) -> Shape:
     """Coerce a Shape or a sequence of dimensions into a Shape."""
-    if isinstance(shape, Shape):
-        return shape
-    return Shape(tuple(shape))
+    return shape if isinstance(shape, Shape) else Shape(tuple(shape))
 
 
 def _check_mode(shape: Shape, mode: int) -> None:

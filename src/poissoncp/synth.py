@@ -11,12 +11,15 @@ output, bit for bit) is fixed by the seed, the draw order documented in
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .errors import check_integer, check_number
 from .kruskal import KruskalModel, normalize
 from .sparse_tensor import SparseCountTensor, as_shape, lexsort_runs
 
@@ -52,18 +55,23 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        as_shape(self.dims)
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
+        if isinstance(self.dims, str) or not isinstance(self.dims, Iterable):
+            raise ValueError("config field 'dims' is not a valid non-empty "
+                             f"list of integers, got {self.dims!r}")
+        put = functools.partial(object.__setattr__, self)
+        put("dims", as_shape(self.dims).dims)
+        put("rank", check_integer("rank", self.rank, 1))
+        put("samples", check_integer("samples", self.samples, 1))
+        for name in ("boost_fraction", "boost_scale", "small_value"):
+            put(name, check_number(name, getattr(self, name)))
+        if self.collinearity_alpha is not None:
+            put("collinearity_alpha", check_number("collinearity_alpha",
+                                                   self.collinearity_alpha))
+        put("seed", check_integer("seed", self.seed, 0))
         if not 0 < self.boost_fraction <= 1:
             raise ValueError("boost_fraction must lie in (0, 1]")
         if self.boost_scale < 0 or self.small_value <= 0:
             raise ValueError("boost_scale must be >= 0 and small_value > 0")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 class ModeCollinearity(NamedTuple):
@@ -95,9 +103,8 @@ def generate_model(config: GenConfig) -> KruskalModel:
             f[positions, col] = 1.0 + config.boost_scale * r * rng.random(n_boost)
         factors.append(f)
     if config.collinearity_alpha is not None:
-        alpha = float(config.collinearity_alpha)
         for f in factors:
-            f[:, 1:] = f[:, :1] + alpha * f[:, 1:]
+            f[:, 1:] = f[:, :1] + config.collinearity_alpha * f[:, 1:]
     weights = rng.random(r)
     model = normalize(KruskalModel(weights, tuple(factors)))
     unit_weights = _force_sum(model.weights / model.weights.sum(), 1.0)

@@ -1,14 +1,14 @@
 import csv
-import dataclasses
 import json
 
 import pytest
 
-import poissoncp.cli as cli
 from poissoncp.cli import main
-from poissoncp.driver import FitConfig
-from poissoncp.row_solver import SolverParams
 from poissoncp.sparse_tensor import read_coo
+
+
+NAN = float("nan")
+INF = float("inf")
 
 
 def write_json(path, doc):
@@ -217,9 +217,15 @@ class TestDataErrors:
         assert message in err
         assert err.count("\n") == 1
 
+    @staticmethod
+    def edited_truth(outdir, **fields):
+        """The truth model's JSON text with ``fields`` replaced."""
+        doc = json.loads((outdir / "truth_model.json").read_text())
+        return json.dumps({**doc, **fields})
+
     @pytest.fixture()
     def bad_models(self, generated):
-        tmp_path, _ = generated
+        tmp_path, outdir = generated
         other = tmp_path / "other"
         cfg = write_json(tmp_path / "gen9.json",
                          {"dims": [6, 7, 9], "rank": 3, "samples": 50})
@@ -230,6 +236,8 @@ class TestDataErrors:
             "[1, 2]": "malformed model",
             '{"dims": [6, 7, 8], "R": 3, "lambda": [1, 1, 1], '
             '"factors": [[[1, 2, 3]], [[1, 2]]]}': "factor 2 must be",
+            self.edited_truth(outdir, **{"lambda": [NAN, 1.0, 1.0]}):
+                "weights and factor entries must be finite and nonnegative",
         }
         paths = []
         for k, (text, message) in enumerate(bad.items()):
@@ -261,8 +269,13 @@ class TestDataErrors:
         config = write_json(tmp_path / "fac3.json", {"method": "pdnr", "rank": 3})
         rank2 = (str(outdir / "truth_model.json"),
                  "model rank 3 does not match the configured rank 2")
+        zero = tmp_path / "zero_weights.json"
+        zero.write_text(self.edited_truth(outdir, **{"lambda": [0.0] * 3}))
+        zero_weights = (str(zero), "model is zero at a positive count of "
+                                   f"{outdir / 'tensor.coo'}")
         for (path, message), cfg in [*((b, config) for b in bad_models),
-                                     (rank2, fit_config)]:
+                                     (rank2, fit_config),
+                                     (zero_weights, config)]:
             rc = main(["factorize", "--config", cfg,
                        "--tensor", str(outdir / "tensor.coo"),
                        "--init-model", path,
@@ -320,6 +333,10 @@ class TestConfigErrors:
         ("solver", {"k_max": 2.5}, "config field 'k_max' is not a valid integer"),
         ("solver", {"k_max": True}, "config field 'k_max' is not a valid integer"),
         ("solver", {"tau": "x"}, "config field 'tau' is not a valid number"),
+        ("tau", NAN, "config field 'tau' is not a valid number"),
+        ("time_limit", INF, "config field 'time_limit' is not a valid number"),
+        ("solver", {"tau": NAN}, "config field 'tau' is not a valid number"),
+        ("workers", 0, "workers must be at least 1"),
     ])
     def test_factorize_bad_field(self, generated, capsys, field, value,
                                  message):
@@ -341,6 +358,11 @@ class TestConfigErrors:
         ("rank", True, "config field 'rank' is not a valid integer"),
         ("dims", "678", "config field 'dims' is not a valid non-empty list"),
         ("seed", -1, "seed must be nonnegative"),
+        ("boost_scale", NAN, "config field 'boost_scale' is not a valid number"),
+        ("small_value", INF, "config field 'small_value' is not a valid number"),
+        ("collinearity_alpha", NAN,
+         "config field 'collinearity_alpha' is not a valid number"),
+        ("dims", [5.7, 6, 7], "dimensions must be integers"),
     ])
     def test_generate_bad_field(self, tmp_path, capsys, field, value, message):
         doc = {"dims": [6, 7, 8], "rank": 3, "samples": 100, field: value}
@@ -384,6 +406,42 @@ class TestConfigErrors:
                            "seed must be nonnegative")
         assert not (tmp_path / "out").exists()
 
+    def test_nonfinite_tau_flag(self, generated, capsys):
+        tmp_path, outdir = generated
+        cfg = write_json(tmp_path / "fac.json", {
+            "tensor": str(outdir / "tensor.coo"), "method": "mu", "rank": 3})
+        self.run_and_check(capsys, ["factorize", "--config", cfg,
+                                    "--tau", "nan",
+                                    "--output-dir", str(tmp_path / "out")],
+                           "config field 'tau' is not a valid number")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, role", [
+        ("generate", "--config"), ("factorize", "--config"),
+        ("bench", "--config"), ("factorize", "tensor"),
+        ("factorize", "init_model"), ("evaluate", "--model"),
+        ("evaluate", "--truth"), ("evaluate", "--tensor"),
+    ])
+    def test_directory_as_input_path(self, generated, capsys, command, role):
+        tmp_path, outdir = generated
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        given = {"--model": outdir / "truth_model.json",
+                 "--truth": outdir / "truth_model.json",
+                 "--tensor": outdir / "tensor.coo",
+                 "tensor": outdir / "tensor.coo", role: folder}
+        if command == "evaluate":
+            argv = ["evaluate", *(a for r in ("--model", "--truth", "--tensor")
+                                  for a in (r, str(given[r])))]
+        else:
+            cfg = given.get("--config") or write_json(tmp_path / "fac.json", {
+                "method": "mu", "rank": 3, "tensor": str(given["tensor"]),
+                "init_model": str(folder) if role == "init_model" else None})
+            argv = [command, "--config", str(cfg),
+                    "--output-dir", str(tmp_path / "out")]
+        self.run_and_check(capsys, argv, f"error: {folder}: cannot read")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["generate", "factorize", "bench"])
     def test_config_that_is_not_an_object(self, tmp_path, capsys, command):
         cfg = tmp_path / "list.json"
@@ -391,17 +449,6 @@ class TestConfigErrors:
         self.run_and_check(capsys, [command, "--config", str(cfg),
                                     "--output-dir", str(tmp_path / "out")],
                            f"{cfg}: config must be a JSON object")
-
-
-def test_config_readers_cover_every_settable_field():
-    # A knob added to FitConfig or SolverParams without a config key (or
-    # the reverse) fails here.  ``modes`` is set through ``mode1_only``,
-    # and ``workers`` has no effect.
-    assert [f.name for f in dataclasses.fields(SolverParams)] == list(
-        cli._SOLVER_FIELDS)
-    fit_fields = {f.name for f in dataclasses.fields(FitConfig)}
-    assert fit_fields - {"modes", "solver", "workers"} == set(
-        cli._FIT_FIELDS) - {"mode1_only", "solver"}
 
 
 class TestManifests:

@@ -167,8 +167,28 @@ class TestFit:
 
     @pytest.mark.parametrize("time_limit", ["soon", True, [1.0]])
     def test_time_limit_must_be_a_number(self, time_limit):
-        with pytest.raises(ValueError, match="time_limit must be a number"):
+        with pytest.raises(ValueError, match="config field 'time_limit' is "
+                                             "not a valid number"):
             FitConfig(method="mu", rank=2, time_limit=time_limit)
+
+    @pytest.mark.parametrize("fields", [
+        {"rank": 2.5}, {"rank": True}, {"tau": float("nan")},
+        {"tau": float("inf")}, {"inner_iterations": 2.5},
+        {"time_limit": float("inf")}, {"modes": (1.5,)}, {"workers": 0.5},
+    ])
+    def test_rejects_invalid_field(self, fields):
+        with pytest.raises(ValueError, match="config field"):
+            FitConfig(**{"method": "mu", "rank": 2, **fields})
+
+    def test_stores_integral_floats_as_ints_and_numbers_as_floats(self):
+        # So a manifest records 5, not 5.0, for "rank": 5.0.
+        config = FitConfig(method="MU", rank=5.0, tau=1, time_limit=3,
+                           outer_max=np.int64(4), seed=2.0, modes=[1.0])
+        assert (config.method, config.rank, config.outer_max, config.seed,
+                config.modes) == ("mu", 5, 4, 2, (1,))
+        assert all(type(v) is int for v in (config.rank, config.outer_max,
+                                             config.seed, *config.modes))
+        assert type(config.tau) is float and type(config.time_limit) is float
 
     def test_seed_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="seed must be nonnegative"):

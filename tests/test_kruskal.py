@@ -23,6 +23,18 @@ from poissoncp.kruskal import (
 from poissoncp.sparse_tensor import SparseCountTensor
 
 
+class TestModelChecks:
+    @pytest.mark.parametrize("weight, entry", [
+        (-1.0, 0.5), (np.nan, 0.5), (np.inf, 0.5),
+        (1.0, -0.5), (1.0, np.nan), (1.0, np.inf),
+    ])
+    def test_rejects_negative_or_nonfinite_entries(self, weight, entry):
+        factors = (np.full((2, 2), 0.5), np.full((3, 2), 0.5))
+        factors[1][2, 1] = entry
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            KruskalModel(np.array([weight, 1.0]), factors)
+
+
 class TestNormalize:
     def test_single_column(self):
         # One unnormalized column (2, 2) alongside an already-unit column:

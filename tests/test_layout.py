@@ -63,10 +63,9 @@ def layout_case(seed):
 
 
 def assert_models_equal(a, b):
-    # Multiplicative updates on a zero model value give NaN, in both.
-    assert np.array_equal(a.weights, b.weights, equal_nan=True)
+    assert np.array_equal(a.weights, b.weights)
     for fa, fb in zip(a.factors, b.factors):
-        assert np.array_equal(fa, fb, equal_nan=True)
+        assert np.array_equal(fa, fb)
 
 
 class TestModeLayout:
@@ -125,10 +124,20 @@ class TestLayoutMatchesPerRowReference:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse_tensor, "BLOCK_DOUBLES", doubles)
             for mode in range(1, tensor.ndim + 1):
+                try:
+                    want, rows = per_row_solve_mode(
+                        tensor, model, mode, method, solver,
+                        inner_iterations=3)
+                except ValueError:
+                    # Multiplicative updates on a zero model value at a
+                    # positive count give NaN, which no model may hold.
+                    assert method == "mu"
+                    with pytest.raises(ValueError, match="finite"):
+                        solve_mode(tensor, model, mode, method=method,
+                                   solver=solver, inner_iterations=3)
+                    continue
                 got, report = solve_mode(tensor, model, mode, method=method,
                                          solver=solver, inner_iterations=3)
-                want, rows = per_row_solve_mode(tensor, model, mode, method,
-                                                solver, inner_iterations=3)
                 assert_models_equal(got, want)
                 if method != "mu":
                     assert report.rows_solved == len(rows)

@@ -431,6 +431,7 @@ class TestLbfgsStore:
 class TestSolverParams:
     @pytest.mark.parametrize("fields", [
         {"k_max": 2.5}, {"k_max": True}, {"k_max": 0}, {"tau": 0.0},
+        {"tau": float("inf")}, {"tau": float("nan")},
     ])
     def test_rejects_invalid_stopping_rule(self, fields):
         with pytest.raises(ValueError):

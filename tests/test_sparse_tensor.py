@@ -40,6 +40,15 @@ class TestShape:
         with pytest.raises(ValueError):
             Shape((3, 0))
 
+    def test_rejects_fractional_dim(self):
+        with pytest.raises(ValueError, match="dimensions must be integers"):
+            Shape((5.7, 6, 7))
+
+    def test_integral_dims_become_ints(self):
+        dims = Shape([3.0, np.int64(4)]).dims
+        assert dims == (3, 4)
+        assert all(type(d) is int for d in dims)
+
 
 class TestValidation:
     def test_minimal_tensor(self):

@@ -15,6 +15,29 @@ from poissoncp.synth import (
 )
 
 
+class TestGenConfig:
+    @pytest.mark.parametrize("fields", [
+        {"samples": 100.9}, {"rank": True}, {"seed": 1.5},
+        {"dims": (5.7, 6, 7)}, {"dims": "678"}, {"dims": 5},
+        {"boost_scale": math.nan}, {"small_value": math.inf},
+        {"collinearity_alpha": math.nan}, {"boost_fraction": "0.2"},
+    ])
+    def test_rejects_invalid_field(self, fields):
+        with pytest.raises(ValueError):
+            GenConfig(**{"dims": (5, 6, 7), "rank": 2, "samples": 100,
+                         **fields})
+
+    def test_stores_integral_floats_as_ints_and_numbers_as_floats(self):
+        cfg = GenConfig(dims=[5.0, 6, 7], rank=2.0, samples=np.int64(100),
+                        boost_scale=10, small_value=1, collinearity_alpha=0)
+        assert (cfg.dims, cfg.rank, cfg.samples) == ((5, 6, 7), 2, 100)
+        assert all(type(v) is int
+                   for v in (*cfg.dims, cfg.rank, cfg.samples, cfg.seed))
+        assert all(type(v) is float for v in (
+            cfg.boost_fraction, cfg.boost_scale, cfg.small_value,
+            cfg.collinearity_alpha))
+
+
 class TestGenerateModel:
     def test_deterministic_per_seed(self):
         cfg = GenConfig(dims=(5, 6), rank=3, samples=10, seed=42)
