@@ -36,7 +36,7 @@ start = KruskalModel(
 runs = {}
 for method, outers in (("pdnr", 100), ("pqnr", 100), ("mu", 100)):
     res = fit(tensor, FitConfig(method=method, rank=5, tau=1e-8,
-                                outer_max=outers, modes=(1,)), init=start)
+                                outer_max=outers, mode1_only=True), init=start)
     runs[method] = res.model
     b = res.model.factors[0] * res.model.weights
     print(f"{method:>4}: kkt={res.final_kkt:.2e} after {len(res.trace)} outer "

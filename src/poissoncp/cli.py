@@ -35,7 +35,6 @@ from .evaluation import (
     thresholded_zero_count,
 )
 from .kruskal import kl_objective, load_model, normalize, save_model
-from .row_solver import SolverParams
 from .sparse_tensor import read_coo, write_coo
 from .synth import GenConfig, generate_dataset
 
@@ -54,14 +53,10 @@ def _load_config(path, keys) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    _check_keys(config, keys)
-    return config
-
-
-def _check_keys(config: dict, keys) -> None:
     unknown = [key for key in config if key not in keys]
     if unknown:
         raise ConfigError(f"unknown config field {unknown[0]!r}")
+    return config
 
 
 _REQUIRED = object()
@@ -134,10 +129,21 @@ def _read_input(read, path):
         raise DataError(str(exc)) from exc
 
 
-def _check_model_shape(model, model_path, tensor, tensor_path):
+def _check_shape(model, model_path, tensor, tensor_path):
     if model.shape.dims != tensor.shape.dims:
         raise DataError(f"{model_path}: model shape {model.shape.dims} does not "
                         f"match the shape {tensor.shape.dims} of {tensor_path}")
+
+
+def _model_objective(model, model_path, tensor, tensor_path) -> float:
+    """The KL objective of ``model`` on ``tensor``; a DataError when their
+    shapes differ or the model is zero at a positive count."""
+    _check_shape(model, model_path, tensor, tensor_path)
+    objective = kl_objective(model, tensor)
+    if not math.isfinite(objective):
+        raise DataError(f"{model_path}: model is zero at a positive count "
+                        f"of {tensor_path}")
+    return objective
 
 
 def _write_manifest(outdir: Path, command: str, resolved: dict, outputs):
@@ -155,15 +161,11 @@ def _write_manifest(outdir: Path, command: str, resolved: dict, outputs):
         fh.write("\n")
 
 
-# A config key named after a field of GenConfig, FitConfig or SolverParams
-# goes to that class as it is, and the class checks it.  The CLI reads the
-# other keys itself: factorize's ``mode1_only`` sets FitConfig.modes, its
-# ``solver`` object holds SolverParams fields, and ``tensor`` and
-# ``init_model`` are paths.
+# A config key named after a field of GenConfig or FitConfig goes to that
+# class as it is, and the class checks it.  The CLI reads the other keys
+# itself: factorize's ``tensor`` and ``init_model`` are paths.
 _GEN_KEYS = {f.name for f in dataclasses.fields(GenConfig)}
-_FIT_KEYS = {f.name for f in dataclasses.fields(FitConfig)} - {
-    "modes", "solver"}
-_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverParams)}
+_FIT_KEYS = {f.name for f in dataclasses.fields(FitConfig)}
 
 
 def _gen_config(config: dict, **overrides) -> GenConfig:
@@ -185,35 +187,18 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _fit_config(config: dict, mode1_only=None,
-                **overrides) -> tuple[FitConfig, dict]:
-    """The FitConfig and the resolved fit fields, for the manifest."""
-    solver = _field(config, "solver", _exactly(dict), "object", {})
-    _check_keys(solver, _SOLVER_KEYS)
-    mode1_only = _field(config, "mode1_only", _exactly(bool), "boolean",
-                        False, mode1_only)
-    fit_config = _build(FitConfig, config, _FIT_KEYS,
-                        modes=(1,) if mode1_only else None, **overrides)
-    if solver:
-        # The row tolerance defaults to the fit's.
-        fit_config.solver = _build(SolverParams,
-                                   {"tau": fit_config.tau, **solver},
-                                   _SOLVER_KEYS)
-    resolved = {
-        "method": fit_config.method,
-        "rank": fit_config.rank,
-        "tau": fit_config.tau,
-        "outer_max": fit_config.outer_max,
-        "time_limit": fit_config.time_limit,
-        "seed": fit_config.seed,
-        "mode1_only": mode1_only,
-        "inner_iterations": fit_config.inner_iterations,
-        "solver": solver,
-    }
+def _fit_config(config: dict, **overrides) -> tuple[FitConfig, dict]:
+    """The FitConfig and the resolved fit fields, for the manifest, which
+    records the ``solver`` object as the config gives it."""
+    fit_config = _build(FitConfig, config, _FIT_KEYS, **overrides)
+    resolved = {key: getattr(fit_config, key) for key in (
+        "method", "rank", "tau", "outer_max", "time_limit", "seed",
+        "mode1_only", "inner_iterations")}
+    resolved["solver"] = config.get("solver", {})
     return fit_config, resolved
 
 
-_FACTORIZE_KEYS = {*_FIT_KEYS, "mode1_only", "solver", "tensor", "init_model"}
+_FACTORIZE_KEYS = {*_FIT_KEYS, "tensor", "init_model"}
 
 
 def cmd_factorize(args) -> int:
@@ -235,13 +220,10 @@ def cmd_factorize(args) -> int:
     if tensor.nnz == 0:
         raise DataError(f"{tensor_path}: no nonzero entries to fit")
     if init is not None:
-        _check_model_shape(init, init_path, tensor, tensor_path)
+        _model_objective(init, init_path, tensor, tensor_path)
         if init.rank != fit_config.rank:
             raise DataError(f"{init_path}: model rank {init.rank} does not "
                             f"match the configured rank {fit_config.rank}")
-        if not math.isfinite(kl_objective(init, tensor)):
-            raise DataError(f"{init_path}: model is zero at a positive count "
-                            f"of {tensor_path}")
     result = fit(tensor, fit_config, init=init)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -261,8 +243,8 @@ def cmd_evaluate(args) -> int:
     model = normalize(_read_input(load_model, args.model))
     truth = normalize(_read_input(load_model, args.truth))
     tensor = _read_input(read_coo, args.tensor)
-    for path, m in ((args.model, model), (args.truth, truth)):
-        _check_model_shape(m, path, tensor, args.tensor)
+    objective = _model_objective(model, args.model, tensor, args.tensor)
+    _check_shape(truth, args.truth, tensor, args.tensor)
     if model.rank != truth.rank:
         raise DataError(f"{args.model}: rank {model.rank} does not match "
                         f"rank {truth.rank} of {args.truth}")
@@ -282,7 +264,7 @@ def cmd_evaluate(args) -> int:
         },
         "mode_kkt": list(per_mode),
         "kkt_max": kkt_max,
-        "objective": kl_objective(model, tensor),
+        "objective": objective,
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.output:
@@ -295,7 +277,7 @@ def cmd_evaluate(args) -> int:
 # The sweep sets each run's method, rank and seed; its fits use the default
 # solver and sweep every mode.
 _BENCH_KEYS = {"methods", "ranks", "seeds", *_GEN_KEYS, *_FIT_KEYS} - {
-    "method", "rank", "seed", "workers"}
+    "method", "rank", "seed", "workers", "mode1_only", "solver"}
 _BENCH_COLUMNS = ("method", "rank", "seed", "time_to_tau", "final_objective",
                   "exact_zeros", "converged")
 

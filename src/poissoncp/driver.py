@@ -12,9 +12,11 @@ largest violation falls below the tolerance.
 from __future__ import annotations
 
 import csv
+import functools
 import time
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -59,19 +61,25 @@ TRACE_HEADER = (
 )
 
 
+# Far above any useful count, and small enough to allocate a mu history.
+INNER_ITERATIONS_MAX = 10**6
+_SOLVER_FIELDS = {f.name for f in fields(SolverParams)}
+
+
 @dataclass
 class FitConfig:
     """Configuration of one factorization run.
 
-    ``modes`` restricts the sweep to the listed 1-based modes (used to study
-    a single convex block subproblem); None sweeps every mode.  ``solver``
-    defaults to row solves at the global tolerance ``tau``, and
-    ``inner_iterations`` counts the updates of each ``mu`` mode solve.
-    ``workers`` is validated (at least 1) but has no effect: rows are
-    always solved one after another in a single thread.  It remains only
-    because the benchmark in ``perfbench/`` still passes it.  Building a
-    ``pdnr`` config imports LAPACK from scipy, which only the damped Newton
-    direction uses, so that one-time cost falls outside ``fit``.
+    ``mode1_only`` restricts the sweep to mode 1 (used to study a single
+    convex block subproblem).  ``solver`` may be SolverParams or a mapping
+    of its fields; None or a mapping without ``tau`` gives row solves at the
+    fit's ``tau``.  ``inner_iterations`` counts the updates of each ``mu``
+    mode solve, at most ``INNER_ITERATIONS_MAX``.  ``workers`` is validated
+    (at least 1) but has no effect: rows are always solved one after
+    another in a single thread.  It remains only because the benchmark in
+    ``perfbench/`` still passes it.  Building a ``pdnr`` config imports
+    LAPACK from scipy, which only the damped Newton direction uses, so that
+    one-time cost falls outside ``fit``.
     """
 
     method: str
@@ -82,7 +90,7 @@ class FitConfig:
     solver: Optional[SolverParams] = None
     inner_iterations: int = 10
     seed: int = 0
-    modes: Optional[tuple[int, ...]] = None
+    mode1_only: bool = False
     workers: int = 1
 
     def __post_init__(self):
@@ -96,11 +104,19 @@ class FitConfig:
         if self.time_limit is not None:
             self.time_limit = check_number("time_limit", self.time_limit)
         self.inner_iterations = check_integer(
-            "inner_iterations", self.inner_iterations, 1)
+            "inner_iterations", self.inner_iterations, 1, INNER_ITERATIONS_MAX)
         self.seed = check_integer("seed", self.seed, 0)
-        if self.modes is not None:
-            self.modes = tuple(check_integer("modes", n, 1)
-                               for n in self.modes)
+        if not isinstance(self.mode1_only, bool):
+            raise ValueError("config field 'mode1_only' is not a valid "
+                             f"boolean, got {self.mode1_only!r}")
+        if not isinstance(self.solver, SolverParams):
+            if not isinstance(self.solver, (Mapping, type(None))):
+                raise ValueError("config field 'solver' is not a valid object")
+            solver = {"tau": self.tau, **(self.solver or {})}
+            unknown = [key for key in solver if key not in _SOLVER_FIELDS]
+            if unknown:
+                raise ValueError(f"unknown config field {unknown[0]!r}")
+            self.solver = SolverParams(**solver)
         self.workers = check_integer("workers", self.workers, 1)
         if self.method == "pdnr":
             lapack_cholesky()
@@ -185,22 +201,18 @@ def _solve_rows(b_matrix, layout, tensor, factors, mode0, method, solver,
                 deadline):
     """Solve each nonempty row subproblem, writing results into b_matrix.
 
-    Rows are taken block by block from the mode's layout: each block's
-    Khatri-Rao rows are gathered at once and each row solve sees its slice.
     Returns the row reports.  A wall-clock deadline is honored between row
     solves only, keeping each row's result deterministic.
     """
     solve_row = solve_row_pdnr if method == "pdnr" else solve_row_pqnr
     reports = []
-    for pos, spans in layout.blocks(b_matrix.shape[1]):
-        x_blk = tensor.vals[pos].astype(np.float64)
-        pi_blk = _pi_product(factors, mode0, tensor.subs0[pos])
-        for row0, lo, hi in spans:
-            if deadline is not None and time.perf_counter() > deadline:
-                return reports
-            problem = RowProblem(b_matrix[row0], x_blk[lo:hi], pi_blk[lo:hi].T)
-            b_matrix[row0], report = solve_row(problem, solver)
-            reports.append(report)
+    gather = functools.partial(_pi_product, factors, mode0)
+    for row0, x, pi in layout.row_views(tensor, b_matrix.shape[1], gather):
+        if deadline is not None and time.perf_counter() > deadline:
+            return reports
+        b_matrix[row0], report = solve_row(RowProblem(b_matrix[row0], x, pi),
+                                           solver)
+        reports.append(report)
     return reports
 
 
@@ -262,11 +274,7 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
     """
     if tensor.nnz == 0:
         raise ValueError("cannot fit an empty tensor")
-    ndim = tensor.ndim
-    modes = config.modes if config.modes is not None else tuple(range(1, ndim + 1))
-    for n in modes:
-        if not 1 <= n <= ndim:
-            raise IndexOutOfRangeError(f"swept mode {n} out of range")
+    modes = (1,) if config.mode1_only else tuple(range(1, tensor.ndim + 1))
     model = init if init is not None else init_model(
         tensor.shape, config.rank, config.seed
     )
@@ -281,7 +289,6 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
         raise ValueError(
             "initial model assigns zero to a cell with a positive count"
         )
-    solver = config.solver or SolverParams(tau=config.tau)
     layouts = {n: mode_row_positions(tensor, n) for n in modes}
 
     start = time.perf_counter()
@@ -294,7 +301,7 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
         fallbacks = 0
         for n in modes:
             model, sweep = solve_mode(
-                tensor, model, n, method=config.method, solver=solver,
+                tensor, model, n, method=config.method, solver=config.solver,
                 inner_iterations=config.inner_iterations, layout=layouts[n],
                 deadline=deadline,
             )

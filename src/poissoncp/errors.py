@@ -64,8 +64,9 @@ def is_integral(value) -> bool:
         or isinstance(value, numbers.Real) and float(value).is_integer())
 
 
-def check_integer(name: str, value, minimum=None) -> int:
-    """Config field ``name`` as an int, of at least ``minimum`` if given.
+def check_integer(name: str, value, minimum=None, maximum=None) -> int:
+    """Config field ``name`` as an int, within ``minimum`` and ``maximum``
+    where given.
 
     An integral float counts as an integer.  A boolean, a fraction, a
     non-finite float or a non-number raises ValueError naming the field.
@@ -77,6 +78,8 @@ def check_integer(name: str, value, minimum=None) -> int:
     if minimum is not None and value < minimum:
         bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
         raise ValueError(f"{name} must be {bound}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be at most {maximum}, got {value}")
     return value
 
 

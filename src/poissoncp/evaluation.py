@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +123,7 @@ def mode_kkt_violation(tensor: SparseCountTensor, model: KruskalModel,
     """Largest row-subproblem KKT violation of one mode at the current model.
 
     Pure recomputation: rebuilds B and the Khatri-Rao rows from the model,
-    one cache-sized block of rows at a time.  ``layout`` may carry the
+    walking the mode layout's row views.  ``layout`` may carry the
     mode's precomputed :func:`poissoncp.sparse_tensor.mode_row_positions`.
     """
     if not model.normalized:
@@ -134,17 +135,13 @@ def mode_kkt_violation(tensor: SparseCountTensor, model: KruskalModel,
     # Rows without data have gradient 1 everywhere, so min(b, 1) is their
     # residual; rows with data overwrite theirs.
     residual = np.minimum(b_matrix, 1.0)
-    for pos, spans in layout.blocks(model.rank):
-        x_blk = tensor.vals[pos].astype(np.float64)
-        pi_blk = _pi_product(model.factors, mode0, tensor.subs0[pos])
-        for row0, lo, hi in spans:
-            b = b_matrix[row0]
-            pi = pi_blk[lo:hi].T
-            m = b @ pi
-            if (m <= 0.0).any():
-                return float("inf")
-            g = 1.0 - _pi_x_over_m(pi, x_blk[lo:hi], m)
-            residual[row0] = np.minimum(b, g)
+    gather = functools.partial(_pi_product, model.factors, mode0)
+    for row0, x, pi in layout.row_views(tensor, model.rank, gather):
+        b = b_matrix[row0]
+        m = b @ pi
+        if (m <= 0.0).any():
+            return float("inf")
+        residual[row0] = np.minimum(b, 1.0 - _pi_x_over_m(pi, x, m))
     return float(np.abs(residual).max())
 
 

@@ -262,7 +262,7 @@ class ModeLayout:
     ``order`` lists the COO positions sorted by row (stably, so each row
     keeps its entries in COO order); nonempty row ``k`` has the 0-based id
     ``rows[k]`` and spans ``order[starts[k]:starts[k + 1]]``.
-    :meth:`blocks` walks runs of consecutive rows whose gathered Khatri-Rao
+    :meth:`row_views` walks the rows in blocks whose gathered Khatri-Rao
     rows fit in cache.
     """
 
@@ -273,13 +273,14 @@ class ModeLayout:
     def __len__(self) -> int:
         return int(self.rows.shape[0])
 
-    def blocks(self, rank: int):
-        """Yield ``(positions, spans)`` per block of consecutive rows.
+    def row_views(self, tensor: SparseCountTensor, rank: int, gather):
+        """Yield ``(row0, x, pi)`` per nonempty row, in row order: the
+        row's counts as floats and its ``(R, J)`` Khatri-Rao columns.
 
-        A block holds at most ``BLOCK_DOUBLES // rank`` nonzeros unless it
-        is a single longer row.  ``positions`` are the block's COO positions
-        in layout order, and each ``(row0, lo, hi)`` in ``spans`` says that
-        row ``row0`` holds ``positions[lo:hi]``.
+        ``gather(subs0)`` returns the ``(J, R)`` Khatri-Rao rows of one
+        block of consecutive rows, which holds at most ``BLOCK_DOUBLES //
+        rank`` nonzeros unless it is a single longer row; ``x`` and ``pi``
+        are views into the block's arrays.
         """
         limit = max(BLOCK_DOUBLES // rank, 1)
         starts = self.starts
@@ -287,9 +288,13 @@ class ModeLayout:
         while k0 < len(self):
             k1 = int(np.searchsorted(starts, starts[k0] + limit, side="right")) - 1
             k1 = max(k1, k0 + 1)
+            pos = self.order[starts[k0]:starts[k1]]
+            x_blk = tensor.vals[pos].astype(np.float64)
+            pi_blk = gather(tensor.subs0[pos])
             bounds = (starts[k0:k1 + 1] - starts[k0]).tolist()
-            spans = list(zip(self.rows[k0:k1].tolist(), bounds[:-1], bounds[1:]))
-            yield self.order[starts[k0]:starts[k1]], spans
+            for row0, lo, hi in zip(self.rows[k0:k1].tolist(), bounds[:-1],
+                                    bounds[1:]):
+                yield row0, x_blk[lo:hi], pi_blk[lo:hi].T
             k0 = k1
 
 
@@ -298,13 +303,8 @@ def mode_row_positions(tensor: SparseCountTensor, mode: int) -> ModeLayout:
     rows in increasing order."""
     _check_mode(tensor.shape, mode)
     col = tensor.subs0[:, mode - 1]
-    order = np.argsort(col, kind="stable")
-    sorted_rows = col[order]
-    new = np.ones(sorted_rows.shape[0], dtype=bool)
-    new[1:] = sorted_rows[1:] != sorted_rows[:-1]
-    first = np.flatnonzero(new)
-    starts = np.append(first, sorted_rows.shape[0])
-    return ModeLayout(order, sorted_rows[first], starts)
+    order, first = lexsort_runs(col[:, None])
+    return ModeLayout(order, col[order[first]], np.append(first, len(col)))
 
 
 def read_coo(path) -> SparseCountTensor:

@@ -72,6 +72,17 @@ class GenConfig:
             raise ValueError("boost_fraction must lie in (0, 1]")
         if self.boost_scale < 0 or self.small_value <= 0:
             raise ValueError("boost_scale must be >= 0 and small_value > 0")
+        alpha = self.collinearity_alpha or 0.0
+        if alpha < 0:
+            raise ValueError(f"collinearity_alpha must be nonnegative, got {alpha}")
+        # Mode n's columns sum to at most I_n (1 + alpha) peak, so the
+        # weights sum to less than rank times the product of those bounds.
+        peak = max(self.small_value, 1.0 + self.boost_scale * self.rank)
+        if not math.log(self.rank) + sum(
+                math.log(d * (1.0 + alpha) * peak)
+                for d in self.dims) < math.log(np.finfo(float).max):
+            raise ValueError("boost_scale, small_value and collinearity_alpha "
+                             "overflow the weights at these dims and rank")
 
 
 class ModeCollinearity(NamedTuple):

@@ -30,6 +30,7 @@ from poissoncp.row_solver import (
     solve_row_pdnr,
     solve_row_pqnr,
 )
+from poissoncp.sparse_tensor import ModeLayout
 
 LETTERS = "abcdefgh"
 
@@ -176,6 +177,19 @@ def row_groups(tensor, mode: int):
     order = np.argsort(col, kind="stable")
     chunks = np.split(order, np.flatnonzero(np.diff(col[order])) + 1)
     return [(int(col[c[0]]), c) for c in chunks if c.size]
+
+
+def argsort_mode_row_positions(tensor, mode: int) -> ModeLayout:
+    """Reference layout: a stable argsort of the mode column, and the
+    positions where the sorted rows change."""
+    col = tensor.subs0[:, mode - 1]
+    order = np.argsort(col, kind="stable")
+    sorted_rows = col[order]
+    new = np.ones(sorted_rows.shape[0], dtype=bool)
+    new[1:] = sorted_rows[1:] != sorted_rows[:-1]
+    first = np.flatnonzero(new)
+    starts = np.append(first, sorted_rows.shape[0])
+    return ModeLayout(order, sorted_rows[first], starts)
 
 
 def per_row_mode_kkt_violation(tensor, model: KruskalModel, mode: int) -> float:

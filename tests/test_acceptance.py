@@ -79,7 +79,8 @@ def mode1_tight(desk):
         res = fit(
             tensor,
             FitConfig(method="pdnr", rank=DESK_RANK, tau=1e-8, outer_max=100,
-                      modes=(1,), solver=SolverParams(tau=1e-11, k_max=100)),
+                      mode1_only=True,
+                      solver=SolverParams(tau=1e-11, k_max=100)),
             init=truth_held_start(tensor, truth, 200 + s),
         )
         assert res.converged
@@ -225,7 +226,8 @@ def test_criterion_6_sparsity_identification(desk):
     outers = {}
     for method in ("pdnr", "pqnr"):
         res = fit(tensor, FitConfig(method=method, rank=DESK_RANK, tau=1e-4,
-                                    outer_max=100, modes=(1,)), init=start)
+                                    outer_max=100, mode1_only=True),
+                  init=start)
         assert res.converged
         b = res.model.factors[0] * res.model.weights
         zeros[method] = int(np.count_nonzero(b == 0.0))
@@ -235,7 +237,8 @@ def test_criterion_6_sparsity_identification(desk):
     # inner updates).
     budget = max(max(outers.values()), 50)
     res_mu = fit(tensor, FitConfig(method="mu", rank=DESK_RANK, tau=1e-30,
-                                   outer_max=budget, modes=(1,)), init=start)
+                                   outer_max=budget, mode1_only=True),
+                 init=start)
     b_mu = res_mu.model.factors[0] * res_mu.model.weights
     zeros["mu"] = int(np.count_nonzero(b_mu == 0.0))
     ok = (zeros["pdnr"] == zeros["pqnr"] and zeros["pdnr"] > 0

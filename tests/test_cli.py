@@ -286,6 +286,21 @@ class TestDataErrors:
             assert message in err
             assert err.count("\n") == 1
 
+    def test_evaluate_model_zero_at_a_positive_count_is_data_error(
+            self, generated, capsys):
+        tmp_path, outdir = generated
+        zero = tmp_path / "zero_weights.json"
+        zero.write_text(self.edited_truth(outdir, **{"lambda": [0.0] * 3}))
+        tensor = outdir / "tensor.coo"
+        rc = main(["evaluate", "--model", str(zero),
+                   "--truth", str(outdir / "truth_model.json"),
+                   "--tensor", str(tensor)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {zero}: model is zero at a positive "
+                                f"count of {tensor}\n")
+
     def test_evaluate_rank_mismatch_is_data_error(self, generated, capsys):
         tmp_path, outdir = generated
         cfg = write_json(tmp_path / "gen2.json", {
@@ -337,6 +352,7 @@ class TestConfigErrors:
         ("time_limit", INF, "config field 'time_limit' is not a valid number"),
         ("solver", {"tau": NAN}, "config field 'tau' is not a valid number"),
         ("workers", 0, "workers must be at least 1"),
+        ("inner_iterations", 10**30, "inner_iterations must be at most"),
     ])
     def test_factorize_bad_field(self, generated, capsys, field, value,
                                  message):
@@ -363,6 +379,9 @@ class TestConfigErrors:
         ("collinearity_alpha", NAN,
          "config field 'collinearity_alpha' is not a valid number"),
         ("dims", [5.7, 6, 7], "dimensions must be integers"),
+        ("collinearity_alpha", -5, "collinearity_alpha must be nonnegative"),
+        ("boost_scale", 1e120, "overflow the weights"),
+        ("boost_scale", 1e308, "overflow the weights"),
     ])
     def test_generate_bad_field(self, tmp_path, capsys, field, value, message):
         doc = {"dims": [6, 7, 8], "rank": 3, "samples": 100, field: value}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from poissoncp.driver import (
+    INNER_ITERATIONS_MAX,
     METHODS,
     FitConfig,
     fit,
@@ -15,6 +16,7 @@ from poissoncp.driver import (
 from poissoncp.errors import ZeroColumnWarning
 from poissoncp.evaluation import full_kkt_violation
 from poissoncp.kruskal import KruskalModel, kl_objective, normalize
+from poissoncp.row_solver import SolverParams
 from poissoncp.sparse_tensor import SparseCountTensor
 from poissoncp.synth import GenConfig, generate_dataset
 
@@ -105,7 +107,7 @@ class TestSolveMode:
                 normalized=True,
             )
             res = fit(tensor, FitConfig(
-                method="pdnr", rank=3, tau=1e-9, outer_max=60, modes=(1,)
+                method="pdnr", rank=3, tau=1e-9, outer_max=60, mode1_only=True
             ), init=start)
             assert res.converged
             results.append(res.model.factors[0] * res.model.weights)
@@ -174,7 +176,9 @@ class TestFit:
     @pytest.mark.parametrize("fields", [
         {"rank": 2.5}, {"rank": True}, {"tau": float("nan")},
         {"tau": float("inf")}, {"inner_iterations": 2.5},
-        {"time_limit": float("inf")}, {"modes": (1.5,)}, {"workers": 0.5},
+        {"time_limit": float("inf")}, {"mode1_only": "no"}, {"workers": 0.5},
+        {"solver": []}, {"solver": {"lbfgs_memory": 3}},
+        {"solver": {"k_max": 2.5}},
     ])
     def test_rejects_invalid_field(self, fields):
         with pytest.raises(ValueError, match="config field"):
@@ -183,12 +187,30 @@ class TestFit:
     def test_stores_integral_floats_as_ints_and_numbers_as_floats(self):
         # So a manifest records 5, not 5.0, for "rank": 5.0.
         config = FitConfig(method="MU", rank=5.0, tau=1, time_limit=3,
-                           outer_max=np.int64(4), seed=2.0, modes=[1.0])
-        assert (config.method, config.rank, config.outer_max, config.seed,
-                config.modes) == ("mu", 5, 4, 2, (1,))
+                           outer_max=np.int64(4), seed=2.0)
+        assert (config.method, config.rank, config.outer_max,
+                config.seed) == ("mu", 5, 4, 2)
         assert all(type(v) is int for v in (config.rank, config.outer_max,
-                                             config.seed, *config.modes))
+                                             config.seed))
         assert type(config.tau) is float and type(config.time_limit) is float
+
+    def test_caps_inner_iterations(self):
+        config = FitConfig(method="mu", rank=2,
+                           inner_iterations=INNER_ITERATIONS_MAX)
+        assert config.inner_iterations == INNER_ITERATIONS_MAX
+        with pytest.raises(ValueError, match="inner_iterations must be at "
+                                             "most 1000000"):
+            FitConfig(method="mu", rank=2,
+                      inner_iterations=INNER_ITERATIONS_MAX + 1)
+
+    def test_row_tolerance_defaults_to_the_fit_tau(self):
+        def solver(**fields):
+            return FitConfig(method="mu", rank=2, tau=1e-6, **fields).solver
+        assert solver() == SolverParams(tau=1e-6)
+        assert solver(solver={"k_max": 7}) == SolverParams(tau=1e-6, k_max=7)
+        assert solver(solver={"tau": 1e-9}) == SolverParams(tau=1e-9)
+        given = SolverParams(tau=1e-3, k_max=3)
+        assert solver(solver=given) is given
 
     def test_seed_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="seed must be nonnegative"):

@@ -1,10 +1,11 @@
 """The per-mode row layout against per-row and argsort references.
 
-The solve, the KKT check and the multiplicative baseline walk a mode's
-nonzeros in cache-sized blocks of rows.  With the block bound shrunk so
-that blocks split often, every result must equal the per-row reference
-bit for bit, on tensors with empty rows, rows shorter than the rank and
-rows longer than one block.
+The solve and the KKT check walk a mode's row views, which gather the
+Khatri-Rao rows in cache-sized blocks of rows; the multiplicative baseline
+reads the same layout.  With the block bound shrunk so that blocks split
+often, every result must equal the per-row reference bit for bit, on
+tensors with empty rows, rows shorter than the rank and rows longer than
+one block.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import poissoncp.sparse_tensor as sparse_tensor
 from conftest import (
+    argsort_mode_row_positions,
     argsort_mu_solve_mode,
     per_row_mode_kkt_violation,
     per_row_solve_mode,
@@ -62,6 +64,12 @@ def layout_case(seed):
     return tensor, model
 
 
+def assert_layouts_equal(a, b):
+    for name in ("order", "rows", "starts"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 def assert_models_equal(a, b):
     assert np.array_equal(a.weights, b.weights)
     for fa, fb in zip(a.factors, b.factors):
@@ -72,35 +80,49 @@ class TestModeLayout:
     @LAYOUT_PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), doubles=st.integers(1, 12),
            rank=st.integers(1, 6))
-    def test_blocks_cover_every_position_once_in_order(self, seed, doubles,
-                                                       rank):
+    def test_row_views_cover_every_position_once_in_order(self, seed, doubles,
+                                                          rank):
         tensor, _ = layout_case(seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse_tensor, "BLOCK_DOUBLES", doubles)
             limit = max(doubles // rank, 1)
             for mode in range(1, tensor.ndim + 1):
                 layout = mode_row_positions(tensor, mode)
+                assert_layouts_equal(layout,
+                                     argsort_mode_row_positions(tensor, mode))
                 reference = row_groups(tensor, mode)
-                assert layout.rows.tolist() == [r for r, _ in reference]
-                assert [layout.order[lo:hi].tolist() for lo, hi in
-                        zip(layout.starts[:-1], layout.starts[1:])] == [
-                    p.tolist() for _, p in reference]
-                rows, positions = [], []
-                for pos, spans in layout.blocks(rank):
-                    assert len(pos) <= limit or len(spans) == 1
-                    assert spans[0][1] == 0 and spans[-1][2] == len(pos)
-                    for row0, lo, hi in spans:
-                        assert lo < hi
-                        rows.append(row0)
-                        positions.append(pos[lo:hi].tolist())
+                sizes, block_rows = [], []
+
+                def gather(subs0):
+                    # The subscripts stand in for the Khatri-Rao rows, so
+                    # each view shows which nonzeros it holds.
+                    sizes.append(len(subs0))
+                    block_rows.append(0)
+                    return subs0.astype(np.float64)
+
+                rows, subs, counts = [], [], []
+                for row0, x, pi in layout.row_views(tensor, rank, gather):
+                    block_rows[-1] += 1
+                    assert x.dtype == np.float64 and pi.shape == (
+                        tensor.ndim, len(x))
+                    rows.append(row0)
+                    subs.append(pi.T.tolist())
+                    counts.append(x.tolist())
+                assert sum(sizes) == tensor.nnz
+                assert all(size <= limit or n == 1
+                           for size, n in zip(sizes, block_rows))
                 assert rows == [r for r, _ in reference]
-                assert positions == [p.tolist() for _, p in reference]
+                assert subs == [tensor.subs0[p].tolist() for _, p in reference]
+                assert counts == [tensor.vals[p].tolist() for _, p in reference]
 
     def test_empty_tensor_has_no_rows(self):
         tensor = SparseCountTensor.from_entries((2, 3), [])
         layout = mode_row_positions(tensor, 1)
         assert len(layout) == 0
-        assert list(layout.blocks(3)) == []
+        assert_layouts_equal(layout, argsort_mode_row_positions(tensor, 1))
+        gathered = []
+        assert list(layout.row_views(tensor, 3, gathered.append)) == []
+        assert gathered == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

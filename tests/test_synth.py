@@ -21,11 +21,19 @@ class TestGenConfig:
         {"dims": (5.7, 6, 7)}, {"dims": "678"}, {"dims": 5},
         {"boost_scale": math.nan}, {"small_value": math.inf},
         {"collinearity_alpha": math.nan}, {"boost_fraction": "0.2"},
+        {"collinearity_alpha": -5}, {"collinearity_alpha": -0.001},
+        {"boost_scale": 1e120}, {"boost_scale": 1e308},
+        {"small_value": 1e300}, {"collinearity_alpha": 1e300},
     ])
     def test_rejects_invalid_field(self, fields):
         with pytest.raises(ValueError):
             GenConfig(**{"dims": (5, 6, 7), "rank": 2, "samples": 100,
                          **fields})
+
+    def test_accepts_a_large_boost_that_does_not_overflow(self):
+        truth, _ = generate_dataset(GenConfig(dims=(5, 6, 7), rank=3,
+                                              samples=100, boost_scale=1e100))
+        assert np.isfinite(truth.weights).all()
 
     def test_stores_integral_floats_as_ints_and_numbers_as_floats(self):
         cfg = GenConfig(dims=[5.0, 6, 7], rank=2.0, samples=np.int64(100),
