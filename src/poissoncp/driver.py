@@ -22,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .baselines import mu_solve_mode
-from .errors import IndexOutOfRangeError, check_integer, check_number
+from .errors import (IndexOutOfRangeError, check_integer, check_number,
+                     check_size)
 from .evaluation import mode_kkt_violation
 from .kruskal import KruskalModel, _pi_product, kl_objective, normalize
 from .row_solver import (
@@ -32,7 +33,8 @@ from .row_solver import (
     solve_row_pdnr,
     solve_row_pqnr,
 )
-from .sparse_tensor import SparseCountTensor, as_shape, mode_row_positions
+from .sparse_tensor import (SparseCountTensor, as_shape, map_row_ranges,
+                            mode_row_positions)
 from .synth import seeded_rng
 
 __all__ = [
@@ -75,8 +77,10 @@ class FitConfig:
     of its fields; None or a mapping without ``tau`` gives row solves at the
     fit's ``tau``.  ``inner_iterations`` counts the updates of each ``mu``
     mode solve, at most ``INNER_ITERATIONS_MAX``.  ``workers`` is validated
-    (at least 1) but has no effect: rows are always solved one after
-    another in a single thread.  It remains only because the benchmark in
+    (at least 1) but has no effect: the rows of a mode with at least
+    ``sparse_tensor.PARALLEL_MIN_ROWS`` nonempty rows are split into one
+    range per CPU in the process's affinity mask, and the results do not
+    depend on the split.  It remains only because the benchmark in
     ``perfbench/`` still passes it.  Building a ``pdnr`` config imports
     LAPACK from scipy, which only the damped Newton direction uses, so that
     one-time cost falls outside ``fit``.
@@ -120,6 +124,14 @@ class FitConfig:
         self.workers = check_integer("workers", self.workers, 1)
         if self.method == "pdnr":
             lapack_cholesky()
+
+    def check_sizes(self, tensor: SparseCountTensor) -> None:
+        """Raise ConfigError when a fit of ``tensor`` at this rank needs
+        arrays beyond int64 or physical memory: the ``rank * sum(dims)``
+        model entries, or the ``nnz * rank`` Khatri-Rao rows that the
+        objective and ``mu`` gather."""
+        check_size("rank * sum(dims)", self.rank * sum(tensor.shape.dims))
+        check_size("nnz * rank", tensor.nnz * self.rank)
 
 
 def _check_method(method: str) -> None:
@@ -201,19 +213,30 @@ def _solve_rows(b_matrix, layout, tensor, factors, mode0, method, solver,
                 deadline):
     """Solve each nonempty row subproblem, writing results into b_matrix.
 
-    Returns the row reports.  A wall-clock deadline is honored between row
-    solves only, keeping each row's result deterministic.
+    Returns the row reports.  The rows are split into contiguous ranges, one
+    per allowed CPU (:func:`poissoncp.sparse_tensor.map_row_ranges`); each
+    row's arithmetic is the same in every range, so results do not depend
+    on the split.  A wall-clock deadline is honored between row solves
+    within each range, keeping each row's result deterministic.
     """
     solve_row = solve_row_pdnr if method == "pdnr" else solve_row_pqnr
-    reports = []
+    rank = b_matrix.shape[1]
     gather = functools.partial(_pi_product, factors, mode0)
-    for row0, x, pi in layout.row_views(tensor, b_matrix.shape[1], gather):
-        if deadline is not None and time.perf_counter() > deadline:
-            return reports
-        b_matrix[row0], report = solve_row(RowProblem(b_matrix[row0], x, pi),
-                                           solver)
-        reports.append(report)
-    return reports
+
+    def solve_range(part):
+        reports = []
+        for row0, x, pi in part.row_views(tensor, rank, gather):
+            if deadline is not None and time.perf_counter() > deadline:
+                break
+            b_matrix[row0], report = solve_row(
+                RowProblem(b_matrix[row0], x, pi), solver)
+            reports.append(report)
+        return b_matrix[part.rows], reports
+
+    solved = map_row_ranges(layout, solve_range,
+                            calls=(solve_row, RowProblem, _pi_product))
+    b_matrix[layout.rows] = np.concatenate([rows for rows, _ in solved])
+    return [report for _, reports in solved for report in reports]
 
 
 def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
@@ -270,10 +293,13 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
 
     Stops at convergence, at ``outer_max`` sweeps, or once the time limit is
     exceeded (checked between row solves).  The objective recorded in the
-    trace is nonincreasing across sweeps for every method.
+    trace is nonincreasing across sweeps for every method.  Raises
+    ConfigError, a ValueError, when :meth:`FitConfig.check_sizes` rejects
+    the tensor at the configured rank.
     """
     if tensor.nnz == 0:
         raise ValueError("cannot fit an empty tensor")
+    config.check_sizes(tensor)
     modes = (1,) if config.mode1_only else tuple(range(1, tensor.ndim + 1))
     model = init if init is not None else init_model(
         tensor.shape, config.rank, config.seed

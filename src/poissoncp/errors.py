@@ -1,9 +1,13 @@
 """Exception and warning types shared across the package, the path prefix
 that file readers put on data errors, and the checks that every config
-class applies to its integer and number fields."""
+class applies to its integer and number fields and to the array sizes they
+imply."""
 
 import math
 import numbers
+import os
+
+_INT64_MAX = 2**63 - 1
 
 
 class IndexOutOfRangeError(ValueError):
@@ -95,3 +99,25 @@ def check_number(name: str, value) -> float:
             pass
     raise ValueError(f"config field {name!r} is not a valid number, "
                      f"got {value!r}")
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_size(name: str, count: int) -> None:
+    """Raise ConfigError when ``count`` 8-byte values, an array size that
+    config fields imply (``name`` says which), overflow int64 or exceed
+    physical memory.  Called before the array is allocated."""
+    if count > _INT64_MAX:
+        raise ConfigError(f"{name} = {count} does not fit in int64")
+    memory = physical_memory()
+    if memory is not None and 8 * count > memory:
+        raise ConfigError(
+            f"{name} = {count} values of 8 bytes need "
+            f"{8 * count / 2**30:.1f} GiB, more than the "
+            f"{memory / 2**30:.1f} GiB of physical memory")

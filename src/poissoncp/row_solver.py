@@ -62,6 +62,8 @@ MAX_BACKTRACKS = 10
 LBFGS_MEMORY = 3  # stored curvature pairs
 CURVATURE_SKIP_REL = 1e-12
 FACTORIZATION_RETRIES = 5
+# The step BETA^t of each backtrack t, computed once.
+_STEPS = tuple(BETA ** t for t in range(MAX_BACKTRACKS + 1))
 
 
 @dataclass(frozen=True)
@@ -133,18 +135,18 @@ class LineSearchResult(NamedTuple):
 
 
 def _cell_values(problem: RowProblem, b: np.ndarray) -> np.ndarray:
-    return b @ problem.pi
+    return b.dot(problem.pi)
 
 
 def _f_at(problem: RowProblem, b: np.ndarray, m: Optional[np.ndarray] = None) -> float:
     if m is None:
         m = _cell_values(problem, b)
-    total = float(b.sum())
+    total = float(np.add.reduce(b))
     if m.size == 0:
         return total
-    if m.min() <= 0.0:
+    if np.minimum.reduce(m) <= 0.0:
         return float("inf")
-    return total - float(problem.x @ np.log(m))
+    return total - float(problem.x.dot(np.log(m)))
 
 
 def f_row(problem: RowProblem, b: Optional[np.ndarray] = None) -> float:
@@ -163,7 +165,7 @@ def _check_defined(m: np.ndarray) -> None:
 def _pi_x_over_m(pi: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """pi @ (x / m) for an (R, J) pi: the data term of the row gradient,
     negated, and the multiplicative update factor.  Zeros when J = 0."""
-    return pi @ (x / m)
+    return pi.dot(x / m)
 
 
 def grad_row(problem: RowProblem, b: Optional[np.ndarray] = None) -> np.ndarray:
@@ -188,12 +190,12 @@ def _hessian_block(problem: RowProblem, m: np.ndarray, free: np.ndarray) -> np.n
         return np.zeros((k, k))
     w = problem.x / (m * m)
     pif = problem.pi[free]
-    return (pif * w) @ pif.T
+    return (pif * w).dot(pif.T)
 
 
 def kkt_violation_row(b: np.ndarray, g: np.ndarray) -> float:
     """First-order optimality residual max_r |min(b_r, g_r)| under b >= 0."""
-    return float(np.abs(np.minimum(b, g)).max())
+    return float(np.maximum.reduce(np.abs(np.minimum(b, g))))
 
 
 def partition_variables(b: np.ndarray, g: np.ndarray, epsilon: float):
@@ -256,9 +258,9 @@ def assemble_direction(d_free: np.ndarray, g: np.ndarray, sets) -> np.ndarray:
     the negative gradient on the gradient set.  Returns ``d_free`` itself
     when every variable is free."""
     active, gradient, free = sets
-    if free.all():
+    if np.count_nonzero(free) == free.shape[0]:
         return d_free
-    d = np.zeros_like(g)
+    d = np.zeros(g.shape[0])
     d[free] = d_free
     d[gradient] = -g[gradient]
     return d
@@ -278,10 +280,9 @@ def armijo_projected_search(problem: RowProblem, b: np.ndarray, f_b: float,
     """
     f_unit = float("inf")
     evals = 0
-    for t in range(MAX_BACKTRACKS + 1):
-        step = BETA ** t
+    for t, step in enumerate(_STEPS):
         b_try = np.maximum(b + step * d if t else b + d, 0.0)
-        predicted = float(g @ (b_try - b))
+        predicted = float(g.dot(b_try - b))
         if predicted < 0.0:
             m_try = _cell_values(problem, b_try)
             f_try = _f_at(problem, b_try, m_try)
@@ -346,7 +347,7 @@ class LbfgsStore:
     def update(self, s: np.ndarray, y: np.ndarray) -> bool:
         """Store a float64 pair, evicting the oldest past capacity; returns
         whether the pair was kept.  The arrays are kept, not copied."""
-        sy = float(s @ y)
+        sy = float(s.dot(y))
         yy = y.dot(y)
         if sy <= CURVATURE_SKIP_REL * (math.sqrt(s.dot(s)) * math.sqrt(yy)):
             self.skipped += 1
@@ -367,7 +368,7 @@ class LbfgsStore:
         alphas = []
         for s, y, rho in zip(reversed(self._s), reversed(self._y),
                              reversed(self._rho)):
-            alpha = rho * float(s @ q)
+            alpha = rho * float(s.dot(q))
             q -= alpha * y
             alphas.append(alpha)
         if not alphas:
@@ -375,7 +376,7 @@ class LbfgsStore:
         r = self.gamma * q
         for s, y, rho, alpha in zip(self._s, self._y, self._rho,
                                     reversed(alphas)):
-            beta = rho * float(y @ r)
+            beta = rho * float(y.dot(r))
             r += (alpha - beta) * s
         return r
 
@@ -455,25 +456,25 @@ def _solve_row(problem: RowProblem, params: SolverParams,
             # gradient instead lets large bound-set components leak into the
             # free direction and ruin descent.
             prev_b, prev_g = b, g
-            if free.all():
+            if np.count_nonzero(free) == free.shape[0]:
                 d_free = -store.direction(g)
             else:
                 d_free = -store.direction(np.where(free, g, 0.0))[free]
-        elif free.any():
+        elif np.count_nonzero(free):
             g_free = g[free]
             h_free = _hessian_block(problem, m, free)
             d_free, mu, solved = _damped_direction_with_retries(h_free, g_free, mu)
             if solved:
                 model_decrease = float(
-                    g_free @ d_free + 0.5 * d_free @ (h_free @ d_free)
+                    g_free.dot(d_free) + (0.5 * d_free).dot(h_free.dot(d_free))
                 )
         accepted = False
         if solved:
             d = assemble_direction(d_free, g, sets)
-            if not d.any():
+            if not np.count_nonzero(d):
                 break
             result = armijo_projected_search(problem, b, f_b, g, d)
-            if model_decrease is not None and d_free.any():
+            if model_decrease is not None and np.count_nonzero(d_free):
                 if model_decrease < 0:
                     mu = update_damping(mu, f_b, result.f_unit, model_decrease)
                 else:

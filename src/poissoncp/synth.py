@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import check_integer, check_number
+from .errors import check_integer, check_number, check_size
 from .kruskal import KruskalModel, normalize
 from .sparse_tensor import SparseCountTensor, as_shape, lexsort_runs
 
@@ -42,7 +42,9 @@ class GenConfig:
     replacement get the value 1 + boost_scale * R * u with u uniform on
     (0, 1); the rest get ``small_value``.  When ``collinearity_alpha`` is
     set, columns 2..R are mixed with column 1 before normalization:
-    a_r <- a_1 + alpha * a_r.
+    a_r <- a_1 + alpha * a_r.  The ``samples * len(dims)`` sampled
+    subscripts and the ``rank * sum(dims)`` factor entries must fit in
+    int64 and in physical memory.
     """
 
     dims: tuple[int, ...]
@@ -68,6 +70,8 @@ class GenConfig:
             put("collinearity_alpha", check_number("collinearity_alpha",
                                                    self.collinearity_alpha))
         put("seed", check_integer("seed", self.seed, 0))
+        check_size("samples * len(dims)", self.samples * len(self.dims))
+        check_size("rank * sum(dims)", self.rank * sum(self.dims))
         if not 0 < self.boost_fraction <= 1:
             raise ValueError("boost_fraction must lie in (0, 1]")
         if self.boost_scale < 0 or self.small_value <= 0:

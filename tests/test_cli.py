@@ -1,10 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import poissoncp
+import poissoncp.errors as errors
 from poissoncp.cli import main
-from poissoncp.sparse_tensor import read_coo
+from poissoncp.sparse_tensor import (PARALLEL_MIN_ROWS, mode_row_positions,
+                                     read_coo)
 
 
 NAN = float("nan")
@@ -353,6 +360,7 @@ class TestConfigErrors:
         ("solver", {"tau": NAN}, "config field 'tau' is not a valid number"),
         ("workers", 0, "workers must be at least 1"),
         ("inner_iterations", 10**30, "inner_iterations must be at most"),
+        ("rank", 10**12, "GiB of physical memory"),
     ])
     def test_factorize_bad_field(self, generated, capsys, field, value,
                                  message):
@@ -382,6 +390,9 @@ class TestConfigErrors:
         ("collinearity_alpha", -5, "collinearity_alpha must be nonnegative"),
         ("boost_scale", 1e120, "overflow the weights"),
         ("boost_scale", 1e308, "overflow the weights"),
+        ("samples", 10**30, "samples * len(dims) = 3" + "0" * 30
+         + " does not fit in int64"),
+        ("rank", 10**12, "rank * sum(dims) = 21" + "0" * 12),
     ])
     def test_generate_bad_field(self, tmp_path, capsys, field, value, message):
         doc = {"dims": [6, 7, 8], "rank": 3, "samples": 100, field: value}
@@ -402,6 +413,7 @@ class TestConfigErrors:
         ("seed", 1, "unknown config field 'seed'"),
         ("solver", {}, "unknown config field 'solver'"),
         ("mode1_only", True, "unknown config field 'mode1_only'"),
+        ("ranks", [10**12], "GiB of physical memory"),
     ])
     def test_bench_bad_field(self, tmp_path, capsys, field, value, message):
         doc = {"dims": [5, 6, 4], "samples": 100, "ranks": [2], "seeds": [0],
@@ -411,6 +423,21 @@ class TestConfigErrors:
                                     "--output-dir", str(tmp_path / "out")],
                            message)
         assert not (tmp_path / "out").exists()
+
+    def test_factorize_beyond_memory_at_the_tensor_size(self, generated,
+                                                        capsys, monkeypatch):
+        # The model's rank * sum(dims) entries fit, the nnz * rank gathered
+        # Khatri-Rao rows do not.
+        tmp_path, outdir = generated
+        assert read_coo(outdir / "tensor.coo").nnz * 1000 > 50_000 > 21 * 1000
+        monkeypatch.setattr(errors, "physical_memory", lambda: 8 * 50_000)
+        cfg = write_json(tmp_path / "fac.json", {
+            "tensor": str(outdir / "tensor.coo"), "method": "mu",
+            "rank": 1000})
+        self.run_and_check(capsys, ["factorize", "--config", cfg,
+                                    "--output-dir", str(tmp_path / "run")],
+                           "nnz * rank = ")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["generate", "factorize"])
     def test_negative_seed_flag(self, generated, capsys, command):
@@ -558,3 +585,43 @@ class TestDeterminism:
             outputs.append((trace, files))
         assert outputs[0] == outputs[1]
         assert len(outputs[0][0]) >= 1
+
+
+# A factorize run in a child interpreter restricted to the given CPUs.
+# OpenBLAS also takes its thread count from the CPUs a process may use, and
+# a threaded dot product sums in another order (the objective of a tensor
+# with tens of thousands of nonzeros changes in its last digit), so the
+# children pin it to one thread: only the row split differs between them.
+ON_CPUS = ("import os, sys; os.sched_setaffinity(0, {cpus!r}); "
+           "from poissoncp.cli import main; sys.exit(main(sys.argv[1:]))")
+ALLOWED_CPUS = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+                else set())
+
+
+@pytest.mark.skipif(len(ALLOWED_CPUS) < 2, reason="needs two allowed CPUs")
+@pytest.mark.parametrize("method", ["pdnr", "pqnr"])
+def test_factorize_on_one_cpu_and_on_all_is_byte_identical(tmp_path, method):
+    gen = write_json(tmp_path / "gen.json", {
+        "dims": [400, 20, 15], "rank": 4, "samples": 6000, "seed": 3})
+    assert main(["generate", "--config", gen,
+                 "--output-dir", str(tmp_path / "data")]) == 0
+    tensor = read_coo(tmp_path / "data" / "tensor.coo")
+    assert len(mode_row_positions(tensor, 1)) >= PARALLEL_MIN_ROWS
+    fac = write_json(tmp_path / "fac.json", {
+        "tensor": str(tmp_path / "data" / "tensor.coo"), "method": method,
+        "rank": 4, "outer_max": 3, "seed": 1})
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [str(Path(poissoncp.__file__).parent.parent),
+                *filter(None, [os.environ.get("PYTHONPATH")])])}
+    outputs = []
+    for cpus in ({min(ALLOWED_CPUS)}, ALLOWED_CPUS):
+        out = tmp_path / f"fit-{len(cpus)}"
+        subprocess.run([sys.executable, "-c", ON_CPUS.format(cpus=cpus),
+                        "factorize", "--config", fac, "--output-dir", str(out)],
+                       check=True, env=env, capture_output=True, timeout=300)
+        with open(out / "trace.csv") as fh:
+            trace = [{k: v for k, v in row.items() if k != "seconds"}
+                     for row in csv.DictReader(fh)]
+        outputs.append(((out / "model.json").read_bytes(), trace))
+    assert outputs[0] == outputs[1]

@@ -5,14 +5,20 @@ Khatri-Rao rows in cache-sized blocks of rows; the multiplicative baseline
 reads the same layout.  With the block bound shrunk so that blocks split
 often, every result must equal the per-row reference bit for bit, on
 tensors with empty rows, rows shorter than the rank and rows longer than
-one block.
+one block.  The same holds when the rows are split into ranges that
+forked children solve.
 """
+
+import os
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poissoncp.driver as driver
+import poissoncp.evaluation as evaluation
 import poissoncp.sparse_tensor as sparse_tensor
 from conftest import (
     argsort_mode_row_positions,
@@ -23,6 +29,7 @@ from conftest import (
 )
 from poissoncp.baselines import mu_solve_mode
 from poissoncp.driver import FitConfig, fit, solve_mode
+from poissoncp.errors import FactorizationFailureError
 from poissoncp.evaluation import mode_kkt_violation
 from poissoncp.kruskal import KruskalModel, kl_objective, normalize
 from poissoncp.row_solver import SolverParams
@@ -196,3 +203,180 @@ class TestSweepMonotonicity:
             assert all(np.isfinite(objs))
             assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:])), (
                 method, objs)
+
+
+def split_rows(mp, cpus):
+    """Route every mode, however few its rows, through ``cpus`` ranges."""
+    mp.setattr(sparse_tensor, "PARALLEL_MIN_ROWS", 0)
+    mp.setattr(sparse_tensor, "_allowed_cpus", lambda: cpus)
+
+
+def assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestRowRanges:
+    @LAYOUT_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), parts=st.integers(1, 6))
+    def test_parts_are_consecutive_rows_with_balanced_nonzeros(self, seed,
+                                                               parts):
+        tensor, _ = layout_case(seed)
+        for mode in range(1, tensor.ndim + 1):
+            layout = mode_row_positions(tensor, mode)
+            split = layout.parts(parts)
+            assert 1 <= len(split) <= parts
+            assert all(len(p) for p in split) or len(split) == 1
+            assert np.array_equal(
+                np.concatenate([p.rows for p in split]), layout.rows)
+            for p in split:
+                assert p.order is layout.order
+                assert p.starts[0] == layout.starts[np.searchsorted(
+                    layout.rows, p.rows[0])]
+            longest = int(np.diff(layout.starts).max())
+            share = layout.starts[-1] / len(split)
+            assert all(p.starts[-1] - p.starts[0] <= share + longest
+                       for p in split)
+
+    @LAYOUT_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), doubles=st.integers(1, 12),
+           cpus=st.integers(1, 4), method=st.sampled_from(("pdnr", "pqnr")))
+    def test_forked_ranges_match_serial_and_per_row(self, seed, doubles, cpus,
+                                                    method):
+        tensor, model = layout_case(seed)
+        solver = SolverParams(tau=1e-6, k_max=20)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_tensor, "BLOCK_DOUBLES", doubles)
+            for mode in range(1, tensor.ndim + 1):
+                want, rows = per_row_solve_mode(tensor, model, mode, method,
+                                                solver)
+                want_kkt = per_row_mode_kkt_violation(tensor, model, mode)
+                mp.setattr(sparse_tensor, "_allowed_cpus", lambda: 1)
+                serial, serial_report = solve_mode(tensor, model, mode,
+                                                   method=method, solver=solver)
+                serial_kkt = mode_kkt_violation(tensor, model, mode)
+                split_rows(mp, cpus)
+                got, report = solve_mode(tensor, model, mode, method=method,
+                                         solver=solver)
+                assert_models_equal(got, serial)
+                assert_models_equal(got, want)
+                assert report == serial_report
+                assert report.rows_solved == len(rows)
+                assert report.inner_iterations == sum(r.iterations for r in rows)
+                assert (mode_kkt_violation(tensor, model, mode) == serial_kkt
+                        == want_kkt)
+        assert_no_children_left()
+
+    def test_expired_deadline_stops_every_range_before_its_first_row(self):
+        tensor, model = layout_case(7)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_tensor, "_allowed_cpus", lambda: 1)
+            serial, serial_report = solve_mode(tensor, model, 1,
+                                               deadline=time.perf_counter())
+            split_rows(mp, 3)
+            got, report = solve_mode(tensor, model, 1,
+                                     deadline=time.perf_counter())
+        assert report.rows_solved == serial_report.rows_solved == 0
+        assert_models_equal(got, serial)
+        assert_no_children_left()
+
+    def test_wrapped_callees_keep_every_call_in_this_process(self):
+        # A tracer or a spy that wraps a function the rows call must see
+        # every call, so such a mode is not split.
+        tensor, model = layout_case(3)
+        layout = mode_row_positions(tensor, 1)
+        assert len(layout) > 1
+        calls = []
+
+        def spy(fn):
+            def wrapped(*args):
+                calls.append(os.getpid())
+                return fn(*args)
+            return wrapped
+
+        with pytest.MonkeyPatch.context() as mp:
+            split_rows(mp, 2)
+            plain, _ = solve_mode(tensor, model, 1)
+            plain_kkt = mode_kkt_violation(tensor, model, 1)
+            mp.setattr(driver, "solve_row_pdnr", spy(driver.solve_row_pdnr))
+            spied, report = solve_mode(tensor, model, 1)
+            assert calls == [os.getpid()] * len(layout) == (
+                [os.getpid()] * report.rows_solved)
+            calls.clear()
+            mp.setattr(evaluation, "_pi_product", spy(evaluation._pi_product))
+            assert mode_kkt_violation(tensor, model, 1) == plain_kkt
+            assert calls and set(calls) == {os.getpid()}
+        assert_models_equal(spied, plain)
+        assert_no_children_left()
+
+    @staticmethod
+    def two_range_layout():
+        tensor = SparseCountTensor.from_entries(
+            (4, 2), [((i, 1), 1) for i in range(1, 5)])
+        return mode_row_positions(tensor, 1)
+
+    def test_child_exception_is_raised_again_with_its_type(self):
+        layout = self.two_range_layout()
+        parent = os.getpid()
+
+        def fail_in_child(part):
+            if os.getpid() != parent:
+                raise FactorizationFailureError(f"rows {part.rows.tolist()}")
+            return part.rows.tolist()
+
+        with pytest.MonkeyPatch.context() as mp:
+            split_rows(mp, 2)
+            with pytest.raises(FactorizationFailureError, match="rows"):
+                sparse_tensor.map_row_ranges(layout, fail_in_child)
+            mp.setattr(sparse_tensor, "_allowed_cpus", lambda: 1)
+            assert sparse_tensor.map_row_ranges(layout, fail_in_child) == [
+                [0, 1, 2, 3]]
+        assert_no_children_left()
+
+    @pytest.mark.parametrize("error", [KeyError, KeyboardInterrupt])
+    def test_parent_exception_kills_and_reaps_the_children(self, error):
+        layout = self.two_range_layout()
+        parent = os.getpid()
+
+        def fail_in_parent(part):
+            if os.getpid() == parent:
+                raise error("parent")
+            time.sleep(60)
+
+        with pytest.MonkeyPatch.context() as mp:
+            split_rows(mp, 4)
+            t0 = time.perf_counter()
+            with pytest.raises(error, match="parent"):
+                sparse_tensor.map_row_ranges(layout, fail_in_parent)
+        assert time.perf_counter() - t0 < 30
+        assert_no_children_left()
+
+    def test_child_ending_without_a_result_is_a_child_process_error(self):
+        layout = self.two_range_layout()
+        parent = os.getpid()
+
+        def exit_in_child(part):
+            if os.getpid() != parent:
+                os._exit(3)
+            return len(part)
+
+        with pytest.MonkeyPatch.context() as mp:
+            split_rows(mp, 2)
+            with pytest.raises(ChildProcessError):
+                sparse_tensor.map_row_ranges(layout, exit_in_child)
+        assert_no_children_left()
+
+    def test_failed_fork_computes_the_ranges_in_the_caller(self):
+        layout = self.two_range_layout()
+
+        def no_fork():
+            raise OSError("fork refused")
+
+        with pytest.MonkeyPatch.context() as mp:
+            split_rows(mp, 3)
+            mp.setattr(sparse_tensor.os, "fork", no_fork)
+            got = sparse_tensor.map_row_ranges(layout,
+                                               lambda p: p.rows.tolist())
+        assert got == [p.rows.tolist() for p in layout.parts(3)]
+        assert_no_children_left()
