@@ -24,6 +24,8 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .driver import METHODS, FitConfig, fit, write_trace
 from .errors import ConfigError, DataError, check_integer
@@ -34,7 +36,7 @@ from .evaluation import (
     score_greedy,
     thresholded_zero_count,
 )
-from .kruskal import kl_objective, load_model, normalize, save_model
+from .kruskal import MASS_MAX, kl_objective, load_model, normalize, save_model
 from .sparse_tensor import read_coo, write_coo
 from .synth import GenConfig, generate_dataset
 
@@ -129,6 +131,24 @@ def _read_input(read, path):
         raise DataError(str(exc)) from exc
 
 
+def _read_model(path):
+    """The model in ``path``, normalized; a DataError when ``load_model``
+    rejects it or when its total mass is not below ``MASS_MAX``, also when
+    a column sum or a weight overflows on the way."""
+    model = _read_input(load_model, path)
+    with np.errstate(over="ignore"):
+        try:
+            model = normalize(model)
+            mass = model.weights.sum()
+        except ValueError:  # an infinite weight or column sum
+            mass = math.inf
+    if not mass < MASS_MAX:
+        raise DataError(f"{path}: the model's total mass overflows: it must "
+                        f"stay below {MASS_MAX:.3g}, the square root of the "
+                        "largest double")
+    return model
+
+
 def _check_shape(model, model_path, tensor, tensor_path):
     if model.shape.dims != tensor.shape.dims:
         raise DataError(f"{model_path}: model shape {model.shape.dims} does not "
@@ -137,12 +157,14 @@ def _check_shape(model, model_path, tensor, tensor_path):
 
 def _model_objective(model, model_path, tensor, tensor_path) -> float:
     """The KL objective of ``model`` on ``tensor``; a DataError when their
-    shapes differ or the model is zero at a positive count."""
+    shapes differ or the model is zero at a positive count, or so close to
+    zero there that the objective is infinite."""
     _check_shape(model, model_path, tensor, tensor_path)
     objective = kl_objective(model, tensor)
     if not math.isfinite(objective):
         raise DataError(f"{model_path}: model is zero at a positive count "
-                        f"of {tensor_path}")
+                        f"of {tensor_path}, or so close to zero that the "
+                        "count over its square overflows")
     return objective
 
 
@@ -214,7 +236,7 @@ def cmd_factorize(args) -> int:
     init_path = _field(config, "init_model", _exactly((str, type(None))),
                        "path", None, args.init_model)
     if init_path:
-        init = normalize(_read_input(load_model, init_path))
+        init = _read_model(init_path)
         resolved["init_model"] = init_path
     tensor = _read_input(read_coo, tensor_path)
     if tensor.nnz == 0:
@@ -240,8 +262,8 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = normalize(_read_input(load_model, args.model))
-    truth = normalize(_read_input(load_model, args.truth))
+    model = _read_model(args.model)
+    truth = _read_model(args.truth)
     tensor = _read_input(read_coo, args.tensor)
     objective = _model_objective(model, args.model, tensor, args.tensor)
     _check_shape(truth, args.truth, tensor, args.tensor)

@@ -313,7 +313,8 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
     start_objective = kl_objective(model, tensor)
     if not np.isfinite(start_objective):
         raise ValueError(
-            "initial model assigns zero to a cell with a positive count"
+            "initial model is zero, or too close to zero for the row "
+            "solves, at a cell with a positive count"
         )
     layouts = {n: mode_row_positions(tensor, n) for n in modes}
 

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ShapeMismatchError
 from .kruskal import KruskalModel, _pi_product, normalize
 from .row_solver import _pi_x_over_m
-from .sparse_tensor import SparseCountTensor, map_row_ranges, mode_row_positions
+from .sparse_tensor import SparseCountTensor, mode_row_positions
 
 __all__ = [
     "ScoreReport",
@@ -123,10 +123,9 @@ def mode_kkt_violation(tensor: SparseCountTensor, model: KruskalModel,
     """Largest row-subproblem KKT violation of one mode at the current model.
 
     Pure recomputation: rebuilds B and the Khatri-Rao rows from the model,
-    walking the mode layout's row views, one row range per allowed CPU
-    (:func:`poissoncp.sparse_tensor.map_row_ranges`).  A maximum is exact,
-    so the result does not depend on the split.  ``layout`` may carry the
-    mode's precomputed :func:`poissoncp.sparse_tensor.mode_row_positions`.
+    walking the mode layout's row views in the calling process; a few
+    microseconds a row.  ``layout`` may carry the mode's precomputed
+    :func:`poissoncp.sparse_tensor.mode_row_positions`.
     """
     if not model.normalized:
         model = normalize(model)
@@ -135,23 +134,16 @@ def mode_kkt_violation(tensor: SparseCountTensor, model: KruskalModel,
     if layout is None:
         layout = mode_row_positions(tensor, mode)
     # Rows without data have gradient 1 everywhere, so min(b, 1) is their
-    # residual; each row range overwrites its rows' and returns their worst.
+    # residual; each nonempty row's is written over it.
     residual = np.minimum(b_matrix, 1.0)
     gather = functools.partial(_pi_product, model.factors, mode0)
-
-    def range_worst(part):
-        for row0, x, pi in part.row_views(tensor, model.rank, gather):
-            b = b_matrix[row0]
-            m = b @ pi
-            if (m <= 0.0).any():
-                return float("inf")
-            residual[row0] = np.minimum(b, 1.0 - _pi_x_over_m(pi, x, m))
-        return np.abs(residual[part.rows]).max(initial=0.0)
-
-    worst = map_row_ranges(layout, range_worst,
-                           calls=(_pi_product, _pi_x_over_m))
-    empty = np.delete(residual, layout.rows, axis=0)
-    return float(np.max([np.abs(empty).max(initial=0.0), *worst]))
+    for row0, x, pi in layout.row_views(tensor, model.rank, gather):
+        b = b_matrix[row0]
+        m = b.dot(pi)
+        if (m <= 0.0).any():
+            return float("inf")
+        residual[row0] = np.minimum(b, 1.0 - _pi_x_over_m(pi, x, m))
+    return float(np.abs(residual).max())
 
 
 def full_kkt_violation(tensor: SparseCountTensor, model: KruskalModel):

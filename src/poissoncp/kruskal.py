@@ -9,6 +9,7 @@ represented tensor.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,7 +27,14 @@ __all__ = [
     "load_model",
 ]
 
+# A sum of n normalized entries is exact only to about n * eps, so a
+# normalized factor's column sums may be off by that much more.
 NORMALIZE_TOL = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+# The largest total mass a model may have: no model value then exceeds it,
+# so the squares the row solves take of model values stay finite.
+MASS_MAX = math.sqrt(_FLOAT_MAX)
 
 
 @dataclass(frozen=True)
@@ -40,7 +48,8 @@ class KruskalModel:
     factors:
         One (I_n, R) nonnegative matrix per mode.
     normalized:
-        True when every factor column sums to one (within 1e-12).
+        True when every factor column sums to one, within
+        ``NORMALIZE_TOL`` plus the roundoff of summing its ``I_n`` entries.
     """
 
     weights: np.ndarray = field(repr=False)
@@ -71,7 +80,7 @@ class KruskalModel:
         if self.normalized:
             for n, f in enumerate(factors, start=1):
                 err = np.abs(f.sum(axis=0) - 1.0).max()
-                if err > NORMALIZE_TOL:
+                if err > NORMALIZE_TOL + f.shape[0] * _EPS:
                     raise ValueError(
                         f"factor {n} flagged normalized but a column sum is "
                         f"off by {err:.3g}"
@@ -154,8 +163,9 @@ def kl_objective(model: KruskalModel, tensor: SparseCountTensor) -> float:
     Computes sum_i m_i - sum_{nonzero i} x_i log m_i with 0 log 0 = 0.  The
     first term over all cells reduces to sum_r lambda_r once the model is
     normalized, so the cost is proportional to the number of nonzeros.
-    Returns +inf when any positive count sits on a zero model value, which
-    line searches treat as an automatic rejection.
+    Returns +inf when any positive count x sits on a model value m that is
+    zero, or so close to zero that x / m**2, a weight of the row solves'
+    Hessian, overflows.
     """
     if model.shape.dims != as_shape(tensor.shape).dims:
         raise ShapeMismatchError(
@@ -167,7 +177,9 @@ def kl_objective(model: KruskalModel, tensor: SparseCountTensor) -> float:
     if tensor.nnz == 0:
         return first
     m = model_entries(model, tensor.subs0)
-    if (m <= 0.0).any():
+    # The extremes rule the case out without a temporary array per nonzero.
+    if (m.min() < math.sqrt(tensor.vals.max() / _FLOAT_MAX)
+            and (m < np.sqrt(tensor.vals / _FLOAT_MAX)).any()):
         return float("inf")
     return first - float(tensor.vals @ np.log(m))
 
@@ -188,9 +200,11 @@ def save_model(model: KruskalModel, path) -> None:
 def load_model(path) -> KruskalModel:
     """Read a model written by :func:`save_model`.
 
-    A file that is not JSON, lacks a field, or holds invalid or mutually
-    inconsistent fields raises ValueError (or its ShapeMismatchError
-    subclass) with a message that starts with the path.
+    ``R`` and each ``dims`` entry must be JSON integers, ``lambda`` a flat
+    list of numbers and each factor a list of equal-length lists of
+    numbers.  A file that is not JSON, lacks a field, or holds invalid or
+    mutually inconsistent fields raises ValueError (or its
+    ShapeMismatchError subclass) with a message that starts with the path.
     """
     with open(path) as fh:
         try:
@@ -203,10 +217,40 @@ def load_model(path) -> KruskalModel:
             raise prefixed(path, exc) from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _numbers(value) -> bool:
+    """Whether ``value`` is a JSON array of numbers."""
+    return isinstance(value, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+
+
+def _matrix(value) -> bool:
+    """Whether ``value`` is a JSON array of equal-length arrays of numbers."""
+    return (isinstance(value, list) and all(map(_numbers, value))
+            and len({len(row) for row in value}) <= 1)
+
+
 def _parse_model(doc) -> KruskalModel:
-    factors = tuple(np.asarray(f, dtype=np.float64) for f in doc["factors"])
-    model = KruskalModel(np.asarray(doc["lambda"], dtype=np.float64), factors)
-    dims = tuple(doc["dims"])
-    if model.shape.dims != dims or model.rank != int(doc["R"]):
+    factors, weights, dims, rank = (doc[key] for key in (
+        "factors", "lambda", "dims", "R"))
+    if not isinstance(factors, list):
+        raise ValueError("model field 'factors' must be a list of factors")
+    for n, f in enumerate(factors, start=1):
+        if not _matrix(f):
+            raise ValueError(f"model field 'factors': factor {n} must be a "
+                             "list of equal-length lists of numbers")
+    if not _numbers(weights):
+        raise ValueError("model field 'lambda' must be a list of numbers")
+    if not (isinstance(dims, list) and all(map(_is_int, dims))):
+        raise ValueError("model field 'dims' must be a list of integers")
+    if not _is_int(rank):
+        raise ValueError("model field 'R' must be an integer")
+    model = KruskalModel(np.asarray(weights, dtype=np.float64),
+                         tuple(np.asarray(f, dtype=np.float64)
+                               for f in factors))
+    if model.shape.dims != tuple(dims) or model.rank != rank:
         raise ShapeMismatchError("header fields disagree with factors")
     return model

@@ -163,22 +163,26 @@ class SparseCountTensor:
             )
         subs = np.asarray([e[0] for e in entries], dtype=np.int64)
         vals = np.asarray([e[1] for e in entries], dtype=np.int64)
-        if subs.ndim != 2 or subs.shape[1] != shape.ndim:
-            raise IndexOutOfRangeError(
-                f"multi-indices must have {shape.ndim} components"
-            )
         return cls.from_arrays(shape, subs, vals)
 
     @classmethod
     def from_arrays(cls, shape, subs, vals, one_based: bool = True):
         """Validate and build a tensor from subscript and count arrays.
 
-        Rows already strictly increasing in lexicographic order, as
-        :func:`write_coo` and the generator produce them, skip the sort.
+        ``subs`` must have shape ``(len(vals), N)``: IndexOutOfRangeError
+        when its rows are not N-component multi-indices, ValueError when
+        their number differs from the number of counts.  Rows already
+        strictly increasing in lexicographic order, as :func:`write_coo` and
+        the generator produce them, skip the sort.
         """
         shape = as_shape(shape)
-        subs = np.asarray(subs, dtype=np.int64).reshape(-1, shape.ndim)
+        subs = np.asarray(subs, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.int64).reshape(-1)
+        if subs.ndim != 2 or subs.shape[1] != shape.ndim:
+            if subs.size or vals.size:
+                raise IndexOutOfRangeError(
+                    f"multi-indices must have {shape.ndim} components")
+            subs = subs.reshape(0, shape.ndim)
         if subs.shape[0] != vals.shape[0]:
             raise ValueError("subscript and count arrays disagree in length")
         subs0 = subs - 1 if one_based else subs.copy()
@@ -314,13 +318,11 @@ class ModeLayout:
                 for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
-# Nonempty rows a mode needs before its rows go to more than one CPU.  On
-# a 2-CPU Xeon a forked range adds about 5 ms (fork, copy-on-write faults,
-# pickled result, reap): a 20-row mode solve took 12 ms forked against 7 ms
-# serially.  A row solve costs 0.05-1 ms, so from 256 rows halving the
-# solve repays the fork.  The KKT check, about 6 us a row, roughly breaks
-# even on short rows (911 rows: 8.8 ms split, 7.1 ms serially) and gains on
-# long ones (600 rows of about 800 nonzeros: 38 ms split, 56 ms serially).
+# Nonempty rows a mode needs before its row solves go to more than one
+# CPU.  On a 2-CPU Xeon a forked range adds about 5 ms (fork, copy-on-write
+# faults, pickled result, reap): a 20-row mode solve took 12 ms forked
+# against 7 ms serially.  A row solve costs 0.05-1 ms, so from 256 rows
+# halving the solve repays the fork.
 PARALLEL_MIN_ROWS = 256
 
 

@@ -50,6 +50,16 @@ class TestGenerate:
         assert main(["generate", "--config", cfg, "--output-dir", str(out)]) == 0
         assert read_coo(out / "tensor.coo").nnz == 1
 
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_long_mode(self, tmp_path, seed):
+        # The 10^5-entry columns of the truth model sum to one only to
+        # about 10^5 eps.
+        cfg = write_json(tmp_path / "gen.json", {
+            "dims": [100000, 5, 5], "rank": 3, "samples": 10, "seed": seed})
+        out = tmp_path / "long"
+        assert main(["generate", "--config", cfg, "--output-dir", str(out)]) == 0
+        assert read_coo(out / "tensor.coo").total_count() == 10
+
     def test_missing_dims_is_config_error(self, tmp_path):
         cfg = write_json(tmp_path / "gen.json", {"rank": 2, "samples": 10})
         rc = main(["generate", "--config", cfg, "--output-dir", str(tmp_path / "x")])
@@ -245,6 +255,32 @@ class TestDataErrors:
             '"factors": [[[1, 2, 3]], [[1, 2]]]}': "factor 2 must be",
             self.edited_truth(outdir, **{"lambda": [NAN, 1.0, 1.0]}):
                 "weights and factor entries must be finite and nonnegative",
+            self.edited_truth(outdir, R=3.7):
+                "model field 'R' must be an integer",
+            self.edited_truth(outdir, R="3"):
+                "model field 'R' must be an integer",
+            self.edited_truth(outdir, dims=[6, 7, 8.0]):
+                "model field 'dims' must be a list of integers",
+            self.edited_truth(outdir, **{"lambda": ["1", "2", "3"]}):
+                "model field 'lambda' must be a list of numbers",
+            self.edited_truth(outdir, **{"lambda": [[1, 2, 3]]}):
+                "model field 'lambda' must be a list of numbers",
+            self.edited_truth(outdir, factors=[[[1, 2, 3]] * 5 + [[1, 2]],
+                                               [[1, 2, 3]] * 7,
+                                               [[1, 2, 3]] * 8]):
+                "factor 1 must be a list of equal-length lists of numbers",
+            self.edited_truth(outdir, factors=[[[1, 2, 3]] * 6,
+                                               [[1, "2", 3]] * 7,
+                                               [[1, 2, 3]] * 8]):
+                "factor 2 must be a list of equal-length lists of numbers",
+            self.edited_truth(outdir, **{"lambda": [1e308] * 3}):
+                "the model's total mass overflows",
+            self.edited_truth(outdir, **{"lambda": [1e160] * 3}):
+                "it must stay below 1.34e+154",
+            self.edited_truth(outdir, factors=[[[1e308] * 3] * 6,
+                                               [[1, 2, 3]] * 7,
+                                               [[1, 2, 3]] * 8]):
+                "the model's total mass overflows",
         }
         paths = []
         for k, (text, message) in enumerate(bad.items()):
@@ -280,9 +316,13 @@ class TestDataErrors:
         zero.write_text(self.edited_truth(outdir, **{"lambda": [0.0] * 3}))
         zero_weights = (str(zero), "model is zero at a positive count of "
                                    f"{outdir / 'tensor.coo'}")
+        tiny = tmp_path / "tiny_weights.json"
+        tiny.write_text(self.edited_truth(outdir, **{"lambda": [1e-160] * 3}))
+        tiny_weights = (str(tiny), zero_weights[1])
         for (path, message), cfg in [*((b, config) for b in bad_models),
                                      (rank2, fit_config),
-                                     (zero_weights, config)]:
+                                     (zero_weights, config),
+                                     (tiny_weights, config)]:
             rc = main(["factorize", "--config", cfg,
                        "--tensor", str(outdir / "tensor.coo"),
                        "--init-model", path,
@@ -295,9 +335,17 @@ class TestDataErrors:
 
     def test_evaluate_model_zero_at_a_positive_count_is_data_error(
             self, generated, capsys):
+        self.check_zero_at_a_positive_count(generated, capsys, 0.0)
+
+    def test_evaluate_model_near_zero_at_a_positive_count_is_data_error(
+            self, generated, capsys):
+        # Not zero, but a count over the square of 1e-160 overflows.
+        self.check_zero_at_a_positive_count(generated, capsys, 1e-160)
+
+    def check_zero_at_a_positive_count(self, generated, capsys, weight):
         tmp_path, outdir = generated
         zero = tmp_path / "zero_weights.json"
-        zero.write_text(self.edited_truth(outdir, **{"lambda": [0.0] * 3}))
+        zero.write_text(self.edited_truth(outdir, **{"lambda": [weight] * 3}))
         tensor = outdir / "tensor.coo"
         rc = main(["evaluate", "--model", str(zero),
                    "--truth", str(outdir / "truth_model.json"),
@@ -306,7 +354,8 @@ class TestDataErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: {zero}: model is zero at a positive "
-                                f"count of {tensor}\n")
+                                f"count of {tensor}, or so close to zero that "
+                                "the count over its square overflows\n")
 
     def test_evaluate_rank_mismatch_is_data_error(self, generated, capsys):
         tmp_path, outdir = generated

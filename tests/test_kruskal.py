@@ -35,6 +35,36 @@ class TestModelChecks:
             KruskalModel(np.array([weight, 1.0]), factors)
 
 
+class TestNormalizedFlag:
+    @staticmethod
+    def boosted_columns(rows, seed):
+        # As generate_model builds them: per column, 20 % of the rows
+        # boosted to 1 + 10 * R * u, the rest at the small value 1e-4.
+        rng = np.random.default_rng(seed)
+        cols = np.full((rows, 3), 1e-4)
+        for r in range(3):
+            cols[rng.permutation(rows)[:rows // 5], r] = (
+                1.0 + 30.0 * rng.random(rows // 5))
+        return cols
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_accepts_normalize_output_on_long_columns(self, seed):
+        # Summing 10^5 normalized entries one after another is exact only
+        # to about 10^5 eps, which is more than the 1e-12 tolerance alone.
+        model = normalize(KruskalModel(np.ones(3), (
+            self.boosted_columns(100_000, seed), np.full((5, 3), 0.2))))
+        back = KruskalModel(model.weights, model.factors, normalized=True)
+        assert back.normalized
+
+    def test_rejects_a_long_column_off_by_1e_6(self):
+        cols = self.boosted_columns(100_000, 0)
+        off = cols / cols.sum(axis=0)
+        off[:, 1] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="flagged normalized"):
+            KruskalModel(np.ones(3), (off, np.full((5, 3), 0.2)),
+                         normalized=True)
+
+
 class TestNormalize:
     def test_single_column(self):
         # One unnormalized column (2, 2) alongside an already-unit column:
@@ -201,6 +231,18 @@ class TestKlObjective:
         m = KruskalModel(np.array([1.0]), (f1, f2), normalized=True)
         t = SparseCountTensor.from_entries((2, 2), [((2, 2), 1)])
         assert kl_objective(m, t) == float("inf")
+
+    @pytest.mark.parametrize("value, count, finite", [
+        (1e-154, 1, True), (1e-155, 1, False), (1e-150, 10**9, False),
+        (1e-140, 10**9, True), (5e-324, 1, False)])
+    def test_infinite_where_count_over_value_squared_overflows(
+            self, value, count, finite):
+        factors = (np.array([[1.0]]), np.array([[1.0]]))
+        m = KruskalModel(np.array([value]), factors, normalized=True)
+        t = SparseCountTensor.from_entries((1, 1), [((1, 1), count)])
+        assert np.isfinite(kl_objective(m, t)) == finite
+        with np.errstate(over="ignore", divide="ignore"):
+            assert np.isfinite(count / np.float64(value)**2) == finite
 
 
 class TestModelJson:

@@ -6,7 +6,7 @@ reads the same layout.  With the block bound shrunk so that blocks split
 often, every result must equal the per-row reference bit for bit, on
 tensors with empty rows, rows shorter than the rank and rows longer than
 one block.  The same holds when the rows are split into ranges that
-forked children solve.
+forked children solve; the KKT check never forks.
 """
 
 import os
@@ -308,6 +308,31 @@ class TestRowRanges:
             assert mode_kkt_violation(tensor, model, 1) == plain_kkt
             assert calls and set(calls) == {os.getpid()}
         assert_models_equal(spied, plain)
+        assert_no_children_left()
+
+    @LAYOUT_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), cpus=st.integers(2, 4))
+    def test_kkt_check_forks_nothing(self, seed, cpus):
+        # The check costs a few microseconds a row, less than a fork, so
+        # it walks the rows in this process even when the solve splits.
+        tensor, model = layout_case(seed)
+        forks = []
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        real_fork = os.fork
+        with pytest.MonkeyPatch.context() as mp:
+            split_rows(mp, cpus)
+            mp.setattr(sparse_tensor.os, "fork", counting_fork)
+            for mode in range(1, tensor.ndim + 1):
+                assert (mode_kkt_violation(tensor, model, mode)
+                        == per_row_mode_kkt_violation(tensor, model, mode))
+            assert forks == []
+            solve_mode(tensor, model, 1, method="pqnr")
+            parts = mode_row_positions(tensor, 1).parts(cpus)
+            assert len(forks) == len(parts) - 1
         assert_no_children_left()
 
     @staticmethod

@@ -68,6 +68,29 @@ class TestValidation:
         with pytest.raises(NonpositiveCountError):
             SparseCountTensor.from_entries((2, 2), [((1, 1), 0)])
 
+    def test_wrong_width_entries(self):
+        with pytest.raises(IndexOutOfRangeError, match="3 components"):
+            SparseCountTensor.from_entries((2, 2, 2), [((1, 1), 1)])
+
+    @pytest.mark.parametrize("subs", [
+        np.ones((6, 2), dtype=int),  # 12 numbers, four 3-index rows' worth
+        np.ones((4,), dtype=int),
+        np.ones((4, 3, 1), dtype=int),
+    ])
+    def test_subscripts_not_shaped_count_by_modes(self, subs):
+        with pytest.raises(IndexOutOfRangeError, match="3 components"):
+            SparseCountTensor.from_arrays((5, 5, 5), subs, [1, 2, 3, 4])
+
+    def test_more_subscript_rows_than_counts(self):
+        with pytest.raises(ValueError, match="disagree in length"):
+            SparseCountTensor.from_arrays((5, 5, 5), np.ones((5, 3)),
+                                          [1, 2, 3, 4])
+
+    @pytest.mark.parametrize("subs", [[], np.empty((0, 3)), np.empty((0, 2))])
+    def test_empty_arrays(self, subs):
+        t = SparseCountTensor.from_arrays((5, 5, 5), subs, [])
+        assert t.nnz == 0 and t.subs0.shape == (0, 3)
+
     def test_entries_sorted_lexicographically(self):
         t = SparseCountTensor.from_entries(
             (2, 2), [((2, 1), 1), ((1, 2), 2), ((1, 1), 3)]
