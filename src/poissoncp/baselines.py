@@ -12,6 +12,7 @@ computed over nonzero unfolding columns only.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +39,9 @@ def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     that no variable starts in the absorbing state at zero.  Rows of the
     unfolded tensor without any nonzero have objective sum(b) and are set to
     zero, their exact optimum.  The recorded objectives are nonincreasing.
-    ``layout`` may carry the mode's precomputed
+    Rows are independent, so each block of ``layout.blocks`` runs all its
+    updates while its Khatri-Rao rows stay in cache, and each objective is
+    summed block by block.  ``layout`` may carry the mode's precomputed
     :func:`poissoncp.sparse_tensor.mode_row_positions`.
     """
     if inner_iterations < 1:
@@ -48,28 +51,17 @@ def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     mode0 = mode - 1
     if layout is None:
         layout = mode_row_positions(tensor, mode)
-    b = np.zeros_like(model.factors[mode0])
-    unique_rows = layout.rows
-    b[unique_rows] = np.maximum(
-        model.factors[mode0][unique_rows] * model.weights, POSITIVITY_CLAMP
-    )
-    if tensor.nnz == 0:
-        return MuSolveResult(b, np.zeros(inner_iterations + 1))
-
-    # Nonzeros in layout order, so each row's entries are contiguous.
-    order = layout.order
-    starts = layout.starts[:-1]
-    sorted_rows = tensor.subs0[order, mode0]
-    pi_sorted = _pi_product(model.factors, mode0, tensor.subs0[order])
-    x_sorted = tensor.vals[order].astype(np.float64)
-
-    objectives = np.empty(inner_iterations + 1)
-    for it in range(inner_iterations):
-        m = np.einsum("zr,zr->z", b[sorted_rows], pi_sorted)
-        objectives[it] = b.sum() - float(x_sorted @ np.log(m))
-        ratio = x_sorted / m
-        phi = np.add.reduceat(pi_sorted * ratio[:, None], starts, axis=0)
-        b[unique_rows] *= phi
-    m = np.einsum("zr,zr->z", b[sorted_rows], pi_sorted)
-    objectives[-1] = b.sum() - float(x_sorted @ np.log(m))
+    factor = model.factors[mode0]
+    b = np.zeros_like(factor)
+    objectives = np.zeros(inner_iterations + 1)
+    gather = functools.partial(_pi_product, model.factors, mode0)
+    for rows, counts, x, pi in layout.blocks(tensor, model.rank, gather):
+        b_blk = np.maximum(factor[rows] * model.weights, POSITIVITY_CLAMP)
+        starts = np.cumsum(counts) - counts
+        for it in range(inner_iterations + 1):
+            m = np.einsum("zr,zr->z", np.repeat(b_blk, counts, axis=0), pi)
+            objectives[it] += b_blk.sum() - float(x @ np.log(m))
+            if it < inner_iterations:
+                b_blk *= np.add.reduceat(pi * (x / m)[:, None], starts, axis=0)
+        b[rows] = b_blk
     return MuSolveResult(b, objectives)

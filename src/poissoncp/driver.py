@@ -102,11 +102,10 @@ class FitConfig:
         _check_method(self.method)
         self.rank = check_integer("rank", self.rank, 1)
         self.outer_max = check_integer("outer_max", self.outer_max, 1)
-        self.tau = check_number("tau", self.tau)
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        self.tau = check_number("tau", self.tau, positive=True)
         if self.time_limit is not None:
-            self.time_limit = check_number("time_limit", self.time_limit)
+            self.time_limit = check_number("time_limit", self.time_limit,
+                                           positive=True)
         self.inner_iterations = check_integer(
             "inner_iterations", self.inner_iterations, 1, INNER_ITERATIONS_MAX)
         self.seed = check_integer("seed", self.seed, 0)
@@ -128,8 +127,8 @@ class FitConfig:
     def check_sizes(self, tensor: SparseCountTensor) -> None:
         """Raise ConfigError when a fit of ``tensor`` at this rank needs
         arrays beyond int64 or physical memory: the ``rank * sum(dims)``
-        model entries, or the ``nnz * rank`` Khatri-Rao rows that the
-        objective and ``mu`` gather."""
+        model entries, or ``nnz * rank`` Khatri-Rao rows, the most one
+        gather can take, as a row longer than a block is gathered whole."""
         check_size("rank * sum(dims)", self.rank * sum(tensor.shape.dims))
         check_size("nnz * rank", tensor.nnz * self.rank)
 

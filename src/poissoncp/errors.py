@@ -87,13 +87,16 @@ def check_integer(name: str, value, minimum=None, maximum=None) -> int:
     return value
 
 
-def check_number(name: str, value) -> float:
-    """Config field ``name`` as a finite float.  A boolean, a non-number,
-    NaN or an infinity (also an integer too large for a float) raises
-    ValueError naming the field."""
+def check_number(name: str, value, positive: bool = False) -> float:
+    """Config field ``name`` as a finite float, above zero if ``positive``;
+    anything else, such as a boolean, a non-number, NaN or an infinity (also
+    an integer too large for a float), raises ValueError naming the field."""
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
         try:
             if math.isfinite(value):
+                if positive and value <= 0:
+                    raise ValueError(f"config field {name!r} must be "
+                                     f"positive, got {value!r}")
                 return float(value)
         except OverflowError:
             pass

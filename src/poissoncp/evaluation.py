@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .kruskal import KruskalModel, _pi_product, normalize
+from .kruskal import KruskalModel, _pi_product, _unit_columns, normalize
 from .row_solver import _pi_x_over_m
 from .sparse_tensor import SparseCountTensor, mode_row_positions
 
@@ -47,15 +47,6 @@ class ZeroCountReport:
     threshold: float
     per_factor: tuple[int, ...]
     total: int
-
-
-def _unit_columns(factors):
-    """l2-normalize factor columns; identically zero columns stay zero."""
-    out = []
-    for f in factors:
-        norms = np.linalg.norm(f, axis=0)
-        out.append(f / np.where(norms == 0.0, 1.0, norms))
-    return out
 
 
 def congruence_matrix(model_a: KruskalModel, model_b: KruskalModel) -> np.ndarray:

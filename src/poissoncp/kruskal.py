@@ -141,6 +141,12 @@ def _pi_product(factors, mode0: int | None, subs0: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unit_columns(factors) -> list[np.ndarray]:
+    """l2-normalize factor columns; identically zero columns stay zero."""
+    norms = [np.linalg.norm(f, axis=0) for f in factors]
+    return [f / np.where(n == 0.0, 1.0, n) for f, n in zip(factors, norms)]
+
+
 # Subscript rows per block of model_entries: bounds its (rows, R) temporaries.
 # A multiple of 4, so the blocked matrix-vector products sum each row as
 # the one-shot product over all rows does.

@@ -108,9 +108,8 @@ class SolverParams:
     k_max: int = 50
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", check_number("tau", self.tau))
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        object.__setattr__(self, "tau", check_number("tau", self.tau,
+                                                     positive=True))
         object.__setattr__(self, "k_max", check_integer("k_max", self.k_max, 1))
 
 

@@ -96,6 +96,19 @@ def _one_based(sub0) -> tuple[int, ...]:
     return tuple(int(i) + 1 for i in sub0)
 
 
+def _int64_array(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array, never truncated: signed integers pass
+    through, and unsigned integers and floats convert when all are integral
+    and within int64; anything else raises ValueError naming ``name``."""
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind == "i" or kind in "uf" and (
+            (np.abs(array) < 2.0**63) & (array == np.trunc(array))).all():
+        return array.astype(np.int64, copy=False)
+    raise ValueError(f"{name} must be integers within int64, got {array.dtype} "
+                     "values that are not")
+
+
 def _strictly_increasing(subs0: np.ndarray) -> bool:
     """True when the subscript rows are strictly increasing in lexicographic
     order, which also rules out duplicates.  Each pair of neighbouring rows
@@ -151,19 +164,16 @@ class SparseCountTensor:
         """Validate and build a tensor from ((i_1, ..., i_N), count) pairs.
 
         Indices are 1-based.  Raises IndexOutOfRangeError,
-        DuplicateIndexError, or NonpositiveCountError on bad input.
+        DuplicateIndexError, or NonpositiveCountError on bad input, and
+        ValueError on an index or count that is not an integer.
         """
         shape = as_shape(shape)
         entries = list(entries)
-        if not entries:
-            return cls(
-                shape,
-                np.empty((0, shape.ndim), dtype=np.int64),
-                np.empty((0,), dtype=np.int64),
-            )
-        subs = np.asarray([e[0] for e in entries], dtype=np.int64)
-        vals = np.asarray([e[1] for e in entries], dtype=np.int64)
-        return cls.from_arrays(shape, subs, vals)
+        subs = [e[0] for e in entries]
+        if len({np.shape(sub) for sub in subs}) > 1:
+            raise IndexOutOfRangeError(
+                f"multi-indices must have {shape.ndim} components")
+        return cls.from_arrays(shape, subs, [e[1] for e in entries])
 
     @classmethod
     def from_arrays(cls, shape, subs, vals, one_based: bool = True):
@@ -171,13 +181,15 @@ class SparseCountTensor:
 
         ``subs`` must have shape ``(len(vals), N)``: IndexOutOfRangeError
         when its rows are not N-component multi-indices, ValueError when
-        their number differs from the number of counts.  Rows already
+        their number differs from the number of counts.  Indices and counts
+        must be integers (integral floats convert exactly); a boolean,
+        fractional or non-finite one raises ValueError.  Rows already
         strictly increasing in lexicographic order, as :func:`write_coo` and
         the generator produce them, skip the sort.
         """
         shape = as_shape(shape)
-        subs = np.asarray(subs, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.int64).reshape(-1)
+        subs = _int64_array("indices", subs)
+        vals = _int64_array("counts", vals).reshape(-1)
         if subs.ndim != 2 or subs.shape[1] != shape.ndim:
             if subs.size or vals.size:
                 raise IndexOutOfRangeError(
@@ -267,8 +279,8 @@ class ModeLayout:
     ``order`` lists the COO positions sorted by row (stably, so each row
     keeps its entries in COO order); nonempty row ``k`` has the 0-based id
     ``rows[k]`` and spans ``order[starts[k]:starts[k + 1]]``.
-    :meth:`row_views` walks the rows in blocks whose gathered Khatri-Rao
-    rows fit in cache.
+    :meth:`blocks` walks the rows in blocks whose gathered Khatri-Rao rows
+    fit in cache, and :meth:`row_views` splits each block into its rows.
     """
 
     order: np.ndarray = field(repr=False)
@@ -278,14 +290,15 @@ class ModeLayout:
     def __len__(self) -> int:
         return int(self.rows.shape[0])
 
-    def row_views(self, tensor: SparseCountTensor, rank: int, gather):
-        """Yield ``(row0, x, pi)`` per nonempty row, in row order: the
-        row's counts as floats and its ``(R, J)`` Khatri-Rao columns.
+    def blocks(self, tensor: SparseCountTensor, rank: int, gather):
+        """Yield ``(rows, counts, x, pi)`` per block of consecutive nonempty
+        rows, in row order: the rows' ids, their numbers of nonzeros, and
+        the block's counts as floats and ``(J, R)`` Khatri-Rao rows, row
+        after row.
 
-        ``gather(subs0)`` returns the ``(J, R)`` Khatri-Rao rows of one
-        block of consecutive rows, which holds at most ``BLOCK_DOUBLES //
-        rank`` nonzeros unless it is a single longer row; ``x`` and ``pi``
-        are views into the block's arrays.
+        ``gather(subs0)`` returns the Khatri-Rao rows of one block, which
+        holds at most ``BLOCK_DOUBLES // rank`` nonzeros unless it is a
+        single longer row.
         """
         limit = max(BLOCK_DOUBLES // rank, 1)
         starts = self.starts
@@ -294,13 +307,18 @@ class ModeLayout:
             k1 = int(np.searchsorted(starts, starts[k0] + limit, side="right")) - 1
             k1 = max(k1, k0 + 1)
             pos = self.order[starts[k0]:starts[k1]]
-            x_blk = tensor.vals[pos].astype(np.float64)
-            pi_blk = gather(tensor.subs0[pos])
-            bounds = (starts[k0:k1 + 1] - starts[k0]).tolist()
-            for row0, lo, hi in zip(self.rows[k0:k1].tolist(), bounds[:-1],
-                                    bounds[1:]):
-                yield row0, x_blk[lo:hi], pi_blk[lo:hi].T
+            yield (self.rows[k0:k1], np.diff(starts[k0:k1 + 1]),
+                   tensor.vals[pos].astype(np.float64), gather(tensor.subs0[pos]))
             k0 = k1
+
+    def row_views(self, tensor: SparseCountTensor, rank: int, gather):
+        """Yield ``(row0, x, pi)`` per nonempty row, in row order: the
+        row's counts as floats and its ``(R, J)`` Khatri-Rao columns, views
+        into the arrays of its :meth:`blocks` block."""
+        for rows, counts, x_blk, pi_blk in self.blocks(tensor, rank, gather):
+            bounds = [0, *np.cumsum(counts).tolist()]
+            for row0, lo, hi in zip(rows.tolist(), bounds[:-1], bounds[1:]):
+                yield row0, x_blk[lo:hi], pi_blk[lo:hi].T
 
     def parts(self, n: int) -> list["ModeLayout"]:
         """At most ``n`` layouts of consecutive rows, in row order, with

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import check_integer, check_number, check_size
-from .kruskal import KruskalModel, normalize
+from .kruskal import KruskalModel, _unit_columns, normalize
 from .sparse_tensor import SparseCountTensor, as_shape, lexsort_runs
 
 __all__ = [
@@ -197,18 +197,10 @@ def _force_sum(v: np.ndarray, total: float) -> np.ndarray:
 
 def collinearity_stats(model: KruskalModel) -> list[ModeCollinearity]:
     """Cosine similarities between l2-normalized factor columns, per mode."""
-    stats = []
-    for f in model.factors:
-        norms = np.linalg.norm(f, axis=0)
-        unit = f / np.where(norms == 0.0, 1.0, norms)
-        c = unit.T @ unit
-        r = c.shape[0]
-        if r < 2:
-            stats.append(ModeCollinearity(float("nan"), float("nan")))
-            continue
-        iu = np.triu_indices(r, k=1)
-        stats.append(ModeCollinearity(
-            all_pairs=float(c[iu].mean()),
-            versus_first=float(c[0, 1:].mean()),
-        ))
-    return stats
+    if model.rank < 2:
+        return [ModeCollinearity(math.nan, math.nan)] * model.ndim
+    iu = np.triu_indices(model.rank, k=1)
+    grams = [unit.T @ unit for unit in _unit_columns(model.factors)]
+    return [ModeCollinearity(all_pairs=float(c[iu].mean()),
+                             versus_first=float(c[0, 1:].mean()))
+            for c in grams]

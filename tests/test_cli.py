@@ -410,6 +410,9 @@ class TestConfigErrors:
         ("workers", 0, "workers must be at least 1"),
         ("inner_iterations", 10**30, "inner_iterations must be at most"),
         ("rank", 10**12, "GiB of physical memory"),
+        ("time_limit", -1, "config field 'time_limit' must be positive"),
+        ("time_limit", 0, "config field 'time_limit' must be positive"),
+        ("tau", 0, "config field 'tau' must be positive"),
     ])
     def test_factorize_bad_field(self, generated, capsys, field, value,
                                  message):

@@ -178,7 +178,7 @@ class TestFit:
         {"tau": float("inf")}, {"inner_iterations": 2.5},
         {"time_limit": float("inf")}, {"mode1_only": "no"}, {"workers": 0.5},
         {"solver": []}, {"solver": {"lbfgs_memory": 3}},
-        {"solver": {"k_max": 2.5}},
+        {"solver": {"k_max": 2.5}}, {"time_limit": -3}, {"time_limit": 0},
     ])
     def test_rejects_invalid_field(self, fields):
         with pytest.raises(ValueError, match="config field"):
@@ -247,12 +247,12 @@ class TestFit:
             np.testing.assert_array_equal(a, b)
 
     def test_expired_deadline_result_does_not_depend_on_workers(self):
-        # An already expired time limit stops the first mode before any row
-        # is solved, whatever the worker count.
+        # A time limit that has expired by the first row (1 ns) stops the
+        # first mode before any row is solved, whatever the worker count.
         _, tensor = generate_dataset(GenConfig(dims=(20, 30, 40), rank=5,
                                                samples=50_000, seed=0))
         one, two = (fit(tensor, FitConfig(method="pdnr", rank=5,
-                                          time_limit=0.0, seed=0, workers=w))
+                                          time_limit=1e-9, seed=0, workers=w))
                     for w in (1, 2))
         assert len(one.trace) == len(two.trace) == 1
         assert one.trace.records[0].objective == two.trace.records[0].objective

@@ -2,10 +2,11 @@
 
 The solve and the KKT check walk a mode's row views, which gather the
 Khatri-Rao rows in cache-sized blocks of rows; the multiplicative baseline
-reads the same layout.  With the block bound shrunk so that blocks split
-often, every result must equal the per-row reference bit for bit, on
-tensors with empty rows, rows shorter than the rank and rows longer than
-one block.  The same holds when the rows are split into ranges that
+runs its updates on the same blocks.  With the block bound shrunk so that
+blocks split often, every result must equal the per-row reference bit for
+bit (the mu objectives, summed block by block, to rounding), on tensors
+with empty rows, rows shorter than the rank and rows longer than one
+block.  The same holds when the rows are split into ranges that
 forked children solve; the KKT check never forks.
 """
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poissoncp.baselines as baselines
 import poissoncp.driver as driver
 import poissoncp.evaluation as evaluation
 import poissoncp.sparse_tensor as sparse_tensor
@@ -122,6 +124,21 @@ class TestModeLayout:
                 assert subs == [tensor.subs0[p].tolist() for _, p in reference]
                 assert counts == [tensor.vals[p].tolist() for _, p in reference]
 
+                # blocks() walks the same blocks whole: the rows' ids and
+                # sizes, and their counts and Khatri-Rao rows in row order.
+                walked = list(layout.blocks(tensor, rank,
+                                            lambda s: s.astype(np.float64)))
+                assert [len(b[0]) for b in walked] == block_rows
+                assert [len(b[2]) for b in walked] == sizes
+                assert np.concatenate([b[0] for b in walked]).tolist() == rows
+                assert np.concatenate([b[1] for b in walked]).tolist() == [
+                    len(p) for _, p in reference]
+                x_all = np.concatenate([b[2] for b in walked])
+                assert x_all.dtype == np.float64
+                assert x_all.tolist() == sum(counts, [])
+                assert np.concatenate([b[3] for b in walked]).tolist() == sum(
+                    subs, [])
+
     def test_empty_tensor_has_no_rows(self):
         tensor = SparseCountTensor.from_entries((2, 3), [])
         layout = mode_row_positions(tensor, 1)
@@ -129,6 +146,7 @@ class TestModeLayout:
         assert_layouts_equal(layout, argsort_mode_row_positions(tensor, 1))
         gathered = []
         assert list(layout.row_views(tensor, 3, gathered.append)) == []
+        assert list(layout.blocks(tensor, 3, gathered.append)) == []
         assert gathered == []
 
 
@@ -183,8 +201,41 @@ class TestLayoutMatchesPerRowReference:
             got = mu_solve_mode(tensor, model, mode, 4)
             want = argsort_mu_solve_mode(tensor, model, mode, 4)
             assert np.array_equal(got.b_matrix, want.b_matrix, equal_nan=True)
-            assert np.array_equal(got.objectives, want.objectives,
-                                  equal_nan=True)
+            # Summed block by block, the objectives differ in rounding.
+            np.testing.assert_allclose(got.objectives, want.objectives,
+                                       rtol=1e-12)
+
+    @LAYOUT_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), doubles=st.integers(1, 12))
+    def test_mu_gathers_each_nonzero_once_in_bounded_blocks(self, seed,
+                                                            doubles):
+        tensor, model = layout_case(seed)
+        gathered = []
+
+        def recording(factors, mode0, subs0):
+            gathered.append(len(subs0))
+            return real(factors, mode0, subs0)
+
+        real = baselines._pi_product
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_tensor, "BLOCK_DOUBLES", doubles)
+            mp.setattr(baselines, "_pi_product", recording)
+            for mode in range(1, tensor.ndim + 1):
+                gathered.clear()
+                got = mu_solve_mode(tensor, model, mode, 3)
+                want = argsort_mu_solve_mode(tensor, model, mode, 3)
+                assert np.array_equal(got.b_matrix, want.b_matrix,
+                                      equal_nan=True)
+                # Each block ends at a row's end and stays within the bound
+                # unless it is a single longer row.
+                ends = np.cumsum([len(p) for _, p in row_groups(tensor, mode)])
+                assert sum(gathered) == tensor.nnz
+                limit = max(doubles // model.rank, 1)
+                for lo, hi in zip(np.cumsum([0, *gathered[:-1]]),
+                                  np.cumsum(gathered)):
+                    assert hi in ends
+                    assert hi - lo <= limit or not ((ends > lo)
+                                                    & (ends < hi)).any()
 
 
 class TestSweepMonotonicity:

@@ -72,6 +72,35 @@ class TestValidation:
         with pytest.raises(IndexOutOfRangeError, match="3 components"):
             SparseCountTensor.from_entries((2, 2, 2), [((1, 1), 1)])
 
+    def test_ragged_entries(self):
+        with pytest.raises(IndexOutOfRangeError, match="2 components"):
+            SparseCountTensor.from_entries((2, 2), [((1, 1), 1), ((2,), 1)])
+
+    @pytest.mark.parametrize("entry, name", [
+        (((1, 1), 1.5), "counts"), (((1.7, 2), 1), "indices"),
+        (((1, 1), True), "counts"), (((1, 1), float("nan")), "counts"),
+        (((1, 1), float("inf")), "counts"), (((1, 1), 2**70), "counts"),
+        (((1, 1), "3"), "counts"), (((1, 2**64), 1), "indices"),
+    ])
+    def test_non_integer_entry_is_not_truncated(self, entry, name):
+        with pytest.raises(ValueError, match=f"{name} must be integers"):
+            SparseCountTensor.from_entries((2, 2), [entry])
+
+    def test_arrays_convert_only_exact_integers(self):
+        subs = np.array([[2, 3], [1, 2]])
+        want = [((1, 2), 5), ((2, 3), 4)]
+        for good_subs, good_vals in [(subs, [4, 5]), (subs + 0.0, [4.0, 5]),
+                                     (subs.astype(np.uint8), [4, 5])]:
+            t = SparseCountTensor.from_arrays((2, 3), good_subs, good_vals)
+            assert list(t.entries()) == want
+            assert t.subs0.dtype == t.vals.dtype == np.int64
+        for bad_subs, bad_vals in [(subs + 0.25, [4, 5]), (subs, [4, 5.5]),
+                                   (subs, np.array([True, True])),
+                                   (subs, np.array([4, 2**63], np.uint64)),
+                                   (subs, [4, 2.0**63])]:
+            with pytest.raises(ValueError, match="must be integers"):
+                SparseCountTensor.from_arrays((2, 3), bad_subs, bad_vals)
+
     @pytest.mark.parametrize("subs", [
         np.ones((6, 2), dtype=int),  # 12 numbers, four 3-index rows' worth
         np.ones((4,), dtype=int),
