@@ -18,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .kruskal import KruskalModel, _pi_product, normalize
-from .sparse_tensor import SparseCountTensor, mode_row_positions
+from .sparse_tensor import (SparseCountTensor, map_row_ranges,
+                            mode_row_positions)
 
 __all__ = ["MuSolveResult", "mu_solve_mode"]
 
@@ -41,7 +42,11 @@ def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     zero, their exact optimum.  The recorded objectives are nonincreasing.
     Rows are independent, so each block of ``layout.blocks`` runs all its
     updates while its Khatri-Rao rows stay in cache, and each objective is
-    summed block by block.  ``layout`` may carry the mode's precomputed
+    summed block by block.  A mode with enough work is split into row
+    ranges that forked children solve
+    (:func:`poissoncp.sparse_tensor.map_row_ranges`); every row's
+    arithmetic is the same in any range, so only the objectives' rounding
+    depends on the split.  ``layout`` may carry the mode's precomputed
     :func:`poissoncp.sparse_tensor.mode_row_positions`.
     """
     if inner_iterations < 1:
@@ -53,15 +58,24 @@ def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
         layout = mode_row_positions(tensor, mode)
     factor = model.factors[mode0]
     b = np.zeros_like(factor)
-    objectives = np.zeros(inner_iterations + 1)
     gather = functools.partial(_pi_product, model.factors, mode0)
-    for rows, counts, x, pi in layout.blocks(tensor, model.rank, gather):
-        b_blk = np.maximum(factor[rows] * model.weights, POSITIVITY_CLAMP)
-        starts = np.cumsum(counts) - counts
-        for it in range(inner_iterations + 1):
-            m = np.einsum("zr,zr->z", np.repeat(b_blk, counts, axis=0), pi)
-            objectives[it] += b_blk.sum() - float(x @ np.log(m))
-            if it < inner_iterations:
-                b_blk *= np.add.reduceat(pi * (x / m)[:, None], starts, axis=0)
-        b[rows] = b_blk
-    return MuSolveResult(b, objectives)
+
+    def solve_range(part):
+        objectives = np.zeros(inner_iterations + 1)
+        for rows, counts, x, pi in part.blocks(tensor, model.rank, gather):
+            b_blk = np.maximum(factor[rows] * model.weights, POSITIVITY_CLAMP)
+            starts = np.cumsum(counts) - counts
+            for it in range(inner_iterations + 1):
+                m = np.einsum("zr,zr->z", np.repeat(b_blk, counts, axis=0), pi)
+                objectives[it] += b_blk.sum() - float(x @ np.log(m))
+                if it < inner_iterations:
+                    b_blk *= np.add.reduceat(pi * (x / m)[:, None], starts,
+                                             axis=0)
+            b[rows] = b_blk
+        return b[part.rows], objectives
+
+    solved = map_row_ranges(
+        layout, solve_range, calls=(_pi_product,),
+        work=layout.nnz * model.rank * (inner_iterations + 1))
+    b[layout.rows] = np.concatenate([rows for rows, _ in solved])
+    return MuSolveResult(b, sum(objectives for _, objectives in solved))

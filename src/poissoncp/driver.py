@@ -77,13 +77,14 @@ class FitConfig:
     of its fields; None or a mapping without ``tau`` gives row solves at the
     fit's ``tau``.  ``inner_iterations`` counts the updates of each ``mu``
     mode solve, at most ``INNER_ITERATIONS_MAX``.  ``workers`` is validated
-    (at least 1) but has no effect: the rows of a mode with at least
-    ``sparse_tensor.PARALLEL_MIN_ROWS`` nonempty rows are split into one
-    range per CPU in the process's affinity mask, and the results do not
-    depend on the split.  It remains only because the benchmark in
-    ``perfbench/`` still passes it.  Building a ``pdnr`` config imports
-    LAPACK from scipy, which only the damped Newton direction uses, so that
-    one-time cost falls outside ``fit``.
+    (at least 1) but has no effect: a mode's rows are split into one range
+    per CPU in the process's affinity mask when the mode has at least
+    ``sparse_tensor.PARALLEL_MIN_ROWS`` nonempty rows (``pdnr``, ``pqnr``)
+    or ``sparse_tensor.PARALLEL_MIN_WORK`` element-updates (``mu``), and
+    the models do not depend on the split.  It remains only because the
+    benchmark in ``perfbench/`` still passes it.  Building a ``pdnr``
+    config imports LAPACK from scipy, which only the damped Newton
+    direction uses, so that one-time cost falls outside ``fit``.
     """
 
     method: str

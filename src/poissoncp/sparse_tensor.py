@@ -99,13 +99,20 @@ def _one_based(sub0) -> tuple[int, ...]:
 def _int64_array(name: str, values) -> np.ndarray:
     """``values`` as an int64 array, never truncated: signed integers pass
     through, and unsigned integers and floats convert when all are integral
-    and within int64; anything else raises ValueError naming ``name``."""
+    and within int64; anything else, such as a boolean that numpy would
+    turn into an integer beside other numbers, raises ValueError naming
+    ``name``."""
     array = np.asarray(values)
     kind = array.dtype.kind
+    if not isinstance(values, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_))
+            for v in np.asarray(values, dtype=object).flat):
+        kind = "b"
     if kind == "i" or kind in "uf" and (
             (np.abs(array) < 2.0**63) & (array == np.trunc(array))).all():
         return array.astype(np.int64, copy=False)
-    raise ValueError(f"{name} must be integers within int64, got {array.dtype} "
+    dtype = "bool" if kind == "b" else array.dtype
+    raise ValueError(f"{name} must be integers within int64, got {dtype} "
                      "values that are not")
 
 
@@ -290,6 +297,11 @@ class ModeLayout:
     def __len__(self) -> int:
         return int(self.rows.shape[0])
 
+    @property
+    def nnz(self) -> int:
+        """Nonzeros in the layout's rows."""
+        return int(self.starts[-1] - self.starts[0])
+
     def blocks(self, tensor: SparseCountTensor, rank: int, gather):
         """Yield ``(rows, counts, x, pi)`` per block of consecutive nonempty
         rows, in row order: the rows' ids, their numbers of nonzeros, and
@@ -328,9 +340,8 @@ class ModeLayout:
         k = len(self)
         if n <= 1 or k <= 1:
             return [self]
-        first, total = self.starts[0], self.starts[k] - self.starts[0]
         cuts = np.searchsorted(self.starts[:k],
-                               first + total * np.arange(1, n) / n)
+                               self.starts[0] + self.nnz * np.arange(1, n) / n)
         bounds = np.unique(np.concatenate(([0], np.clip(cuts, 1, k - 1), [k])))
         return [ModeLayout(self.order, self.rows[a:b], self.starts[a:b + 1])
                 for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
@@ -343,6 +354,15 @@ class ModeLayout:
 # halving the solve repays the fork.
 PARALLEL_MIN_ROWS = 256
 
+# Work, in element-updates (nonzeros x R x passes), a multiplicative mode
+# solve needs before it goes to more than one CPU.  One costs about 8 ns,
+# and a row may hold 1 nonzero or 3,000, so a row count says little.  On a
+# 2-CPU Xeon, from the init model, medians of 7 per mode, split against
+# serial: short-rows' 3.3 M took 18-23 ms against 16-21 ms; 6.6 M took
+# 37-41 ms against 34-64 ms; 9.9 M took 48-57 ms against 59-82 ms; and
+# cli-large's 54 M took 228-241 ms against 294-337 ms.
+PARALLEL_MIN_WORK = 8_000_000
+
 
 def _allowed_cpus() -> int:
     """CPUs this process may run on; 1 where the platform cannot say."""
@@ -352,11 +372,13 @@ def _allowed_cpus() -> int:
         return 1
 
 
-def map_row_ranges(layout: ModeLayout, fn, calls=()) -> list:
+def map_row_ranges(layout: ModeLayout, fn, calls=(), work=None) -> list:
     """``fn(part)`` for each of ``layout.parts(n)``, in part order.
 
-    ``n`` is the number of allowed CPUs when the layout has at least
-    ``PARALLEL_MIN_ROWS`` rows, else 1.  The calling process computes the
+    ``n`` is the number of allowed CPUs when the layout is worth splitting,
+    else 1: when the caller passes an estimate of the whole layout's
+    ``work``, it must reach ``PARALLEL_MIN_WORK``; otherwise the layout
+    must have ``PARALLEL_MIN_ROWS`` rows.  The calling process computes the
     first part; forked children compute the others and send back their
     pickled results.  What a child writes into arrays is lost with it, so
     ``fn`` must return everything the caller needs.  If a fork fails, the
@@ -372,8 +394,9 @@ def map_row_ranges(layout: ModeLayout, fn, calls=()) -> list:
     """
     unwrapped = all(getattr(f, "__module__", "").startswith(f"{__package__}.")
                     for f in calls)
-    n = (_allowed_cpus() if unwrapped and len(layout) >= PARALLEL_MIN_ROWS
-         else 1)
+    worth = (len(layout) >= PARALLEL_MIN_ROWS if work is None
+             else work >= PARALLEL_MIN_WORK)
+    n = _allowed_cpus() if unwrapped and worth else 1
     parts = layout.parts(n)
     children = []  # (pid, read end of its pipe) for parts[1:]
     try:
@@ -445,11 +468,14 @@ def _reap(pid: int, read_fd: int):
 
 def mode_row_positions(tensor: SparseCountTensor, mode: int) -> ModeLayout:
     """Group the tensor's nonzeros by their mode-n row into a ModeLayout,
-    rows in increasing order."""
+    rows in increasing order.  The row counts take one integer per row up
+    to the last nonempty one, less than the mode's factor matrix."""
     _check_mode(tensor.shape, mode)
     col = tensor.subs0[:, mode - 1]
-    order, first = lexsort_runs(col[:, None])
-    return ModeLayout(order, col[order[first]], np.append(first, len(col)))
+    counts = np.bincount(col)
+    rows = np.flatnonzero(counts)
+    return ModeLayout(np.argsort(col, kind="stable"), rows,
+                      np.concatenate(([0], np.cumsum(counts[rows]))))
 
 
 def read_coo(path) -> SparseCountTensor:

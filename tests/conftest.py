@@ -30,7 +30,7 @@ from poissoncp.row_solver import (
     solve_row_pdnr,
     solve_row_pqnr,
 )
-from poissoncp.sparse_tensor import ModeLayout
+from poissoncp.sparse_tensor import ModeLayout, lexsort_runs
 
 LETTERS = "abcdefgh"
 
@@ -190,6 +190,14 @@ def argsort_mode_row_positions(tensor, mode: int) -> ModeLayout:
     first = np.flatnonzero(new)
     starts = np.append(first, sorted_rows.shape[0])
     return ModeLayout(order, sorted_rows[first], starts)
+
+
+def lexsort_mode_row_positions(tensor, mode: int) -> ModeLayout:
+    """Reference layout: the lexicographic sort of the mode column and the
+    runs of equal rows in it."""
+    col = tensor.subs0[:, mode - 1]
+    order, first = lexsort_runs(col[:, None])
+    return ModeLayout(order, col[order[first]], np.append(first, len(col)))
 
 
 def per_row_mode_kkt_violation(tensor, model: KruskalModel, mode: int) -> float:

@@ -10,8 +10,8 @@ import pytest
 import poissoncp
 import poissoncp.errors as errors
 from poissoncp.cli import main
-from poissoncp.sparse_tensor import (PARALLEL_MIN_ROWS, mode_row_positions,
-                                     read_coo)
+from poissoncp.sparse_tensor import (PARALLEL_MIN_ROWS, PARALLEL_MIN_WORK,
+                                     mode_row_positions, read_coo)
 
 
 NAN = float("nan")
@@ -639,19 +639,34 @@ class TestDeterminism:
         assert len(outputs[0][0]) >= 1
 
 
-# A factorize run in a child interpreter restricted to the given CPUs.
-# OpenBLAS also takes its thread count from the CPUs a process may use, and
-# a threaded dot product sums in another order (the objective of a tensor
-# with tens of thousands of nonzeros changes in its last digit), so the
-# children pin it to one thread: only the row split differs between them.
-ON_CPUS = ("import os, sys; os.sched_setaffinity(0, {cpus!r}); "
-           "from poissoncp.cli import main; sys.exit(main(sys.argv[1:]))")
+# A factorize run in a child interpreter restricted to the given CPUs, with
+# the multiplicative solves' work gate at the given value; its last line on
+# stderr counts the row ranges it forked.  OpenBLAS also takes its thread
+# count from the CPUs a process may use, and a threaded dot product sums in
+# another order (the objective of a tensor with tens of thousands of
+# nonzeros changes in its last digit), so the children pin it to one
+# thread: only the row split differs between them.
+ON_CPUS = """
+import os, sys
+os.sched_setaffinity(0, {cpus!r})
+import poissoncp.sparse_tensor as sparse_tensor
+sparse_tensor.PARALLEL_MIN_WORK = {min_work}
+fork, forks = os.fork, []
+def counting_fork():
+    forks.append(1)
+    return fork()
+os.fork = counting_fork
+from poissoncp.cli import main
+code = main(sys.argv[1:])
+print("forks", len(forks), file=sys.stderr)
+sys.exit(code)
+"""
 ALLOWED_CPUS = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
                 else set())
 
 
 @pytest.mark.skipif(len(ALLOWED_CPUS) < 2, reason="needs two allowed CPUs")
-@pytest.mark.parametrize("method", ["pdnr", "pqnr"])
+@pytest.mark.parametrize("method", ["pdnr", "pqnr", "mu"])
 def test_factorize_on_one_cpu_and_on_all_is_byte_identical(tmp_path, method):
     gen = write_json(tmp_path / "gen.json", {
         "dims": [400, 20, 15], "rank": 4, "samples": 6000, "seed": 3})
@@ -666,14 +681,20 @@ def test_factorize_on_one_cpu_and_on_all_is_byte_identical(tmp_path, method):
            "PYTHONPATH": os.pathsep.join(
                [str(Path(poissoncp.__file__).parent.parent),
                 *filter(None, [os.environ.get("PYTHONPATH")])])}
-    outputs = []
+    # Splitting a mu mode takes far more nonzeros than a fit of a few
+    # seconds holds, so the children split every mu mode.
+    min_work = 0 if method == "mu" else PARALLEL_MIN_WORK
+    outputs, forks = [], []
     for cpus in ({min(ALLOWED_CPUS)}, ALLOWED_CPUS):
         out = tmp_path / f"fit-{len(cpus)}"
-        subprocess.run([sys.executable, "-c", ON_CPUS.format(cpus=cpus),
-                        "factorize", "--config", fac, "--output-dir", str(out)],
-                       check=True, env=env, capture_output=True, timeout=300)
+        child = subprocess.run(
+            [sys.executable, "-c", ON_CPUS.format(cpus=cpus, min_work=min_work),
+             "factorize", "--config", fac, "--output-dir", str(out)],
+            check=True, env=env, capture_output=True, text=True, timeout=300)
+        forks.append(int(child.stderr.split()[-1]))
         with open(out / "trace.csv") as fh:
             trace = [{k: v for k, v in row.items() if k != "seconds"}
                      for row in csv.DictReader(fh)]
         outputs.append(((out / "model.json").read_bytes(), trace))
     assert outputs[0] == outputs[1]
+    assert forks[0] == 0 < forks[1]

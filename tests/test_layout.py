@@ -25,17 +25,19 @@ import poissoncp.sparse_tensor as sparse_tensor
 from conftest import (
     argsort_mode_row_positions,
     argsort_mu_solve_mode,
+    lexsort_mode_row_positions,
     per_row_mode_kkt_violation,
     per_row_solve_mode,
     row_groups,
 )
 from poissoncp.baselines import mu_solve_mode
-from poissoncp.driver import FitConfig, fit, solve_mode
+from poissoncp.driver import FitConfig, fit, init_model, solve_mode
 from poissoncp.errors import FactorizationFailureError
 from poissoncp.evaluation import mode_kkt_violation
 from poissoncp.kruskal import KruskalModel, kl_objective, normalize
 from poissoncp.row_solver import SolverParams
 from poissoncp.sparse_tensor import SparseCountTensor, mode_row_positions
+from poissoncp.synth import GenConfig, generate_dataset
 
 LAYOUT_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                            database=None)
@@ -138,6 +140,18 @@ class TestModeLayout:
                 assert x_all.tolist() == sum(counts, [])
                 assert np.concatenate([b[3] for b in walked]).tolist() == sum(
                     subs, [])
+
+    @LAYOUT_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), empty=st.booleans())
+    def test_layout_equals_the_lexsort_form(self, seed, empty):
+        # The cases leave rows empty, and the empty tensor has no rows.
+        tensor, _ = layout_case(seed)
+        if empty:
+            tensor = SparseCountTensor.from_arrays(
+                tensor.shape, np.empty((0, tensor.ndim), np.int64), [])
+        for mode in range(1, tensor.ndim + 1):
+            assert_layouts_equal(mode_row_positions(tensor, mode),
+                                 lexsort_mode_row_positions(tensor, mode))
 
     def test_empty_tensor_has_no_rows(self):
         tensor = SparseCountTensor.from_entries((2, 3), [])
@@ -257,9 +271,24 @@ class TestSweepMonotonicity:
 
 
 def split_rows(mp, cpus):
-    """Route every mode, however few its rows, through ``cpus`` ranges."""
+    """Route every mode, however few its rows or little its work, through
+    ``cpus`` ranges."""
     mp.setattr(sparse_tensor, "PARALLEL_MIN_ROWS", 0)
+    mp.setattr(sparse_tensor, "PARALLEL_MIN_WORK", 0)
     mp.setattr(sparse_tensor, "_allowed_cpus", lambda: cpus)
+
+
+def count_forks(mp):
+    """Count the children ``map_row_ranges`` forks from here on."""
+    forks = []
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    real_fork = os.fork
+    mp.setattr(sparse_tensor.os, "fork", counting_fork)
+    return forks
 
 
 def assert_no_children_left():
@@ -367,16 +396,9 @@ class TestRowRanges:
         # The check costs a few microseconds a row, less than a fork, so
         # it walks the rows in this process even when the solve splits.
         tensor, model = layout_case(seed)
-        forks = []
-
-        def counting_fork():
-            forks.append(1)
-            return real_fork()
-
-        real_fork = os.fork
         with pytest.MonkeyPatch.context() as mp:
             split_rows(mp, cpus)
-            mp.setattr(sparse_tensor.os, "fork", counting_fork)
+            forks = count_forks(mp)
             for mode in range(1, tensor.ndim + 1):
                 assert (mode_kkt_violation(tensor, model, mode)
                         == per_row_mode_kkt_violation(tensor, model, mode))
@@ -384,6 +406,114 @@ class TestRowRanges:
             solve_mode(tensor, model, 1, method="pqnr")
             parts = mode_row_positions(tensor, 1).parts(cpus)
             assert len(forks) == len(parts) - 1
+        assert_no_children_left()
+
+    @LAYOUT_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), doubles=st.integers(1, 12),
+           cpus=st.integers(1, 4))
+    def test_mu_forked_ranges_match_serial_and_reference(self, seed, doubles,
+                                                         cpus):
+        tensor, model = layout_case(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_tensor, "BLOCK_DOUBLES", doubles)
+            forks = count_forks(mp)
+            for mode in range(1, tensor.ndim + 1):
+                want = argsort_mu_solve_mode(tensor, model, mode, 3)
+                mp.setattr(sparse_tensor, "_allowed_cpus", lambda: 1)
+                serial = mu_solve_mode(tensor, model, mode, 3)
+                split_rows(mp, cpus)
+                forks.clear()
+                got = mu_solve_mode(tensor, model, mode, 3)
+                parts = mode_row_positions(tensor, mode).parts(cpus)
+                assert len(forks) == len(parts) - 1
+                for other in (serial, want):
+                    assert np.array_equal(got.b_matrix, other.b_matrix,
+                                          equal_nan=True)
+                    # Summed range by range, the objectives differ in
+                    # rounding.
+                    assert len(got.objectives) == len(other.objectives) == 4
+                    np.testing.assert_allclose(got.objectives,
+                                               other.objectives, rtol=1e-12)
+        assert_no_children_left()
+
+    @LAYOUT_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), cpus=st.integers(2, 4))
+    def test_wrapped_gather_keeps_every_mu_update_in_this_process(self, seed,
+                                                                  cpus):
+        tensor, model = layout_case(seed)
+        pids = []
+
+        def spy(factors, mode0, subs0):
+            pids.append(os.getpid())
+            return real(factors, mode0, subs0)
+
+        real = baselines._pi_product
+        modes = range(1, tensor.ndim + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            split_rows(mp, cpus)
+            plain = [mu_solve_mode(tensor, model, mode, 3) for mode in modes]
+            forks = count_forks(mp)
+            mp.setattr(baselines, "_pi_product", spy)
+            spied = [mu_solve_mode(tensor, model, mode, 3) for mode in modes]
+        assert forks == []
+        assert pids and set(pids) == {os.getpid()}
+        for got, want in zip(spied, plain):
+            assert np.array_equal(got.b_matrix, want.b_matrix, equal_nan=True)
+        assert_no_children_left()
+
+    @LAYOUT_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), cpus=st.integers(2, 4))
+    def test_mu_child_exception_is_raised_again_with_its_type(self, seed,
+                                                              cpus):
+        tensor, model = layout_case(seed)
+        parent = os.getpid()
+        real_blocks = sparse_tensor.ModeLayout.blocks
+
+        def fail_in_child(layout, *args):
+            if os.getpid() != parent:
+                raise FactorizationFailureError(f"rows {layout.rows.tolist()}")
+            return real_blocks(layout, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            split_rows(mp, cpus)
+            mp.setattr(sparse_tensor.ModeLayout, "blocks", fail_in_child)
+            for mode in range(1, tensor.ndim + 1):
+                if len(mode_row_positions(tensor, mode).parts(cpus)) == 1:
+                    mu_solve_mode(tensor, model, mode, 3)
+                    continue
+                with pytest.raises(FactorizationFailureError, match="rows"):
+                    mu_solve_mode(tensor, model, mode, 3)
+        assert_no_children_left()
+
+    @pytest.mark.parametrize("method", ["pdnr", "pqnr", "mu"])
+    def test_acceptance_sized_modes_fork_nothing(self, method):
+        # The README tensor, (20, 30, 40) R5 with 2,435 nonzeros: at most
+        # 40 rows and 0.13 M element-updates a mode, so each stays serial
+        # whatever the number of CPUs.
+        _, tensor = generate_dataset(GenConfig(dims=(20, 30, 40), rank=5,
+                                               samples=50_000, seed=5))
+        model = init_model(tensor.shape, 5, seed=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_tensor, "_allowed_cpus", lambda: 4)
+            forks = count_forks(mp)
+            for mode in range(1, tensor.ndim + 1):
+                model, _ = solve_mode(tensor, model, mode, method=method)
+        assert forks == []
+
+    def test_mu_gate_counts_work_not_rows(self):
+        # 300 one-nonzero rows: enough rows to split the row solves, far
+        # too little work to split the multiplicative updates.
+        tensor = SparseCountTensor.from_entries(
+            (300, 2), [((i, 1 + i % 2), 1) for i in range(1, 301)])
+        model = normalize(KruskalModel(np.ones(2), (np.full((300, 2), 0.5),
+                                                    np.eye(2) + 0.5)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_tensor, "_allowed_cpus", lambda: 2)
+            forks = count_forks(mp)
+            mu_solve_mode(tensor, model, 1)
+            assert forks == []
+            solve_mode(tensor, model, 1, method="pdnr")
+            assert len(forks) == 1
         assert_no_children_left()
 
     @staticmethod

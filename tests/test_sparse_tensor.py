@@ -81,10 +81,23 @@ class TestValidation:
         (((1, 1), True), "counts"), (((1, 1), float("nan")), "counts"),
         (((1, 1), float("inf")), "counts"), (((1, 1), 2**70), "counts"),
         (((1, 1), "3"), "counts"), (((1, 2**64), 1), "indices"),
+        (((True, 1), 2), "indices"), (((1, np.True_), 2), "indices"),
     ])
     def test_non_integer_entry_is_not_truncated(self, entry, name):
         with pytest.raises(ValueError, match=f"{name} must be integers"):
             SparseCountTensor.from_entries((2, 2), [entry])
+
+    def test_boolean_beside_integers_is_not_converted(self):
+        # numpy turns [(True, 1)] into an int64 array, so the booleans must
+        # be found before the conversion.
+        with pytest.raises(ValueError, match="counts must be integers.* bool"):
+            SparseCountTensor.from_entries((2, 2), [((1, 1), True),
+                                                    ((1, 2), 2)])
+        with pytest.raises(ValueError, match="counts must be integers.* bool"):
+            SparseCountTensor.from_entries((2, 2), [((1, 1), 2.0),
+                                                    ((1, 2), False)])
+        with pytest.raises(ValueError, match="indices must be integers.* bool"):
+            SparseCountTensor.from_arrays((2, 2), [[1, 1], [False, 2]], [1, 2])
 
     def test_arrays_convert_only_exact_integers(self):
         subs = np.array([[2, 3], [1, 2]])
