@@ -127,17 +127,18 @@ def normalize(model: KruskalModel) -> KruskalModel:
     return KruskalModel(weights, tuple(factors), normalized=True)
 
 
-def _pi_product(factors, mode0: int | None, subs0: np.ndarray) -> np.ndarray:
-    """(J, R) rows prod_{k != mode0} factors[k][subs0[:, k], :], 0-based.
+def _pi_product(factors, mode0: int | None, columns) -> np.ndarray:
+    """(J, R) rows prod_{k != mode0} factors[k][i_k, :], 0-based.
 
-    A ``mode0`` of None skips no mode, giving the rows whose products with
-    the weights are the model values at ``subs0``."""
-    j = subs0.shape[0]
-    r = factors[0].shape[1]
-    out = np.ones((j, r), dtype=np.float64)
-    for k, f in enumerate(factors):
-        if k != mode0:
-            out *= f[subs0[:, k], :]
+    ``columns`` holds one length-J index column per gathered mode, in mode
+    order: every mode but ``mode0``, or every mode when ``mode0`` is None,
+    which gives the rows whose products with the weights are the model
+    values.  Each factor's rows are gathered with one ``np.take``, whose
+    bounds check raises IndexError on an index outside the factor."""
+    gathered = [f for k, f in enumerate(factors) if k != mode0]
+    out = np.ones((len(columns[0]), factors[0].shape[1]), dtype=np.float64)
+    for f, col in zip(gathered, columns, strict=True):
+        out *= np.take(f, col, axis=0)
     return out
 
 
@@ -147,10 +148,10 @@ def _unit_columns(factors) -> list[np.ndarray]:
     return [f / np.where(n == 0.0, 1.0, n) for f, n in zip(factors, norms)]
 
 
-# Subscript rows per block of model_entries: bounds its (rows, R) temporaries.
-# A multiple of 4, so the blocked matrix-vector products sum each row as
-# the one-shot product over all rows does.
-_ENTRY_BLOCK_ROWS = 65536
+# Subscript rows per block of model_entries: its (rows, R) temporaries
+# stay in cache.  A multiple of 4, so the blocked matrix-vector products
+# sum each row as the one-shot product over all rows does.
+_ENTRY_BLOCK_ROWS = 4096
 
 
 def model_entries(model: KruskalModel, subs0: np.ndarray) -> np.ndarray:
@@ -159,7 +160,7 @@ def model_entries(model: KruskalModel, subs0: np.ndarray) -> np.ndarray:
     for start in range(0, subs0.shape[0], _ENTRY_BLOCK_ROWS):
         block = subs0[start:start + _ENTRY_BLOCK_ROWS]
         out[start:start + block.shape[0]] = (
-            _pi_product(model.factors, None, block) @ model.weights)
+            _pi_product(model.factors, None, block.T) @ model.weights)
     return out
 
 
@@ -187,7 +188,7 @@ def kl_objective(model: KruskalModel, tensor: SparseCountTensor) -> float:
     if (m.min() < math.sqrt(tensor.vals.max() / _FLOAT_MAX)
             and (m < np.sqrt(tensor.vals / _FLOAT_MAX)).any()):
         return float("inf")
-    return first - float(tensor.vals @ np.log(m))
+    return first - float(tensor.vals @ np.log(m, out=m))
 
 
 def save_model(model: KruskalModel, path) -> None:

@@ -283,13 +283,19 @@ BLOCK_DOUBLES = 16384
 class ModeLayout:
     """The tensor's nonzeros grouped by mode-n row, built once per fit.
 
-    ``order`` lists the COO positions sorted by row (stably, so each row
-    keeps its entries in COO order); nonempty row ``k`` has the 0-based id
-    ``rows[k]`` and spans ``order[starts[k]:starts[k + 1]]``.
-    :meth:`blocks` walks the rows in blocks whose gathered Khatri-Rao rows
-    fit in cache, and :meth:`row_views` splits each block into its rows.
+    The row order lists the nonzeros sorted by row, stably, so each row
+    keeps its entries in COO order; nonempty row ``k`` has the 0-based id
+    ``rows[k]`` and spans ``starts[k]:starts[k + 1]`` of the row order.
+    ``columns`` holds the subscripts of every other mode, in mode order,
+    and ``order`` the COO positions, each in row order and in the
+    narrowest unsigned dtype that holds its values: for a 3-mode tensor
+    with dimensions up to 65,536 and fewer than 2**32 nonzeros, 8 bytes per
+    nonzero.  :meth:`blocks` walks the rows in blocks whose gathered
+    Khatri-Rao rows fit in cache, and :meth:`row_views` splits each block
+    into its rows.
     """
 
+    columns: tuple[np.ndarray, ...] = field(repr=False)
     order: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
     starts: np.ndarray = field(repr=False)
@@ -308,9 +314,9 @@ class ModeLayout:
         the block's counts as floats and ``(J, R)`` Khatri-Rao rows, row
         after row.
 
-        ``gather(subs0)`` returns the Khatri-Rao rows of one block, which
-        holds at most ``BLOCK_DOUBLES // rank`` nonzeros unless it is a
-        single longer row.
+        ``gather(columns)`` returns the Khatri-Rao rows of one block from
+        its slices of the index columns.  A block holds at most
+        ``BLOCK_DOUBLES // rank`` nonzeros unless it is a single longer row.
         """
         limit = max(BLOCK_DOUBLES // rank, 1)
         starts = self.starts
@@ -318,9 +324,10 @@ class ModeLayout:
         while k0 < len(self):
             k1 = int(np.searchsorted(starts, starts[k0] + limit, side="right")) - 1
             k1 = max(k1, k0 + 1)
-            pos = self.order[starts[k0]:starts[k1]]
+            a, b = int(starts[k0]), int(starts[k1])
             yield (self.rows[k0:k1], np.diff(starts[k0:k1 + 1]),
-                   tensor.vals[pos].astype(np.float64), gather(tensor.subs0[pos]))
+                   tensor.vals[self.order[a:b]].astype(np.float64),
+                   gather(tuple(col[a:b] for col in self.columns)))
             k0 = k1
 
     def row_views(self, tensor: SparseCountTensor, rank: int, gather):
@@ -335,15 +342,16 @@ class ModeLayout:
     def parts(self, n: int) -> list["ModeLayout"]:
         """At most ``n`` layouts of consecutive rows, in row order, with
         about equal nonzeros; together they hold every row once.  They share
-        ``order``, which ``starts`` index absolutely, so their row views
-        yield the same ``x`` and ``pi`` as this layout's."""
+        ``columns`` and ``order``, which ``starts`` index absolutely, so
+        their row views yield the same ``x`` and ``pi`` as this layout's."""
         k = len(self)
         if n <= 1 or k <= 1:
             return [self]
         cuts = np.searchsorted(self.starts[:k],
                                self.starts[0] + self.nnz * np.arange(1, n) / n)
         bounds = np.unique(np.concatenate(([0], np.clip(cuts, 1, k - 1), [k])))
-        return [ModeLayout(self.order, self.rows[a:b], self.starts[a:b + 1])
+        return [ModeLayout(self.columns, self.order, self.rows[a:b],
+                           self.starts[a:b + 1])
                 for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
@@ -469,13 +477,23 @@ def _reap(pid: int, read_fd: int):
 def mode_row_positions(tensor: SparseCountTensor, mode: int) -> ModeLayout:
     """Group the tensor's nonzeros by their mode-n row into a ModeLayout,
     rows in increasing order.  The row counts take one integer per row up
-    to the last nonempty one, less than the mode's factor matrix."""
+    to the last nonempty one, less than the mode's factor matrix.  Each
+    subscript column is narrowed before it is sorted or permuted, which
+    lets the stable sort of a mode of at most 65,536 rows run as a radix
+    sort."""
     _check_mode(tensor.shape, mode)
-    col = tensor.subs0[:, mode - 1]
-    counts = np.bincount(col)
+
+    def narrow(k):
+        return tensor.subs0[:, k].astype(np.min_scalar_type(tensor.shape[k] - 1))
+
+    counts = np.bincount(tensor.subs0[:, mode - 1])
     rows = np.flatnonzero(counts)
-    return ModeLayout(np.argsort(col, kind="stable"), rows,
-                      np.concatenate(([0], np.cumsum(counts[rows]))))
+    order = np.argsort(narrow(mode - 1), kind="stable")
+    columns = tuple(np.take(narrow(k), order)
+                    for k in range(tensor.ndim) if k != mode - 1)
+    return ModeLayout(columns,
+                      order.astype(np.min_scalar_type(max(tensor.nnz - 1, 0))),
+                      rows, np.concatenate(([0], np.cumsum(counts[rows]))))
 
 
 def read_coo(path) -> SparseCountTensor:

@@ -4,7 +4,7 @@ The oracles here deliberately avoid the library's production code paths:
 dense reconstruction uses einsum over the full cell grid, derivatives come
 from finite differences, row optima from a first-order projected-gradient
 loop, and scores from exhaustive permutation search.  The reference
-implementations (``per_row_*``, ``argsort_*``, ``one_shot_*``,
+implementations (``coo_*``, ``per_row_*``, ``argsort_*``, ``one_shot_*``,
 ``Reference*``) are the plain forms of optimized code paths, kept to show
 that each optimization leaves results bitwise unchanged.
 """
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from poissoncp.baselines import POSITIVITY_CLAMP, MuSolveResult
-from poissoncp.kruskal import KruskalModel, _pi_product, normalize
+from poissoncp.kruskal import KruskalModel, normalize
 from poissoncp.row_solver import (
     CURVATURE_SKIP_REL,
     LbfgsStore,
@@ -62,6 +62,17 @@ def dense_kl_objective(model: KruskalModel, tensor) -> float:
                 return float("inf")
             total -= x[idx] * np.log(m[idx])
     return total
+
+
+def coo_pi_product(factors, mode0, subs0) -> np.ndarray:
+    """Reference Khatri-Rao rows: (J, R) rows prod_{k != mode0}
+    factors[k][subs0[:, k], :] by fancy indexing the COO subscript rows,
+    multiplied in mode order from ones."""
+    out = np.ones((subs0.shape[0], factors[0].shape[1]))
+    for k, f in enumerate(factors):
+        if k != mode0:
+            out *= f[subs0[:, k], :]
+    return out
 
 
 def khatri_rao_columns(factors) -> np.ndarray:
@@ -179,6 +190,26 @@ def row_groups(tensor, mode: int):
     return [(int(col[c[0]]), c) for c in chunks if c.size]
 
 
+def narrowest_uint(largest: int):
+    """The smallest of uint8, uint16, uint32 and uint64 that holds every
+    value from 0 to ``largest``."""
+    return next(dtype for dtype in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if largest <= np.iinfo(dtype).max)
+
+
+def layout_from_order(tensor, mode: int, order, rows, starts) -> ModeLayout:
+    """A layout from the int64 row order of the COO positions: the other
+    modes' subscripts and the positions in row order, each narrowed to the
+    smallest unsigned dtype that holds the mode size, or the nonzero
+    count, less one."""
+    columns = tuple(
+        tensor.subs0[order, k].astype(narrowest_uint(d - 1))
+        for k, d in enumerate(tensor.shape.dims) if k != mode - 1)
+    return ModeLayout(columns,
+                      order.astype(narrowest_uint(max(tensor.nnz - 1, 0))),
+                      rows, starts)
+
+
 def argsort_mode_row_positions(tensor, mode: int) -> ModeLayout:
     """Reference layout: a stable argsort of the mode column, and the
     positions where the sorted rows change."""
@@ -189,7 +220,7 @@ def argsort_mode_row_positions(tensor, mode: int) -> ModeLayout:
     new[1:] = sorted_rows[1:] != sorted_rows[:-1]
     first = np.flatnonzero(new)
     starts = np.append(first, sorted_rows.shape[0])
-    return ModeLayout(order, sorted_rows[first], starts)
+    return layout_from_order(tensor, mode, order, sorted_rows[first], starts)
 
 
 def lexsort_mode_row_positions(tensor, mode: int) -> ModeLayout:
@@ -197,7 +228,8 @@ def lexsort_mode_row_positions(tensor, mode: int) -> ModeLayout:
     runs of equal rows in it."""
     col = tensor.subs0[:, mode - 1]
     order, first = lexsort_runs(col[:, None])
-    return ModeLayout(order, col[order[first]], np.append(first, len(col)))
+    return layout_from_order(tensor, mode, order, col[order[first]],
+                             np.append(first, len(col)))
 
 
 def per_row_mode_kkt_violation(tensor, model: KruskalModel, mode: int) -> float:
@@ -212,7 +244,7 @@ def per_row_mode_kkt_violation(tensor, model: KruskalModel, mode: int) -> float:
     for row0, pos in row_groups(tensor, mode):
         has_data[row0] = True
         b = b_matrix[row0]
-        pi = _pi_product(model.factors, mode0, tensor.subs0[pos])
+        pi = coo_pi_product(model.factors, mode0, tensor.subs0[pos])
         m = pi @ b
         if (m <= 0.0).any():
             return float("inf")
@@ -236,7 +268,7 @@ def argsort_mu_solve_mode(tensor, model: KruskalModel, mode: int,
     has_data = np.zeros(b.shape[0], dtype=bool)
     has_data[rows] = True
     b[~has_data] = 0.0
-    pi = _pi_product(model.factors, mode0, tensor.subs0)
+    pi = coo_pi_product(model.factors, mode0, tensor.subs0)
     x = tensor.vals.astype(np.float64)
     order = np.argsort(rows, kind="stable")
     sorted_rows = rows[order]
@@ -271,7 +303,7 @@ def per_row_solve_mode(tensor, model: KruskalModel, mode: int, method: str,
         b_matrix = np.zeros_like(model.factors[mode0])
         b_start = model.factors[mode0] * model.weights
         for row0, pos in row_groups(tensor, mode):
-            pi = _pi_product(model.factors, mode0, tensor.subs0[pos]).T
+            pi = coo_pi_product(model.factors, mode0, tensor.subs0[pos]).T
             problem = RowProblem(b_start[row0], tensor.vals[pos], pi)
             if method == "pdnr":
                 b_star, report = solve_row_pdnr(problem, solver)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import coo_pi_product, random_model
 from poissoncp.baselines import mu_solve_mode
 from poissoncp.driver import FitConfig
 from poissoncp.kruskal import KruskalModel, normalize
@@ -88,8 +88,6 @@ class TestMuSolveMode:
     def test_matches_per_row_multiplicative_steps(self, rng):
         # The vectorized mode update must equal row-by-row multiplicative
         # steps built from the same Khatri-Rao columns.
-        from poissoncp.kruskal import _pi_product
-
         model = normalize(random_model(rng, (4, 3, 2), 2))
         cells = rng.choice(24, size=10, replace=False)
         subs = np.stack(np.unravel_index(cells, (4, 3, 2)), axis=1) + 1
@@ -104,7 +102,7 @@ class TestMuSolveMode:
         for row0, lo, hi in zip(layout.rows, layout.starts[:-1],
                                 layout.starts[1:]):
             pos = layout.order[lo:hi]
-            pi = _pi_product(model.factors, 0, tensor.subs0[pos]).T
+            pi = coo_pi_product(model.factors, 0, tensor.subs0[pos]).T
             problem = RowProblem(b_start[row0], tensor.vals[pos], pi)
             expected = multiplicative_step(problem, b_start[row0])
             np.testing.assert_allclose(result.b_matrix[row0], expected, rtol=1e-12)

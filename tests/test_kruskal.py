@@ -102,6 +102,13 @@ class TestNormalize:
         np.testing.assert_allclose(nm.factors[0][:, 1], [0.5, 0.5])
 
 
+def gathered_rows(factors, mode0, subs0):
+    """:func:`poissoncp.kruskal._pi_product` on the index columns of the
+    gathered modes of the subscript rows ``subs0``."""
+    return kruskal._pi_product(factors, mode0, [
+        subs0[:, k] for k in range(subs0.shape[1]) if k != mode0])
+
+
 class TestPiColumns:
     """Khatri-Rao columns as the row solves gather them, with
     :func:`poissoncp.kruskal._pi_product`."""
@@ -109,13 +116,13 @@ class TestPiColumns:
     def test_two_way_is_other_factor_row(self):
         a2 = np.array([[0.3, 0.7], [0.7, 0.3]])
         factors = (np.full((2, 2), 0.5), a2)
-        rows = kruskal._pi_product(factors, 0, np.array([[1, 0]]))
+        rows = gathered_rows(factors, 0, np.array([[1, 0]]))
         np.testing.assert_allclose(rows[0], [0.3, 0.7])
 
     def test_three_way_rank_one_product(self):
         factors = (np.array([[1.0]]), np.array([[0.2], [0.8]]),
                    np.array([[0.5], [0.5]]))
-        rows = kruskal._pi_product(factors, 0, np.array([[0, 0, 0]]))
+        rows = gathered_rows(factors, 0, np.array([[0, 0, 0]]))
         assert rows[0, 0] == pytest.approx(0.2 * 0.5)
 
     def test_matches_dense_khatri_rao(self, rng):
@@ -125,7 +132,7 @@ class TestPiColumns:
             (0, i2, i3) for i3 in range(2) for i2 in range(4)
         ])  # first listed mode varies fastest
         dense = khatri_rao_columns([m.factors[1], m.factors[2]])
-        np.testing.assert_allclose(kruskal._pi_product(m.factors, 0, subs0),
+        np.testing.assert_allclose(gathered_rows(m.factors, 0, subs0),
                                    dense, rtol=1e-12)
 
     def test_row_sums_over_all_columns_are_one(self, rng):
@@ -135,19 +142,19 @@ class TestPiColumns:
         for mode0 in range(3):
             subs0 = np.array(list(np.ndindex(3, 4, 2)))
             subs0 = subs0[subs0[:, mode0] == 0]
-            rows = kruskal._pi_product(m.factors, mode0, subs0)
+            rows = gathered_rows(m.factors, mode0, subs0)
             np.testing.assert_allclose(rows.sum(axis=0), np.ones(m.rank),
                                        atol=1e-10)
 
     def test_rejects_bad_reduced_index(self, rng):
         m = normalize(random_model(rng, (3, 4, 2), 2))
         with pytest.raises(IndexError):
-            kruskal._pi_product(m.factors, 0, np.array([[0, 4, 0]]))
+            gathered_rows(m.factors, 0, np.array([[0, 4, 0]]))
 
     def test_uses_factors_as_given(self, rng):
         # No normalization happens inside the gather.
         m = random_model(rng, (3, 4), 2)
-        rows = kruskal._pi_product(m.factors, 0, np.array([[0, 1]]))
+        rows = gathered_rows(m.factors, 0, np.array([[0, 1]]))
         np.testing.assert_array_equal(rows[0], m.factors[1][1, :])
 
 
@@ -168,7 +175,7 @@ class TestModelEntry:
         m = normalize(random_model(rng, (3, 4, 2), 3))
         subs0 = np.stack([rng.integers(0, d, size=10) for d in (3, 4, 2)],
                          axis=1)
-        pi = kruskal._pi_product(m.factors, 0, subs0)
+        pi = gathered_rows(m.factors, 0, subs0)
         expected = (m.weights * pi * m.factors[0][subs0[:, 0], :]).sum(axis=1)
         np.testing.assert_allclose(model_entries(m, subs0), expected,
                                    rtol=1e-12)

@@ -10,6 +10,7 @@ block.  The same holds when the rows are split into ranges that
 forked children solve; the KKT check never forks.
 """
 
+import functools
 import os
 import time
 
@@ -21,10 +22,12 @@ from hypothesis import strategies as st
 import poissoncp.baselines as baselines
 import poissoncp.driver as driver
 import poissoncp.evaluation as evaluation
+import poissoncp.kruskal as kruskal
 import poissoncp.sparse_tensor as sparse_tensor
 from conftest import (
     argsort_mode_row_positions,
     argsort_mu_solve_mode,
+    coo_pi_product,
     lexsort_mode_row_positions,
     per_row_mode_kkt_violation,
     per_row_solve_mode,
@@ -76,9 +79,17 @@ def layout_case(seed):
 
 
 def assert_layouts_equal(a, b):
-    for name in ("order", "rows", "starts"):
-        got, want = getattr(a, name), getattr(b, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert len(a.columns) == len(b.columns)
+    pairs = [*zip(a.columns, b.columns), (a.order, b.order), (a.rows, b.rows),
+             (a.starts, b.starts)]
+    for k, (got, want) in enumerate(pairs):
+        assert got.dtype == want.dtype and np.array_equal(got, want), k
+
+
+def stacked(columns):
+    """The index columns side by side as floats: a stand-in for the
+    Khatri-Rao rows that shows which nonzeros a block holds."""
+    return np.column_stack(columns).astype(np.float64)
 
 
 def assert_models_equal(a, b):
@@ -104,18 +115,16 @@ class TestModeLayout:
                 reference = row_groups(tensor, mode)
                 sizes, block_rows = [], []
 
-                def gather(subs0):
-                    # The subscripts stand in for the Khatri-Rao rows, so
-                    # each view shows which nonzeros it holds.
-                    sizes.append(len(subs0))
+                def gather(columns):
+                    sizes.append(len(columns[0]))
                     block_rows.append(0)
-                    return subs0.astype(np.float64)
+                    return stacked(columns)
 
                 rows, subs, counts = [], [], []
                 for row0, x, pi in layout.row_views(tensor, rank, gather):
                     block_rows[-1] += 1
                     assert x.dtype == np.float64 and pi.shape == (
-                        tensor.ndim, len(x))
+                        tensor.ndim - 1, len(x))
                     rows.append(row0)
                     subs.append(pi.T.tolist())
                     counts.append(x.tolist())
@@ -123,13 +132,14 @@ class TestModeLayout:
                 assert all(size <= limit or n == 1
                            for size, n in zip(sizes, block_rows))
                 assert rows == [r for r, _ in reference]
-                assert subs == [tensor.subs0[p].tolist() for _, p in reference]
+                assert subs == [np.delete(tensor.subs0[p], mode - 1,
+                                          axis=1).tolist()
+                                for _, p in reference]
                 assert counts == [tensor.vals[p].tolist() for _, p in reference]
 
                 # blocks() walks the same blocks whole: the rows' ids and
                 # sizes, and their counts and Khatri-Rao rows in row order.
-                walked = list(layout.blocks(tensor, rank,
-                                            lambda s: s.astype(np.float64)))
+                walked = list(layout.blocks(tensor, rank, stacked))
                 assert [len(b[0]) for b in walked] == block_rows
                 assert [len(b[2]) for b in walked] == sizes
                 assert np.concatenate([b[0] for b in walked]).tolist() == rows
@@ -140,6 +150,68 @@ class TestModeLayout:
                 assert x_all.tolist() == sum(counts, [])
                 assert np.concatenate([b[3] for b in walked]).tolist() == sum(
                     subs, [])
+
+    @LAYOUT_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1),
+           dims=st.lists(st.sampled_from((200, 300, 70_000)), min_size=2,
+                         max_size=4),
+           doubles=st.integers(1, 40), rank=st.integers(1, 4))
+    def test_blocks_equal_the_coo_gather_byte_for_byte(self, seed, dims,
+                                                       doubles, rank):
+        # Mode sizes of 200, 300 and 70,000 give uint8, uint16 and uint32
+        # index columns.  Few nonzeros leave most rows empty, and row 0 of
+        # every mode holds 50, more than any block bound drawn here.
+        rng = np.random.default_rng(seed)
+        cells = [np.stack([rng.integers(0, d, size=30) for d in dims], axis=1)]
+        for k in range(len(dims)):
+            long_row = np.stack([rng.integers(0, d, size=50) for d in dims],
+                                axis=1)
+            long_row[:, k] = 0
+            cells.append(long_row)
+        cells = np.unique(np.vstack(cells), axis=0)
+        tensor = SparseCountTensor.from_arrays(
+            dims, cells, rng.integers(1, 10, size=len(cells)),
+            one_based=False)
+        factors = [rng.uniform(0.05, 1.0, size=(d, rank)) for d in dims]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_tensor, "BLOCK_DOUBLES", doubles)
+            for mode in range(1, tensor.ndim + 1):
+                layout = mode_row_positions(tensor, mode)
+                assert_layouts_equal(layout,
+                                     argsort_mode_row_positions(tensor, mode))
+                groups = iter(row_groups(tensor, mode))
+                gather = functools.partial(kruskal._pi_product, factors,
+                                           mode - 1)
+                for rows, _, x, pi in layout.blocks(tensor, rank, gather):
+                    pos = np.concatenate([next(groups)[1] for _ in rows])
+                    want_pi = coo_pi_product(factors, mode - 1,
+                                             tensor.subs0[pos])
+                    want_x = tensor.vals[pos].astype(np.float64)
+                    assert pi.flags.c_contiguous and x.flags.c_contiguous
+                    assert pi.dtype == want_pi.dtype and pi.shape == (
+                        len(pos), rank)
+                    assert pi.tobytes() == want_pi.tobytes()
+                    assert x.dtype == want_x.dtype
+                    assert x.tobytes() == want_x.tobytes()
+                assert next(groups, None) is None
+
+    def test_three_mode_layout_takes_at_most_8_bytes_per_nonzero(self):
+        # 70,000 nonzeros need 4-byte positions; indices below 65,536 fit
+        # in 2 bytes, so each mode holds exactly 8 bytes per nonzero in
+        # its per-nonzero arrays, as much as the int64 order alone did.
+        rng = np.random.default_rng(0)
+        dims = (65_536, 300, 65_536)
+        cells = np.unique(np.stack([rng.integers(0, d, size=70_000)
+                                    for d in dims], axis=1), axis=0)
+        tensor = SparseCountTensor.from_arrays(
+            dims, cells, np.ones(len(cells), dtype=np.int64),
+            one_based=False)
+        assert tensor.nnz > 65_536
+        for mode in (1, 2, 3):
+            layout = mode_row_positions(tensor, mode)
+            per_nonzero = (layout.order, *layout.columns)
+            assert all(a.shape == (tensor.nnz,) for a in per_nonzero)
+            assert sum(a.nbytes for a in per_nonzero) <= 8 * tensor.nnz
 
     @LAYOUT_PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), empty=st.booleans())
@@ -226,9 +298,9 @@ class TestLayoutMatchesPerRowReference:
         tensor, model = layout_case(seed)
         gathered = []
 
-        def recording(factors, mode0, subs0):
-            gathered.append(len(subs0))
-            return real(factors, mode0, subs0)
+        def recording(factors, mode0, columns):
+            gathered.append(len(columns[0]))
+            return real(factors, mode0, columns)
 
         real = baselines._pi_product
         with pytest.MonkeyPatch.context() as mp:
@@ -311,6 +383,7 @@ class TestRowRanges:
             assert np.array_equal(
                 np.concatenate([p.rows for p in split]), layout.rows)
             for p in split:
+                assert p.columns is layout.columns
                 assert p.order is layout.order
                 assert p.starts[0] == layout.starts[np.searchsorted(
                     layout.rows, p.rows[0])]
@@ -443,9 +516,9 @@ class TestRowRanges:
         tensor, model = layout_case(seed)
         pids = []
 
-        def spy(factors, mode0, subs0):
+        def spy(factors, mode0, columns):
             pids.append(os.getpid())
-            return real(factors, mode0, subs0)
+            return real(factors, mode0, columns)
 
         real = baselines._pi_product
         modes = range(1, tensor.ndim + 1)
