@@ -39,12 +39,12 @@ for mode in (1, 2, 3):
     print(f"mode-{mode} unfolding columns of the nonzeros: {cols}")
 
 # Row grouping is how the fitting loop sees the data: one group per
-# nonempty row of the unfolded tensor, listed by the positions of its
-# nonzeros.
+# nonempty row of the unfolded tensor, listed by the other modes' indices
+# and the counts of its nonzeros.
 layout = mode_row_positions(tensor, 1)
 for row0, lo, hi in zip(layout.rows, layout.starts[:-1], layout.starts[1:]):
-    items = [(tuple(int(i) + 1 for i in tensor.subs0[p, 1:]),
-              int(tensor.vals[p])) for p in layout.order[lo:hi]]
+    items = [((int(j) + 1, int(k) + 1), int(v)) for j, k, v in
+             zip(*(c[lo:hi] for c in layout.columns), layout.vals[lo:hi])]
     print(f"mode-1 row {row0 + 1}: {items}")
 
 # ---------------------------------------------------------------------------

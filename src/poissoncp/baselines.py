@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import check_integer
 from .kruskal import KruskalModel, _pi_product, normalize
 from .sparse_tensor import (SparseCountTensor, map_row_ranges,
                             mode_row_positions)
@@ -24,6 +25,8 @@ from .sparse_tensor import (SparseCountTensor, map_row_ranges,
 __all__ = ["MuSolveResult", "mu_solve_mode"]
 
 POSITIVITY_CLAMP = 1e-16
+# Far above any useful count, and small enough to allocate a mu history.
+INNER_ITERATIONS_MAX = 10**6
 
 
 class MuSolveResult(NamedTuple):
@@ -33,8 +36,8 @@ class MuSolveResult(NamedTuple):
 
 def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
                   inner_iterations: int = 10, layout=None) -> MuSolveResult:
-    """Run ``inner_iterations`` multiplicative updates on mode ``mode`` of
-    a normalized model.
+    """Run ``inner_iterations`` multiplicative updates, an integer from 1
+    to ``INNER_ITERATIONS_MAX``, on mode ``mode`` of a normalized model.
 
     Entries of B are clamped up to 1e-16 before the first inner iteration so
     that no variable starts in the absorbing state at zero.  Rows of the
@@ -49,8 +52,8 @@ def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     depends on the split.  ``layout`` may carry the mode's precomputed
     :func:`poissoncp.sparse_tensor.mode_row_positions`.
     """
-    if inner_iterations < 1:
-        raise ValueError("inner_iterations must be at least 1")
+    inner_iterations = check_integer("inner_iterations", inner_iterations, 1,
+                                     INNER_ITERATIONS_MAX)
     if not model.normalized:
         model = normalize(model)
     mode0 = mode - 1
@@ -62,7 +65,7 @@ def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
 
     def solve_range(part):
         objectives = np.zeros(inner_iterations + 1)
-        for rows, counts, x, pi in part.blocks(tensor, model.rank, gather):
+        for rows, counts, x, pi in part.blocks(model.rank, gather):
             b_blk = np.maximum(factor[rows] * model.weights, POSITIVITY_CLAMP)
             starts = np.cumsum(counts) - counts
             for it in range(inner_iterations + 1):

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .baselines import mu_solve_mode
+from .baselines import INNER_ITERATIONS_MAX, mu_solve_mode
 from .errors import (IndexOutOfRangeError, check_integer, check_number,
                      check_size)
 from .evaluation import mode_kkt_violation
@@ -63,8 +63,6 @@ TRACE_HEADER = (
 )
 
 
-# Far above any useful count, and small enough to allocate a mu history.
-INNER_ITERATIONS_MAX = 10**6
 _SOLVER_FIELDS = {f.name for f in fields(SolverParams)}
 
 
@@ -209,8 +207,7 @@ def init_model(shape, rank: int, seed: int = 0) -> KruskalModel:
     return normalize(KruskalModel(np.ones(rank), tuple(factors)))
 
 
-def _solve_rows(b_matrix, layout, tensor, factors, mode0, method, solver,
-                deadline):
+def _solve_rows(b_matrix, layout, factors, mode0, method, solver, deadline):
     """Solve each nonempty row subproblem, writing results into b_matrix.
 
     Returns the row reports.  The rows are split into contiguous ranges, one
@@ -225,7 +222,7 @@ def _solve_rows(b_matrix, layout, tensor, factors, mode0, method, solver,
 
     def solve_range(part):
         reports = []
-        for row0, x, pi in part.row_views(tensor, rank, gather):
+        for row0, x, pi in part.row_views(rank, gather):
             if deadline is not None and time.perf_counter() > deadline:
                 break
             b_matrix[row0], report = solve_row(
@@ -269,12 +266,9 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
         report.inner_iterations = len(result.objectives) - 1
     else:
         b_matrix = np.zeros_like(model.factors[mode0])
-        b_start = model.factors[mode0] * model.weights
-        b_matrix[layout.rows] = b_start[layout.rows]
-        reports = _solve_rows(
-            b_matrix, layout, tensor, model.factors, mode0, method, solver,
-            deadline,
-        )
+        b_matrix[layout.rows] = model.factors[mode0][layout.rows] * model.weights
+        reports = _solve_rows(b_matrix, layout, model.factors, mode0, method,
+                              solver, deadline)
         report.rows_solved = len(reports)
         report.inner_iterations = sum(r.iterations for r in reports)
         report.line_search_failures = sum(r.backtrack_failures for r in reports)

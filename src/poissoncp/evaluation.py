@@ -128,7 +128,7 @@ def mode_kkt_violation(tensor: SparseCountTensor, model: KruskalModel,
     # residual; each nonempty row's is written over it.
     residual = np.minimum(b_matrix, 1.0)
     gather = functools.partial(_pi_product, model.factors, mode0)
-    for row0, x, pi in layout.row_views(tensor, model.rank, gather):
+    for row0, x, pi in layout.row_views(model.rank, gather):
         b = b_matrix[row0]
         m = b.dot(pi)
         if (m <= 0.0).any():

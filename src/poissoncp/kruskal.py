@@ -136,8 +136,8 @@ def _pi_product(factors, mode0: int | None, columns) -> np.ndarray:
     values.  Each factor's rows are gathered with one ``np.take``, whose
     bounds check raises IndexError on an index outside the factor."""
     gathered = [f for k, f in enumerate(factors) if k != mode0]
-    out = np.ones((len(columns[0]), factors[0].shape[1]), dtype=np.float64)
-    for f, col in zip(gathered, columns, strict=True):
+    out = np.take(gathered[0], columns[0], axis=0)
+    for f, col in zip(gathered[1:], columns[1:], strict=True):
         out *= np.take(f, col, axis=0)
     return out
 

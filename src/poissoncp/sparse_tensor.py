@@ -287,16 +287,15 @@ class ModeLayout:
     keeps its entries in COO order; nonempty row ``k`` has the 0-based id
     ``rows[k]`` and spans ``starts[k]:starts[k + 1]`` of the row order.
     ``columns`` holds the subscripts of every other mode, in mode order,
-    and ``order`` the COO positions, each in row order and in the
-    narrowest unsigned dtype that holds its values: for a 3-mode tensor
-    with dimensions up to 65,536 and fewer than 2**32 nonzeros, 8 bytes per
-    nonzero.  :meth:`blocks` walks the rows in blocks whose gathered
-    Khatri-Rao rows fit in cache, and :meth:`row_views` splits each block
-    into its rows.
+    and ``vals`` the counts, each in row order and in the narrowest
+    unsigned dtype that holds its values: for a 3-mode tensor with
+    dimensions up to 65,536 and counts below 256, 5 bytes per nonzero.
+    :meth:`blocks` walks the rows in blocks whose gathered Khatri-Rao rows
+    fit in cache, and :meth:`row_views` splits each block into its rows.
     """
 
     columns: tuple[np.ndarray, ...] = field(repr=False)
-    order: np.ndarray = field(repr=False)
+    vals: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
     starts: np.ndarray = field(repr=False)
 
@@ -308,7 +307,7 @@ class ModeLayout:
         """Nonzeros in the layout's rows."""
         return int(self.starts[-1] - self.starts[0])
 
-    def blocks(self, tensor: SparseCountTensor, rank: int, gather):
+    def blocks(self, rank: int, gather):
         """Yield ``(rows, counts, x, pi)`` per block of consecutive nonempty
         rows, in row order: the rows' ids, their numbers of nonzeros, and
         the block's counts as floats and ``(J, R)`` Khatri-Rao rows, row
@@ -326,15 +325,15 @@ class ModeLayout:
             k1 = max(k1, k0 + 1)
             a, b = int(starts[k0]), int(starts[k1])
             yield (self.rows[k0:k1], np.diff(starts[k0:k1 + 1]),
-                   tensor.vals[self.order[a:b]].astype(np.float64),
+                   self.vals[a:b].astype(np.float64),
                    gather(tuple(col[a:b] for col in self.columns)))
             k0 = k1
 
-    def row_views(self, tensor: SparseCountTensor, rank: int, gather):
+    def row_views(self, rank: int, gather):
         """Yield ``(row0, x, pi)`` per nonempty row, in row order: the
         row's counts as floats and its ``(R, J)`` Khatri-Rao columns, views
         into the arrays of its :meth:`blocks` block."""
-        for rows, counts, x_blk, pi_blk in self.blocks(tensor, rank, gather):
+        for rows, counts, x_blk, pi_blk in self.blocks(rank, gather):
             bounds = [0, *np.cumsum(counts).tolist()]
             for row0, lo, hi in zip(rows.tolist(), bounds[:-1], bounds[1:]):
                 yield row0, x_blk[lo:hi], pi_blk[lo:hi].T
@@ -342,7 +341,7 @@ class ModeLayout:
     def parts(self, n: int) -> list["ModeLayout"]:
         """At most ``n`` layouts of consecutive rows, in row order, with
         about equal nonzeros; together they hold every row once.  They share
-        ``columns`` and ``order``, which ``starts`` index absolutely, so
+        ``columns`` and ``vals``, which ``starts`` index absolutely, so
         their row views yield the same ``x`` and ``pi`` as this layout's."""
         k = len(self)
         if n <= 1 or k <= 1:
@@ -350,7 +349,7 @@ class ModeLayout:
         cuts = np.searchsorted(self.starts[:k],
                                self.starts[0] + self.nnz * np.arange(1, n) / n)
         bounds = np.unique(np.concatenate(([0], np.clip(cuts, 1, k - 1), [k])))
-        return [ModeLayout(self.columns, self.order, self.rows[a:b],
+        return [ModeLayout(self.columns, self.vals, self.rows[a:b],
                            self.starts[a:b + 1])
                 for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
@@ -478,9 +477,9 @@ def mode_row_positions(tensor: SparseCountTensor, mode: int) -> ModeLayout:
     """Group the tensor's nonzeros by their mode-n row into a ModeLayout,
     rows in increasing order.  The row counts take one integer per row up
     to the last nonempty one, less than the mode's factor matrix.  Each
-    subscript column is narrowed before it is sorted or permuted, which
-    lets the stable sort of a mode of at most 65,536 rows run as a radix
-    sort."""
+    subscript column, and the counts, are narrowed before they are sorted
+    or permuted, which lets the stable sort of a mode of at most 65,536
+    rows run as a radix sort."""
     _check_mode(tensor.shape, mode)
 
     def narrow(k):
@@ -491,9 +490,9 @@ def mode_row_positions(tensor: SparseCountTensor, mode: int) -> ModeLayout:
     order = np.argsort(narrow(mode - 1), kind="stable")
     columns = tuple(np.take(narrow(k), order)
                     for k in range(tensor.ndim) if k != mode - 1)
-    return ModeLayout(columns,
-                      order.astype(np.min_scalar_type(max(tensor.nnz - 1, 0))),
-                      rows, np.concatenate(([0], np.cumsum(counts[rows]))))
+    vals = tensor.vals.astype(np.min_scalar_type(tensor.vals.max(initial=0)))
+    return ModeLayout(columns, np.take(vals, order), rows,
+                      np.concatenate(([0], np.cumsum(counts[rows]))))
 
 
 def read_coo(path) -> SparseCountTensor:

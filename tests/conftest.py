@@ -199,15 +199,15 @@ def narrowest_uint(largest: int):
 
 def layout_from_order(tensor, mode: int, order, rows, starts) -> ModeLayout:
     """A layout from the int64 row order of the COO positions: the other
-    modes' subscripts and the positions in row order, each narrowed to the
-    smallest unsigned dtype that holds the mode size, or the nonzero
-    count, less one."""
+    modes' subscripts and the counts in row order, narrowed to the
+    smallest unsigned dtype that holds the mode size less one, or the
+    largest count."""
     columns = tuple(
         tensor.subs0[order, k].astype(narrowest_uint(d - 1))
         for k, d in enumerate(tensor.shape.dims) if k != mode - 1)
-    return ModeLayout(columns,
-                      order.astype(narrowest_uint(max(tensor.nnz - 1, 0))),
-                      rows, starts)
+    vals = tensor.vals[order].astype(
+        narrowest_uint(int(tensor.vals.max(initial=0))))
+    return ModeLayout(columns, vals, rows, starts)
 
 
 def argsort_mode_row_positions(tensor, mode: int) -> ModeLayout:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import coo_pi_product, random_model
-from poissoncp.baselines import mu_solve_mode
+from poissoncp.baselines import INNER_ITERATIONS_MAX, mu_solve_mode
 from poissoncp.driver import FitConfig
 from poissoncp.kruskal import KruskalModel, normalize
 from poissoncp.row_solver import RowProblem, multiplicative_step
@@ -33,6 +33,27 @@ class TestInnerIterations:
         tensor, model, _ = exact_fit_instance()
         with pytest.raises(ValueError):
             mu_solve_mode(tensor, model, 1, inner_iterations=0)
+
+    @pytest.mark.parametrize("inner", [True, 2.5, "3", INNER_ITERATIONS_MAX + 1,
+                                       10**9])
+    def test_mu_solve_mode_checks_inner_as_fit_config_does(self, inner):
+        # The check comes before the objective history is allocated, so
+        # 10**9 fails at once instead of asking for 8 GB.
+        tensor, model, _ = exact_fit_instance()
+        with pytest.raises(ValueError):
+            FitConfig(method="mu", rank=2, inner_iterations=inner)
+        with pytest.raises(ValueError, match="inner_iterations"):
+            mu_solve_mode(tensor, model, 1, inner_iterations=inner)
+
+    def test_mu_solve_mode_accepts_an_integral_float(self):
+        tensor, model, _ = exact_fit_instance()
+        assert FitConfig(method="mu", rank=2,
+                         inner_iterations=np.float64(3.0)).inner_iterations == 3
+        got = mu_solve_mode(tensor, model, 1, inner_iterations=np.float64(3.0))
+        want = mu_solve_mode(tensor, model, 1, inner_iterations=3)
+        assert len(got.objectives) == 4
+        assert np.array_equal(got.b_matrix, want.b_matrix)
+        assert np.array_equal(got.objectives, want.objectives)
 
 
 class TestMuSolveMode:
@@ -101,8 +122,9 @@ class TestMuSolveMode:
         layout = mode_row_positions(tensor, 1)
         for row0, lo, hi in zip(layout.rows, layout.starts[:-1],
                                 layout.starts[1:]):
-            pos = layout.order[lo:hi]
-            pi = coo_pi_product(model.factors, 0, tensor.subs0[pos]).T
-            problem = RowProblem(b_start[row0], tensor.vals[pos], pi)
+            subs0 = np.column_stack(
+                [np.full(hi - lo, row0), *(c[lo:hi] for c in layout.columns)])
+            pi = coo_pi_product(model.factors, 0, subs0).T
+            problem = RowProblem(b_start[row0], layout.vals[lo:hi], pi)
             expected = multiplicative_step(problem, b_start[row0])
             np.testing.assert_allclose(result.b_matrix[row0], expected, rtol=1e-12)

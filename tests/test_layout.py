@@ -80,7 +80,7 @@ def layout_case(seed):
 
 def assert_layouts_equal(a, b):
     assert len(a.columns) == len(b.columns)
-    pairs = [*zip(a.columns, b.columns), (a.order, b.order), (a.rows, b.rows),
+    pairs = [*zip(a.columns, b.columns), (a.vals, b.vals), (a.rows, b.rows),
              (a.starts, b.starts)]
     for k, (got, want) in enumerate(pairs):
         assert got.dtype == want.dtype and np.array_equal(got, want), k
@@ -121,7 +121,7 @@ class TestModeLayout:
                     return stacked(columns)
 
                 rows, subs, counts = [], [], []
-                for row0, x, pi in layout.row_views(tensor, rank, gather):
+                for row0, x, pi in layout.row_views(rank, gather):
                     block_rows[-1] += 1
                     assert x.dtype == np.float64 and pi.shape == (
                         tensor.ndim - 1, len(x))
@@ -139,7 +139,7 @@ class TestModeLayout:
 
                 # blocks() walks the same blocks whole: the rows' ids and
                 # sizes, and their counts and Khatri-Rao rows in row order.
-                walked = list(layout.blocks(tensor, rank, stacked))
+                walked = list(layout.blocks(rank, stacked))
                 assert [len(b[0]) for b in walked] == block_rows
                 assert [len(b[2]) for b in walked] == sizes
                 assert np.concatenate([b[0] for b in walked]).tolist() == rows
@@ -182,7 +182,7 @@ class TestModeLayout:
                 groups = iter(row_groups(tensor, mode))
                 gather = functools.partial(kruskal._pi_product, factors,
                                            mode - 1)
-                for rows, _, x, pi in layout.blocks(tensor, rank, gather):
+                for rows, _, x, pi in layout.blocks(rank, gather):
                     pos = np.concatenate([next(groups)[1] for _ in rows])
                     want_pi = coo_pi_product(factors, mode - 1,
                                              tensor.subs0[pos])
@@ -195,10 +195,41 @@ class TestModeLayout:
                     assert x.tobytes() == want_x.tobytes()
                 assert next(groups, None) is None
 
-    def test_three_mode_layout_takes_at_most_8_bytes_per_nonzero(self):
-        # 70,000 nonzeros need 4-byte positions; indices below 65,536 fit
-        # in 2 bytes, so each mode holds exactly 8 bytes per nonzero in
-        # its per-nonzero arrays, as much as the int64 order alone did.
+    @pytest.mark.parametrize("largest, dtype", [
+        (4, np.uint8), (300, np.uint16), (70_000, np.uint32),
+        (2**53 + 1, np.uint64), (2**63 - 1, np.uint64)])
+    def test_counts_take_the_narrowest_dtype_and_convert_exactly(
+            self, largest, dtype):
+        # Counts above 2**53 round when they become doubles; the narrowed
+        # counts must round as the int64 ones do.  A block bound of 4
+        # doubles splits every mode into several blocks.
+        rng = np.random.default_rng(0)
+        dims = (5, 4, 3)
+        cells = np.stack(np.unravel_index(
+            rng.choice(60, size=25, replace=False), dims), axis=1)
+        vals = rng.integers(1, 4, size=25)
+        vals[[3, 11]] = largest, largest - 1
+        tensor = SparseCountTensor.from_arrays(dims, cells, vals,
+                                               one_based=False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_tensor, "BLOCK_DOUBLES", 4)
+            for mode in (1, 2, 3):
+                layout = mode_row_positions(tensor, mode)
+                assert layout.vals.dtype == dtype
+                positions = np.concatenate(
+                    [p for _, p in row_groups(tensor, mode)])
+                want = tensor.vals[positions].astype(np.float64)
+                walked = 0
+                for _, _, x, _ in layout.blocks(2, stacked):
+                    assert x.dtype == np.float64
+                    assert x.tobytes() == want[walked:walked + len(x)].tobytes()
+                    walked += len(x)
+                assert walked == tensor.nnz > len(x)
+
+    def test_three_mode_layout_takes_5_bytes_per_nonzero(self):
+        # Indices below 65,536 fit in 2 bytes and counts below 256 in 1, so
+        # each mode holds exactly 5 bytes per nonzero in its per-nonzero
+        # arrays, whatever the number of nonzeros.
         rng = np.random.default_rng(0)
         dims = (65_536, 300, 65_536)
         cells = np.unique(np.stack([rng.integers(0, d, size=70_000)
@@ -209,9 +240,9 @@ class TestModeLayout:
         assert tensor.nnz > 65_536
         for mode in (1, 2, 3):
             layout = mode_row_positions(tensor, mode)
-            per_nonzero = (layout.order, *layout.columns)
+            per_nonzero = (layout.vals, *layout.columns)
             assert all(a.shape == (tensor.nnz,) for a in per_nonzero)
-            assert sum(a.nbytes for a in per_nonzero) <= 8 * tensor.nnz
+            assert sum(a.nbytes for a in per_nonzero) == 5 * tensor.nnz
 
     @LAYOUT_PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), empty=st.booleans())
@@ -231,8 +262,8 @@ class TestModeLayout:
         assert len(layout) == 0
         assert_layouts_equal(layout, argsort_mode_row_positions(tensor, 1))
         gathered = []
-        assert list(layout.row_views(tensor, 3, gathered.append)) == []
-        assert list(layout.blocks(tensor, 3, gathered.append)) == []
+        assert list(layout.row_views(3, gathered.append)) == []
+        assert list(layout.blocks(3, gathered.append)) == []
         assert gathered == []
 
 
@@ -384,7 +415,7 @@ class TestRowRanges:
                 np.concatenate([p.rows for p in split]), layout.rows)
             for p in split:
                 assert p.columns is layout.columns
-                assert p.order is layout.order
+                assert p.vals is layout.vals
                 assert p.starts[0] == layout.starts[np.searchsorted(
                     layout.rows, p.rows[0])]
             longest = int(np.diff(layout.starts).max())

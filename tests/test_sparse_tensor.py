@@ -165,6 +165,18 @@ class TestModeColumnIndex:
             mode_column_index((2, 2), 3, (1, 1))
 
 
+def layout_entries(layout, mode: int):
+    """``(row0, entries)`` per nonempty row of a mode layout: the row's
+    1-based ``((i_1, ..., i_N), count)`` pairs rebuilt from the layout's
+    index columns and counts, in the layout's order."""
+    for k, row0 in enumerate(layout.rows.tolist()):
+        lo, hi = layout.starts[k], layout.starts[k + 1]
+        others = [c[lo:hi].tolist() for c in layout.columns]
+        subs = [(*i[:mode - 1], row0, *i[mode - 1:]) for i in zip(*others)]
+        yield row0, [(tuple(i + 1 for i in sub), count) for sub, count
+                     in zip(subs, layout.vals[lo:hi].tolist())]
+
+
 class TestGroupByMode:
     """Grouping of the nonzeros by mode row, as ``mode_row_positions``
     lays it out."""
@@ -173,35 +185,39 @@ class TestGroupByMode:
         t = SparseCountTensor.from_entries((2, 2), [])
         layout = mode_row_positions(t, 1)
         assert len(layout) == 0
-        assert layout.rows.size == 0 and layout.order.size == 0
+        assert layout.rows.size == 0 and layout.vals.size == 0
+        assert [c.size for c in layout.columns] == [0]
 
     def test_direct_regrouping(self):
         t = SparseCountTensor.from_entries((2, 2), [((1, 2), 5), ((2, 2), 7)])
         layout = mode_row_positions(t, 1)
         assert layout.rows.tolist() == [0, 1]
         assert layout.starts.tolist() == [0, 1, 2]
-        assert t.subs0[layout.order].tolist() == [[0, 1], [1, 1]]
-        assert t.vals[layout.order].tolist() == [5, 7]
+        assert [c.tolist() for c in layout.columns] == [[1, 1]]
+        assert layout.vals.tolist() == [5, 7]
+        assert list(layout_entries(layout, 1)) == [
+            (0, [((1, 2), 5)]), (1, [((2, 2), 7)])]
 
     @pytest.mark.parametrize("mode", [1, 2, 3])
     def test_count_conservation_random(self, rng, mode):
-        # Conservation oracle: regrouping must reproduce the entry multiset,
-        # each entry under the row it belongs to.
+        # Conservation oracle: regrouping must reproduce the entries, each
+        # nonempty row holding its own entries in COO order.
         for _ in range(5):
             cells = rng.choice(1000, size=50, replace=False)
             subs = np.stack(np.unravel_index(cells, (10, 10, 10)), axis=1) + 1
             vals = rng.integers(1, 9, size=50)
             t = SparseCountTensor.from_arrays((10, 10, 10), subs, vals)
             layout = mode_row_positions(t, mode)
-            assert int(t.vals[layout.order].sum()) == t.total_count()
-            assert sorted(layout.order.tolist()) == list(range(t.nnz))
-            rebuilt = set()
-            for k, row0 in enumerate(layout.rows.tolist()):
-                for p in layout.order[layout.starts[k]:layout.starts[k + 1]]:
-                    assert t.subs0[p, mode - 1] == row0
-                    rebuilt.add((tuple(int(i) + 1 for i in t.subs0[p]),
-                                 int(t.vals[p])))
-            assert rebuilt == set(t.entries())
+            assert int(layout.vals.sum()) == t.total_count()
+            assert all(c.shape == (t.nnz,) for c in (*layout.columns,
+                                                     layout.vals))
+            coo = list(t.entries())
+            rebuilt = []
+            for row0, entries in layout_entries(layout, mode):
+                assert entries == [e for e in coo
+                                   if e[0][mode - 1] == row0 + 1]
+                rebuilt += entries
+            assert sorted(rebuilt) == coo
 
 
 class TestTotals:
