@@ -24,7 +24,7 @@ import numpy as np
 from .baselines import INNER_ITERATIONS_MAX, mu_solve_mode
 from .errors import (IndexOutOfRangeError, check_integer, check_number,
                      check_size)
-from .evaluation import mode_kkt_violation
+from .evaluation import exact_zero_count, mode_kkt_violation
 from .kruskal import KruskalModel, _pi_product, kl_objective, normalize
 from .row_solver import (
     RowProblem,
@@ -334,12 +334,11 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
             mode_kkt_violation(tensor, model, n, layouts[n]) for n in modes
         )
         final_kkt = max(mode_kkt)
-        zeros = sum(int(np.count_nonzero(f == 0.0)) for f in model.factors)
         trace.append(OuterRecord(
             outer=outer,
             mode_kkt=mode_kkt,
             objective=kl_objective(model, tensor),
-            exact_zeros=zeros,
+            exact_zeros=exact_zero_count(model).total,
             seconds=time.perf_counter() - start,
             line_search_failures=ls_failures,
             fallback_steps=fallbacks,

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 from .kruskal import KruskalModel, _pi_product, _unit_columns, normalize
-from .row_solver import _pi_x_over_m
+from .row_solver import _pi_x_over_m, kkt_violation_row
 from .sparse_tensor import SparseCountTensor, mode_row_positions
 
 __all__ = [
@@ -75,20 +75,17 @@ def score_greedy(model_a: KruskalModel, model_b: KruskalModel) -> ScoreReport:
     """
     c = congruence_matrix(model_a, model_b)
     r = c.shape[0]
-    remaining_rows = list(range(r))
-    remaining_cols = list(range(r))
     permutation = [0] * r
     picked = [0.0] * r
     work = c.copy()
     for _ in range(r):
-        flat = np.argmax(work)  # argmax returns the first (lowest) flat index on ties
-        i, j = divmod(int(flat), work.shape[1])
-        row, col = remaining_rows[i], remaining_cols[j]
+        # argmax returns the first (lowest) flat index on ties, and every
+        # matched row and column holds -inf, below any cosine.
+        row, col = divmod(int(np.argmax(work)), r)
         permutation[row] = col
         picked[row] = float(c[row, col])
-        remaining_rows.pop(i)
-        remaining_cols.pop(j)
-        work = np.delete(np.delete(work, i, axis=0), j, axis=1)
+        work[row, :] = -np.inf
+        work[:, col] = -np.inf
     return ScoreReport(
         score=float(np.mean(picked)),
         permutation=tuple(permutation),
@@ -124,17 +121,17 @@ def mode_kkt_violation(tensor: SparseCountTensor, model: KruskalModel,
     b_matrix = model.factors[mode0] * model.weights
     if layout is None:
         layout = mode_row_positions(tensor, mode)
-    # Rows without data have gradient 1 everywhere, so min(b, 1) is their
-    # residual; each nonempty row's is written over it.
-    residual = np.minimum(b_matrix, 1.0)
+    # Rows without data have gradient 1 everywhere; each nonempty row's
+    # gradient is written over it.
+    grad = np.ones_like(b_matrix)
     gather = functools.partial(_pi_product, model.factors, mode0)
     for row0, x, pi in layout.row_views(model.rank, gather):
         b = b_matrix[row0]
         m = b.dot(pi)
         if (m <= 0.0).any():
             return float("inf")
-        residual[row0] = np.minimum(b, 1.0 - _pi_x_over_m(pi, x, m))
-    return float(np.abs(residual).max())
+        grad[row0] = 1.0 - _pi_x_over_m(pi, x, m)
+    return kkt_violation_row(b_matrix.ravel(), grad.ravel())
 
 
 def full_kkt_violation(tensor: SparseCountTensor, model: KruskalModel):

@@ -181,11 +181,9 @@ def kl_objective(model: KruskalModel, tensor: SparseCountTensor) -> float:
     if not model.normalized:
         model = normalize(model)
     first = float(model.weights.sum())
-    if tensor.nnz == 0:
-        return first
     m = model_entries(model, tensor.subs0)
     # The extremes rule the case out without a temporary array per nonzero.
-    if (m.min() < math.sqrt(tensor.vals.max() / _FLOAT_MAX)
+    if (m.min(initial=np.inf) < math.sqrt(tensor.vals.max(initial=0) / _FLOAT_MAX)
             and (m < np.sqrt(tensor.vals / _FLOAT_MAX)).any()):
         return float("inf")
     return first - float(tensor.vals @ np.log(m, out=m))

@@ -89,7 +89,7 @@ class RowProblem:
             raise ValueError("b must be nonnegative")
         if (x <= 0).any():
             raise ValueError("all counts must be strictly positive")
-        if (pi.size) and (pi < 0).any():
+        if (pi < 0).any():
             raise ValueError("pi entries must be nonnegative")
 
     @property
@@ -141,9 +141,7 @@ def _f_at(problem: RowProblem, b: np.ndarray, m: Optional[np.ndarray] = None) ->
     if m is None:
         m = _cell_values(problem, b)
     total = float(np.add.reduce(b))
-    if m.size == 0:
-        return total
-    if np.minimum.reduce(m) <= 0.0:
+    if np.minimum.reduce(m, initial=np.inf) <= 0.0:
         return float("inf")
     return total - float(problem.x.dot(np.log(m)))
 
@@ -155,7 +153,7 @@ def f_row(problem: RowProblem, b: Optional[np.ndarray] = None) -> float:
 
 
 def _check_defined(m: np.ndarray) -> None:
-    if m.size and (m <= 0.0).any():
+    if (m <= 0.0).any():
         raise UndefinedAtZeroModelError(
             "model value is zero at a positive count; derivatives undefined"
         )
@@ -184,16 +182,14 @@ def hess_row(problem: RowProblem, b: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 def _hessian_block(problem: RowProblem, m: np.ndarray, free: np.ndarray) -> np.ndarray:
-    if m.size == 0:
-        k = int(free.sum())
-        return np.zeros((k, k))
     w = problem.x / (m * m)
     pif = problem.pi[free]
     return (pif * w).dot(pif.T)
 
 
 def kkt_violation_row(b: np.ndarray, g: np.ndarray) -> float:
-    """First-order optimality residual max_r |min(b_r, g_r)| under b >= 0."""
+    """First-order optimality residual max_r |min(b_r, g_r)| under b >= 0;
+    on several rows' flattened b and g, the largest of their residuals."""
     return float(np.maximum.reduce(np.abs(np.minimum(b, g))))
 
 
@@ -254,11 +250,9 @@ def damped_newton_direction(hess_free: np.ndarray, grad_free: np.ndarray,
 
 def assemble_direction(d_free: np.ndarray, g: np.ndarray, sets) -> np.ndarray:
     """Expand a free-block step to all variables: zeros on the active set,
-    the negative gradient on the gradient set.  Returns ``d_free`` itself
-    when every variable is free."""
+    the negative gradient on the gradient set.  Returns a new array, which
+    shares no memory with ``d_free`` or ``g``."""
     active, gradient, free = sets
-    if np.count_nonzero(free) == free.shape[0]:
-        return d_free
     d = np.zeros(g.shape[0])
     d[free] = d_free
     d[gradient] = -g[gradient]
@@ -280,7 +274,7 @@ def armijo_projected_search(problem: RowProblem, b: np.ndarray, f_b: float,
     f_unit = float("inf")
     evals = 0
     for t, step in enumerate(_STEPS):
-        b_try = np.maximum(b + step * d if t else b + d, 0.0)
+        b_try = np.maximum(b + step * d, 0.0)
         predicted = float(g.dot(b_try - b))
         if predicted < 0.0:
             m_try = _cell_values(problem, b_try)
@@ -361,8 +355,8 @@ class LbfgsStore:
 
     def direction(self, g: np.ndarray) -> np.ndarray:
         """Two-loop recursion returning the inverse-Hessian approximation
-        applied to float64 g, as a new array; a copy of g when the store is
-        empty."""
+        applied to float64 g, as a new array that shares no memory with g;
+        with no stored pair, ``gamma`` is 1 and that array equals g."""
         q = g.copy()
         alphas = []
         for s, y, rho in zip(reversed(self._s), reversed(self._y),
@@ -370,8 +364,6 @@ class LbfgsStore:
             alpha = rho * float(s.dot(q))
             q -= alpha * y
             alphas.append(alpha)
-        if not alphas:
-            return q
         r = self.gamma * q
         for s, y, rho, alpha in zip(self._s, self._y, self._rho,
                                     reversed(alphas)):
@@ -455,10 +447,7 @@ def _solve_row(problem: RowProblem, params: SolverParams,
             # gradient instead lets large bound-set components leak into the
             # free direction and ruin descent.
             prev_b, prev_g = b, g
-            if np.count_nonzero(free) == free.shape[0]:
-                d_free = -store.direction(g)
-            else:
-                d_free = -store.direction(np.where(free, g, 0.0))[free]
+            d_free = -store.direction(np.where(free, g, 0.0))[free]
         elif np.count_nonzero(free):
             g_free = g[free]
             h_free = _hessian_block(problem, m, free)
@@ -470,8 +459,6 @@ def _solve_row(problem: RowProblem, params: SolverParams,
         accepted = False
         if solved:
             d = assemble_direction(d_free, g, sets)
-            if not np.count_nonzero(d):
-                break
             result = armijo_projected_search(problem, b, f_b, g, d)
             if model_decrease is not None and np.count_nonzero(d_free):
                 if model_decrease < 0:

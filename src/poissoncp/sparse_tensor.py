@@ -192,7 +192,8 @@ class SparseCountTensor:
         must be integers (integral floats convert exactly); a boolean,
         fractional or non-finite one raises ValueError.  Rows already
         strictly increasing in lexicographic order, as :func:`write_coo` and
-        the generator produce them, skip the sort.
+        the generator produce them, skip the sort.  The tensor owns new
+        C-contiguous arrays, which share no memory with ``subs`` or ``vals``.
         """
         shape = as_shape(shape)
         subs = _int64_array("indices", subs)
@@ -206,7 +207,7 @@ class SparseCountTensor:
             raise ValueError("subscript and count arrays disagree in length")
         subs0 = subs - 1 if one_based else subs.copy()
         dims = np.asarray(shape.dims, dtype=np.int64)
-        if subs0.size and ((subs0 < 0).any() or (subs0 >= dims).any()):
+        if (subs0 < 0).any() or (subs0 >= dims).any():
             bad = np.flatnonzero(((subs0 < 0) | (subs0 >= dims)).any(axis=1))[0]
             raise IndexOutOfRangeError(
                 f"index {_one_based(subs0[bad])} outside shape {shape.dims}"
@@ -216,16 +217,16 @@ class SparseCountTensor:
             raise NonpositiveCountError(
                 f"count {vals[bad]} at index {_one_based(subs0[bad])} is not positive"
             )
-        if not _strictly_increasing(subs0):
-            order, starts = lexsort_runs(subs0)
-            subs0 = subs0[order]
-            vals = vals[order]
-            repeated = np.flatnonzero(np.diff(starts, append=subs0.shape[0]) > 1)
-            if repeated.size:
-                raise DuplicateIndexError(
-                    f"duplicate index {_one_based(subs0[starts[repeated[0]]])}"
-                )
-        return cls(shape, subs0, vals)
+        if _strictly_increasing(subs0):
+            return cls(shape, subs0, vals.copy())
+        order, starts = lexsort_runs(subs0)
+        subs0 = subs0[order]
+        repeated = np.flatnonzero(np.diff(starts, append=subs0.shape[0]) > 1)
+        if repeated.size:
+            raise DuplicateIndexError(
+                f"duplicate index {_one_based(subs0[starts[repeated[0]]])}"
+            )
+        return cls(shape, subs0, vals[order])
 
     @property
     def ndim(self) -> int:
@@ -500,11 +501,11 @@ def read_coo(path) -> SparseCountTensor:
 
     The first line is ``N I_1 ... I_N``; each following line is one nonzero
     ``i_1 ... i_N count`` with 1-based indices, whitespace separated; blank
-    lines are skipped.  The body is parsed in chunks, so memory beyond the
-    result stays bounded.  Malformed or invalid data, including a line with
-    the wrong number of fields, raises ValueError (or the validation error
-    subclass) with a message that starts with the path; a malformed line is
-    named by its 1-based line number in the file.
+    lines are skipped.  The body is parsed into one ``(nnz, N + 1)`` array,
+    which the tensor copies and does not keep.  Malformed or invalid data,
+    including a line with the wrong number of fields, raises ValueError
+    (or the validation error subclass) with a message that starts with the
+    path; a malformed line is named by its 1-based line number in the file.
     """
     with open(path) as fh:
         try:

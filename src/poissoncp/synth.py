@@ -154,12 +154,14 @@ def sample_tensor(model: KruskalModel, samples: int, seed=0):
         cum /= cum[-1:, :]
         u = rng.random(samples)
         idx = np.empty(samples, dtype=np.int64)
-        for comp_r in np.unique(comp):
+        for comp_r in range(r):
             mask = comp == comp_r
             idx[mask] = np.searchsorted(cum[:, comp_r], u[mask], side="right")
         subs0[:, k] = np.minimum(idx, f.shape[0] - 1)
+    del comp, mask, u, idx  # freed before the sort and the tensor's copies
     order, starts = lexsort_runs(subs0)
     cells = subs0[order[starts]]
+    del subs0, order
     counts = np.diff(starts, append=samples)
     tensor = SparseCountTensor.from_arrays(
         tuple(f.shape[0] for f in model.factors), cells, counts, one_based=False

@@ -5,8 +5,8 @@ dense reconstruction uses einsum over the full cell grid, derivatives come
 from finite differences, row optima from a first-order projected-gradient
 loop, and scores from exhaustive permutation search.  The reference
 implementations (``coo_*``, ``per_row_*``, ``argsort_*``, ``one_shot_*``,
-``Reference*``) are the plain forms of optimized code paths, kept to show
-that each optimization leaves results bitwise unchanged.
+``shrinking_copy_*``, ``Reference*``) are the plain forms of optimized code
+paths, kept to show that each optimization leaves results bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -152,6 +152,28 @@ def exhaustive_score(c: np.ndarray) -> float:
     for perm in itertools.permutations(range(r)):
         best = max(best, float(np.mean([c[i, perm[i]] for i in range(r)])))
     return best
+
+
+def shrinking_copy_score_greedy(c: np.ndarray):
+    """Reference greedy matching on a congruence matrix: ``(permutation,
+    picked)``.  Each pick deletes its row and column from a shrinking copy
+    and maps the copy's indices back through lists of the remaining ones."""
+    r = c.shape[0]
+    remaining_rows = list(range(r))
+    remaining_cols = list(range(r))
+    permutation = [0] * r
+    picked = [0.0] * r
+    work = c.copy()
+    for _ in range(r):
+        flat = np.argmax(work)  # argmax returns the first (lowest) flat index on ties
+        i, j = divmod(int(flat), work.shape[1])
+        row, col = remaining_rows[i], remaining_cols[j]
+        permutation[row] = col
+        picked[row] = float(c[row, col])
+        remaining_rows.pop(i)
+        remaining_cols.pop(j)
+        work = np.delete(np.delete(work, i, axis=0), j, axis=1)
+    return tuple(permutation), tuple(picked)
 
 
 def per_line_write_coo(tensor, path) -> None:

@@ -205,6 +205,19 @@ class TestDataErrors:
         assert message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("3 2 2\n1 1 1 1\n", "header declares 3 modes but lists 2 dimensions"),
+    ])
+    def test_bad_coo_header_is_data_error(self, tmp_path, capsys, fit_config,
+                                          text, message):
+        coo = tmp_path / "bad.coo"
+        coo.write_text(text)
+        rc = main(["factorize", "--config", fit_config, "--tensor", str(coo),
+                   "--output-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {coo}: {message}\n"
+
     def test_header_dimension_beyond_int64_is_data_error(self, tmp_path, capsys,
                                                          fit_config):
         coo = tmp_path / "huge.coo"

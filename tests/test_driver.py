@@ -13,7 +13,7 @@ from poissoncp.driver import (
     solve_mode,
     write_trace,
 )
-from poissoncp.errors import ZeroColumnWarning
+from poissoncp.errors import IndexOutOfRangeError, ZeroColumnWarning
 from poissoncp.evaluation import full_kkt_violation
 from poissoncp.kruskal import KruskalModel, kl_objective, normalize
 from poissoncp.row_solver import SolverParams
@@ -83,6 +83,12 @@ class TestSolveMode:
         out, _ = solve_mode(t2, model, 1, method="pdnr")
         b_row = out.factors[0][1] * out.weights
         np.testing.assert_array_equal(b_row, np.zeros(2))
+
+    def test_mode_beyond_the_tensor_is_rejected(self):
+        tensor = SparseCountTensor.from_entries((2, 3), [((1, 2), 4)])
+        model = init_model(tensor.shape, 1, seed=0)
+        with pytest.raises(IndexOutOfRangeError, match="mode 3 out of range"):
+            solve_mode(tensor, model, 3)
 
     def test_unknown_method_is_rejected(self, small_dataset):
         _, tensor = small_dataset
@@ -220,6 +226,15 @@ class TestFit:
         t = SparseCountTensor.from_entries((2, 2), [])
         with pytest.raises(ValueError):
             fit(t, FitConfig(method="pdnr", rank=1))
+
+    @pytest.mark.parametrize("dims, rank, message", [
+        ((2, 4), 2, "initial model shape does not match the tensor"),
+        ((2, 3), 1, "initial model rank does not match the config"),
+    ])
+    def test_init_must_match_tensor_and_config(self, dims, rank, message):
+        t = SparseCountTensor.from_entries((2, 3), [((1, 2), 4), ((2, 1), 1)])
+        with pytest.raises(ValueError, match=message):
+            fit(t, FitConfig(method="mu", rank=2), init=init_model(dims, rank))
 
     def test_infeasible_init_rejected(self):
         model, tensor = disjoint_support_instance()

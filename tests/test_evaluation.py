@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import exhaustive_score, random_model
+import poissoncp.evaluation as evaluation
+from conftest import exhaustive_score, random_model, shrinking_copy_score_greedy
 from poissoncp.driver import FitConfig, fit, init_model
 from poissoncp.errors import ShapeMismatchError
 from poissoncp.evaluation import (
@@ -87,6 +92,25 @@ class TestScoreGreedy:
         dead = KruskalModel(a.weights, factors)
         report = score_greedy(dead, a)
         assert min(report.per_component) == 0.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 7),
+           levels=st.sampled_from([1, 2, 3, 0]))
+    def test_masked_matching_matches_shrinking_copies(self, seed, r, levels):
+        # levels > 0 draws the entries from that many values, so ties are
+        # common; 0 draws them continuously.
+        rng = np.random.default_rng(seed)
+        if levels:
+            c = rng.integers(0, levels, size=(r, r)) / levels
+        else:
+            c = rng.random((r, r))
+        model = KruskalModel(np.ones(r), (np.ones((2, r)), np.ones((2, r))))
+        with mock.patch.object(evaluation, "congruence_matrix",
+                               return_value=c):
+            report = score_greedy(model, model)
+        assert (report.permutation, report.per_component) == \
+            shrinking_copy_score_greedy(c)
+        assert sorted(report.permutation) == list(range(r))
 
 
 class TestZeroCounts:

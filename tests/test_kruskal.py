@@ -11,7 +11,7 @@ from conftest import (
     one_shot_model_entries,
     random_model,
 )
-from poissoncp.errors import ZeroColumnWarning
+from poissoncp.errors import ShapeMismatchError, ZeroColumnWarning
 from poissoncp.kruskal import (
     KruskalModel,
     kl_objective,
@@ -33,6 +33,17 @@ class TestModelChecks:
         factors[1][2, 1] = entry
         with pytest.raises(ValueError, match="finite and nonnegative"):
             KruskalModel(np.array([weight, 1.0]), factors)
+
+    @pytest.mark.parametrize("weights, factors, error, message", [
+        (np.ones(0), (np.ones((2, 0)), np.ones((3, 0))), ValueError,
+         "at least one component"),
+        (np.ones(2), (np.ones((2, 2)),), ValueError, "at least two modes"),
+        (np.ones(2), (np.ones((2, 2)), np.ones((0, 2))), ShapeMismatchError,
+         "factor 2 has no rows"),
+    ])
+    def test_rejects_degenerate_shapes(self, weights, factors, error, message):
+        with pytest.raises(error, match=message):
+            KruskalModel(weights, factors)
 
 
 class TestNormalizedFlag:
@@ -206,7 +217,13 @@ class TestKlObjective:
     def test_empty_tensor_gives_weight_sum(self, rng):
         m = normalize(random_model(rng, (3, 4), 2))
         t = SparseCountTensor.from_entries((3, 4), [])
-        assert kl_objective(m, t) == pytest.approx(float(m.weights.sum()))
+        assert kl_objective(m, t) == float(m.weights.sum())
+
+    def test_shape_mismatch_rejected(self, rng):
+        m = random_model(rng, (3, 4), 2)
+        t = SparseCountTensor.from_entries((3, 5), [((1, 1), 2)])
+        with pytest.raises(ShapeMismatchError, match=r"\(3, 4\) != tensor"):
+            kl_objective(m, t)
 
     def test_scalar_case(self):
         # One cell with count 2 and model value 2: f = 2 - 2 log 2.
@@ -265,6 +282,14 @@ class TestModelJson:
         assert doc["dims"] == [3, 4]
         assert doc["R"] == 2
         assert len(doc["factors"][0]) == 3  # row-major: one list per row
+
+    def test_factors_not_a_list_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"dims": [2, 2], "R": 1, "lambda": [1.0],
+                                    "factors": 5}))
+        with pytest.raises(ValueError, match="'factors' must be a list") as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_dense_reconstruction_matches(self, rng, tmp_path):
         m = normalize(random_model(rng, (2, 3, 2), 2))

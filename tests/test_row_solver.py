@@ -42,9 +42,22 @@ def empty_problem(b):
     return RowProblem(b, np.empty(0), np.empty((b.size, 0)))
 
 
+class TestRowProblem:
+    @pytest.mark.parametrize("b, x, pi, message", [
+        ([1.0, 1.0], [2.0], [[1.0, 1.0]], "pi must be 2 x 1"),
+        ([1.0, 1.0], [2.0], [1.0, 1.0], "pi must be 2 x 1"),
+        ([1.0, -1.0], [2.0], [[1.0], [1.0]], "b must be nonnegative"),
+        ([1.0, 1.0], [0.0], [[1.0], [1.0]], "strictly positive"),
+        ([1.0, 1.0], [2.0], [[1.0], [-1.0]], "pi entries must be nonnegative"),
+    ])
+    def test_rejects_invalid_rows(self, b, x, pi, message):
+        with pytest.raises(ValueError, match=message):
+            RowProblem(np.array(b), np.array(x), np.array(pi))
+
+
 class TestObjective:
     def test_no_counts_is_sum_of_b(self):
-        assert f_row(empty_problem([1.0, 1.0])) == pytest.approx(2.0)
+        assert f_row(empty_problem([1.0, 1.0])) == 2.0
 
     def test_scalar_closed_form(self):
         assert f_row(scalar_problem(2.0)) == pytest.approx(2 - 2 * np.log(2))
@@ -181,6 +194,10 @@ class TestDampedNewtonDirection:
         with pytest.raises(FactorizationFailureError):
             damped_newton_direction(np.diag([2.0, -1e3]), np.ones(2), 1e-5)
 
+    def test_empty_block_gives_empty_direction(self):
+        d = damped_newton_direction(np.zeros((0, 0)), np.zeros(0), 0.0)
+        assert d.shape == (0,)
+
 
 class TestFactorizationRetries:
     def test_mu_grows_tenfold_until_retries_run_out(self, monkeypatch):
@@ -255,9 +272,9 @@ class TestAssembleDirection:
         d_f = rng.normal(size=4)
         free = np.ones(4, dtype=bool)
         none = np.zeros(4, dtype=bool)
-        np.testing.assert_array_equal(
-            assemble_direction(d_f, g, (none, none, free)), d_f
-        )
+        d = assemble_direction(d_f, g, (none, none, free))
+        np.testing.assert_array_equal(d, d_f)
+        assert not np.shares_memory(d, d_f)
 
     def test_all_active_gives_zero(self, rng):
         g = rng.normal(size=4)
@@ -341,6 +358,10 @@ class TestUpdateDamping:
 
 
 class TestLbfgsStore:
+    def test_rejects_memory_below_one(self):
+        with pytest.raises(ValueError, match="memory must be at least 1"):
+            LbfgsStore(0)
+
     def test_empty_store_returns_gradient(self):
         store = LbfgsStore(3)
         g = np.array([3.0, -1.0])
@@ -431,7 +452,7 @@ class TestLbfgsStore:
 class TestSolverParams:
     @pytest.mark.parametrize("fields", [
         {"k_max": 2.5}, {"k_max": True}, {"k_max": 0}, {"tau": 0.0},
-        {"tau": float("inf")}, {"tau": float("nan")},
+        {"tau": float("inf")}, {"tau": float("nan")}, {"tau": 10**400},
     ])
     def test_rejects_invalid_stopping_rule(self, fields):
         with pytest.raises(ValueError):

@@ -133,6 +133,16 @@ class TestValidation:
         t = SparseCountTensor.from_arrays((5, 5, 5), subs, [])
         assert t.nnz == 0 and t.subs0.shape == (0, 3)
 
+    @pytest.mark.parametrize("subs", [[[1, 1], [2, 2]], [[2, 2], [1, 1]]])
+    def test_tensor_does_not_alias_the_inputs(self, subs):
+        subs, vals = np.array(subs), np.array([3, 4])
+        t = SparseCountTensor.from_arrays((2, 2), subs, vals)
+        before = list(t.entries())
+        subs[0, 0], vals[0] = 2, -7
+        assert list(t.entries()) == before
+        for array in (t.subs0, t.vals):
+            assert array.flags.c_contiguous and array.flags.owndata
+
     def test_entries_sorted_lexicographically(self):
         t = SparseCountTensor.from_entries(
             (2, 2), [((2, 1), 1), ((1, 2), 2), ((1, 1), 3)]
@@ -163,6 +173,8 @@ class TestModeColumnIndex:
             mode_column_index((2, 2), 1, (1, 3))
         with pytest.raises(IndexOutOfRangeError):
             mode_column_index((2, 2), 3, (1, 1))
+        with pytest.raises(IndexOutOfRangeError, match="2 components, got 3"):
+            mode_column_index((2, 2), 1, (1, 1, 1))
 
 
 def layout_entries(layout, mode: int):
@@ -393,6 +405,25 @@ class TestCooProperties:
         with pytest.raises(ValueError):
             Shape((2**63, 3))
         assert Shape((2**63 - 1, 3)).dims == (2**63 - 1, 3)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("3 2 2\n1 1 1 1\n", "header declares 3 modes but lists 2 dimensions"),
+    ])
+    def test_bad_header_is_value_error(self, tmp_path, text, message):
+        path = tmp_path / "bad.coo"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_coo(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_counts_are_owned_not_a_view_of_the_parsed_body(self, tmp_path):
+        path = tmp_path / "t.coo"
+        path.write_text("3 2 2 2\n1 1 1 3\n1 2 1 4\n2 2 2 5\n")
+        t = read_coo(path)
+        assert t.vals.flags.c_contiguous and t.vals.flags.owndata
+        assert t.subs0.flags.c_contiguous and t.subs0.flags.owndata
+        np.testing.assert_array_equal(t.vals, [3, 4, 5])
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "blank.coo"

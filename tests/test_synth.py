@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_model_array, unique_sample_cells
+from poissoncp.kruskal import KruskalModel
 from poissoncp.synth import (
     GenConfig,
     collinearity_stats,
@@ -121,6 +122,14 @@ class TestSampleTensor:
         _, scaled = sample_tensor(model, 50, seed=0)
         with pytest.raises(ValueError):
             sample_tensor(scaled, 10, seed=0)
+
+    def test_requires_normalized_model_and_a_sample(self):
+        model = generate_model(GenConfig(dims=(4, 4), rank=2, samples=1, seed=5))
+        raw = KruskalModel(model.weights, model.factors)
+        with pytest.raises(ValueError, match="needs a normalized model"):
+            sample_tensor(raw, 10, seed=0)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            sample_tensor(model, 0, seed=0)
 
     def test_empirical_frequencies_match_model(self):
         # Cell frequencies converge to the model probabilities.
