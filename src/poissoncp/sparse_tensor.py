@@ -135,13 +135,20 @@ def lexsort_runs(subs0: np.ndarray):
     Returns (order, starts): ``subs0[order]`` is sorted with the first
     column varying slowest, and ``starts`` holds the positions in that
     order where a row differs from the one before, so distinct row k spans
-    ``starts[k]:starts[k + 1]``.  Only comparisons are used, so no shape is
-    too large.
+    ``starts[k]:starts[k + 1]``.  The subscripts must be nonnegative, as
+    the validated 0-based subscripts of every caller are: each column is
+    sorted and compared narrowed to the smallest unsigned dtype that holds
+    its largest value, which numpy sorts by radix up to 16 bits.  Only
+    comparisons are used, so no shape is too large.
     """
-    order = np.lexsort(subs0.T[::-1])
-    ordered = subs0[order]
-    new = np.ones(ordered.shape[0], dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    keys = [col.astype(np.min_scalar_type(int(col.max(initial=0))))
+            for col in subs0.T]
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(order.shape[0], dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ordered = np.take(key, order)
+        new[1:] |= ordered[1:] != ordered[:-1]
     return order, np.flatnonzero(new)
 
 
@@ -499,13 +506,14 @@ def mode_row_positions(tensor: SparseCountTensor, mode: int) -> ModeLayout:
 def read_coo(path) -> SparseCountTensor:
     """Read a tensor from the COO text format.
 
-    The first line is ``N I_1 ... I_N``; each following line is one nonzero
-    ``i_1 ... i_N count`` with 1-based indices, whitespace separated; blank
-    lines are skipped.  The body is parsed into one ``(nnz, N + 1)`` array,
-    which the tensor copies and does not keep.  Malformed or invalid data,
-    including a line with the wrong number of fields, raises ValueError
-    (or the validation error subclass) with a message that starts with the
-    path; a malformed line is named by its 1-based line number in the file.
+    The first non-blank line is ``N I_1 ... I_N``; each following line is
+    one nonzero ``i_1 ... i_N count`` with 1-based indices, whitespace
+    separated; blank lines are skipped everywhere.  The body is parsed into
+    one ``(nnz, N + 1)`` array, which the tensor copies and does not keep.
+    Malformed or invalid data, including a line with the wrong number of
+    fields, raises ValueError (or the validation error subclass) with a
+    message that starts with the path; a malformed line is named by its
+    1-based line number in the file.
     """
     with open(path) as fh:
         try:
@@ -515,8 +523,11 @@ def read_coo(path) -> SparseCountTensor:
 
 
 def _parse_coo(fh) -> SparseCountTensor:
-    header = fh.readline().split()
-    if not header:
+    for header_number, line in enumerate(iter(fh.readline, ""), start=1):
+        header = line.split()
+        if header:
+            break
+    else:
         raise ValueError("empty file")
     n = int(header[0])
     if len(header) != n + 1:
@@ -535,18 +546,18 @@ def _parse_coo(fh) -> SparseCountTensor:
                              f"got lines of {data.shape[1]} fields")
     except ValueError as exc:
         fh.seek(body)
-        raise _first_bad_line(fh, n) or exc
+        raise _first_bad_line(fh, n, header_number + 1) or exc
     return SparseCountTensor.from_arrays(dims, data[:, :n], data[:, n])
 
 
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
-def _first_bad_line(fh, n: int):
+def _first_bad_line(fh, n: int, first: int):
     """A ValueError naming the first body line, by its 1-based number in
-    the file, that does not hold ``n`` indices plus a count of int64
-    tokens; None when every line does."""
-    for number, line in enumerate(iter(fh.readline, ""), start=2):
+    the file (the body starts at line ``first``), that does not hold ``n``
+    indices plus a count of int64 tokens; None when every line does."""
+    for number, line in enumerate(iter(fh.readline, ""), start=first):
         fields = line.split()
         if not fields:
             continue

@@ -132,8 +132,12 @@ def sample_tensor(model: KruskalModel, samples: int, seed=0):
     Each draw picks a component by weight, then one index per mode from
     that component's column, and increments the cell.  Draw order (one
     PCG64 stream): one uniform block for the components, then one block per
-    mode.  Returns (tensor, model with weights rescaled so their sum equals
-    ``samples`` exactly, matching the tensor's total count).
+    mode.  The draws are then grouped by component (a stable sort), so each
+    component's indices come from one search over a contiguous slice; the
+    draw order is unchanged, and the cells and counts do not depend on the
+    order of the rows.  Returns (tensor, model with weights rescaled so
+    their sum equals ``samples`` exactly, matching the tensor's total
+    count).
     """
     if not model.normalized:
         raise ValueError("sample_tensor needs a normalized model")
@@ -147,18 +151,21 @@ def sample_tensor(model: KruskalModel, samples: int, seed=0):
     cw /= cw[-1]
     comp = np.minimum(
         np.searchsorted(cw, rng.random(samples), side="right"), r - 1
-    )
+    ).astype(np.min_scalar_type(r - 1))
+    by_comp = np.argsort(comp, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(comp, minlength=r))))
+    del comp
     subs0 = np.empty((samples, model.ndim), dtype=np.int64)
     for k, f in enumerate(model.factors):
         cum = np.cumsum(f, axis=0)
         cum /= cum[-1:, :]
-        u = rng.random(samples)
-        idx = np.empty(samples, dtype=np.int64)
+        u = np.take(rng.random(samples), by_comp)
         for comp_r in range(r):
-            mask = comp == comp_r
-            idx[mask] = np.searchsorted(cum[:, comp_r], u[mask], side="right")
-        subs0[:, k] = np.minimum(idx, f.shape[0] - 1)
-    del comp, mask, u, idx  # freed before the sort and the tensor's copies
+            lo, hi = bounds[comp_r], bounds[comp_r + 1]
+            subs0[lo:hi, k] = np.searchsorted(cum[:, comp_r], u[lo:hi],
+                                              side="right")
+        np.minimum(subs0[:, k], f.shape[0] - 1, out=subs0[:, k])
+    del by_comp, u  # freed before the sort and the tensor's copies
     order, starts = lexsort_runs(subs0)
     cells = subs0[order[starts]]
     del subs0, order

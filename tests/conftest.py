@@ -30,7 +30,7 @@ from poissoncp.row_solver import (
     solve_row_pdnr,
     solve_row_pqnr,
 )
-from poissoncp.sparse_tensor import ModeLayout, lexsort_runs
+from poissoncp.sparse_tensor import ModeLayout
 
 LETTERS = "abcdefgh"
 
@@ -249,8 +249,10 @@ def lexsort_mode_row_positions(tensor, mode: int) -> ModeLayout:
     """Reference layout: the lexicographic sort of the mode column and the
     runs of equal rows in it."""
     col = tensor.subs0[:, mode - 1]
-    order, first = lexsort_runs(col[:, None])
-    return layout_from_order(tensor, mode, order, col[order[first]],
+    order = np.lexsort((col,))
+    sorted_rows = col[order]
+    first = np.flatnonzero(np.diff(sorted_rows, prepend=-1))
+    return layout_from_order(tensor, mode, order, sorted_rows[first],
                              np.append(first, len(col)))
 
 

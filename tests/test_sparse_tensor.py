@@ -360,6 +360,37 @@ class TestCooProperties:
         np.testing.assert_array_equal(subs0[order[starts]], cells)
         np.testing.assert_array_equal(np.diff(starts, append=200), counts)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(),
+           tops=st.lists(st.sampled_from([1, 255, 256, 65_535, 65_536,
+                                          2**32 - 1, 2**32, 2**40]),
+                         min_size=2, max_size=4),
+           rows=st.integers(0, 60), distinct=st.integers(1, 8))
+    def test_lexsort_runs_matches_unique_at_every_key_width(self, data, tops,
+                                                            rows, distinct):
+        # Column maxima that need uint8, uint16, uint32 and uint64 keys;
+        # drawing from a few values per column makes duplicate rows.
+        pool = [data.draw(st.lists(st.integers(0, top), min_size=1,
+                                   max_size=distinct)) + [top]
+                for top in tops]
+        subs0 = np.array(
+            [[data.draw(st.sampled_from(values)) for values in pool]
+             for _ in range(rows)], dtype=np.int64).reshape(rows, len(tops))
+        if rows:
+            subs0[data.draw(st.integers(0, rows - 1))] = tops
+        order, starts = lexsort_runs(subs0)
+        cells, counts = np.unique(subs0, axis=0, return_counts=True)
+        np.testing.assert_array_equal(order, np.lexsort(subs0.T[::-1]))
+        np.testing.assert_array_equal(subs0[order[starts]], cells)
+        np.testing.assert_array_equal(np.diff(starts, append=rows), counts)
+
+    @pytest.mark.parametrize("rows", [[], [[2**40, 0, 70_000]]])
+    def test_lexsort_runs_on_zero_rows_and_one_row(self, rows):
+        subs0 = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+        order, starts = lexsort_runs(subs0)
+        np.testing.assert_array_equal(order, np.arange(len(rows)))
+        np.testing.assert_array_equal(starts, np.arange(len(rows)))
+
     @pytest.mark.parametrize("body", [
         "1 1\n1 4\n",
         "1 1 1\n4\n",
@@ -408,6 +439,7 @@ class TestCooProperties:
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty file"),
+        ("\n \n\t\n", "empty file"),
         ("3 2 2\n1 1 1 1\n", "header declares 3 modes but lists 2 dimensions"),
     ])
     def test_bad_header_is_value_error(self, tmp_path, text, message):
@@ -432,3 +464,19 @@ class TestCooProperties:
         assert list(t.entries()) == [((1, 3), 2), ((2, 1), 4)]
         path.write_text("2 3 3\n \n\n")
         assert read_coo(path).nnz == 0
+
+    @pytest.mark.parametrize("leading", ["\n", " \n\t\n\n"])
+    def test_blank_lines_before_the_header_are_skipped(self, tmp_path,
+                                                       leading):
+        path = tmp_path / "lead.coo"
+        path.write_text(leading + "3 2 2 2\n1 1 1 1\n")
+        t = read_coo(path)
+        assert t.shape.dims == (2, 2, 2)
+        assert list(t.entries()) == [((1, 1, 1), 1)]
+
+    def test_line_numbers_count_blank_lines_before_the_header(self, tmp_path):
+        path = tmp_path / "lead.coo"
+        path.write_text(" \n\n2 3 3\n1 1 1\n\n1 x 2\n")
+        with pytest.raises(ValueError) as info:
+            read_coo(path)
+        assert str(info.value) == f"{path}: line 6: 'x' is not an int64 integer"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_model_array, unique_sample_cells
 from poissoncp.kruskal import KruskalModel
+from poissoncp.sparse_tensor import write_coo
 from poissoncp.synth import (
     GenConfig,
     collinearity_stats,
@@ -150,12 +152,27 @@ class TestSampleTensor:
         assert np.abs(freq - probs).max() <= 0.005
 
 
+@st.composite
+def sampler_shapes(draw):
+    """(dims, rank): small, or with a rank above 256 so the component
+    numbers need more than uint8, or with one mode above 65,536 indices so
+    its sort key needs more than uint16."""
+    dims = draw(st.lists(st.integers(1, 5), min_size=2, max_size=3))
+    kind = draw(st.sampled_from(["small", "wide rank", "long mode"]))
+    rank = draw(st.integers(257, 300) if kind == "wide rank"
+                else st.integers(1, 3))
+    if kind == "long mode":
+        dims[draw(st.integers(0, len(dims) - 1))] = draw(
+            st.integers(65_537, 70_000))
+    return dims, rank
+
+
 class TestSampleDedupOracle:
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(dims=st.lists(st.integers(1, 5), min_size=2, max_size=3),
-           rank=st.integers(1, 3), samples=st.integers(1, 200),
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(shape=sampler_shapes(), samples=st.integers(1, 200),
            seed=st.integers(0, 2**16))
-    def test_matches_unique_oracle(self, dims, rank, samples, seed):
+    def test_matches_unique_oracle(self, shape, samples, seed):
+        dims, rank = shape
         model = generate_model(GenConfig(dims=tuple(dims), rank=rank,
                                          samples=samples, seed=seed))
         tensor, _ = sample_tensor(model, samples, seed=(seed, 1))
@@ -177,6 +194,19 @@ class TestGenerateDataset:
         t2 = generate_dataset(cfg)[1]
         np.testing.assert_array_equal(t1.subs0, t2.subs0)
         np.testing.assert_array_equal(t1.vals, t2.vals)
+
+    @pytest.mark.parametrize("cfg, digest", [
+        (GenConfig(dims=(20, 30, 40), rank=5, samples=50_000, seed=5),
+         "a5513c19b021987e403ffcc0c37880e33c1c3392842eb1302ceda1f736d42702"),
+        (GenConfig(dims=(2000, 1500, 1000), rank=10, samples=30_000, seed=0),
+         "697679e17880000f3880d9ed53b261c844377342c67bdd4b8f152e3ee4c39581"),
+    ])
+    def test_coo_bytes_are_pinned(self, tmp_path, cfg, digest):
+        # The draw order and the dedup fix these bytes for good: a faster
+        # sampler or sort must reproduce them exactly.
+        path = tmp_path / "tensor.coo"
+        write_coo(generate_dataset(cfg)[1], path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestCollinearityStats:
