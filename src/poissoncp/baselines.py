@@ -17,16 +17,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import check_integer
-from .kruskal import KruskalModel, _pi_product, normalize
+from .kruskal import KruskalModel, _check_shape, _pi_product, normalize
 from .sparse_tensor import (SparseCountTensor, map_row_ranges,
                             mode_row_positions)
 
 __all__ = ["MuSolveResult", "mu_solve_mode"]
 
 POSITIVITY_CLAMP = 1e-16
-# Far above any useful count, and small enough to allocate a mu history.
-INNER_ITERATIONS_MAX = 10**6
+INNER_ITERATIONS = 10
 
 
 class MuSolveResult(NamedTuple):
@@ -35,9 +33,8 @@ class MuSolveResult(NamedTuple):
 
 
 def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
-                  inner_iterations: int = 10, layout=None) -> MuSolveResult:
-    """Run ``inner_iterations`` multiplicative updates, an integer from 1
-    to ``INNER_ITERATIONS_MAX``, on mode ``mode`` of a normalized model.
+                  layout=None) -> MuSolveResult:
+    """Run ``INNER_ITERATIONS`` multiplicative updates on mode ``mode``.
 
     Entries of B are clamped up to 1e-16 before the first inner iteration so
     that no variable starts in the absorbing state at zero.  Rows of the
@@ -50,10 +47,10 @@ def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     (:func:`poissoncp.sparse_tensor.map_row_ranges`); every row's
     arithmetic is the same in any range, so only the objectives' rounding
     depends on the split.  ``layout`` may carry the mode's precomputed
-    :func:`poissoncp.sparse_tensor.mode_row_positions`.
+    :func:`poissoncp.sparse_tensor.mode_row_positions`.  Raises
+    ShapeMismatchError when the model's dims are not the tensor's.
     """
-    inner_iterations = check_integer("inner_iterations", inner_iterations, 1,
-                                     INNER_ITERATIONS_MAX)
+    _check_shape(model, tensor)
     if not model.normalized:
         model = normalize(model)
     mode0 = mode - 1
@@ -64,21 +61,20 @@ def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     gather = functools.partial(_pi_product, model.factors, mode0)
 
     def solve_range(part):
-        objectives = np.zeros(inner_iterations + 1)
+        objectives = np.zeros(INNER_ITERATIONS + 1)
         for rows, counts, x, pi in part.blocks(model.rank, gather):
             b_blk = np.maximum(factor[rows] * model.weights, POSITIVITY_CLAMP)
             starts = np.cumsum(counts) - counts
-            for it in range(inner_iterations + 1):
+            for it in range(INNER_ITERATIONS + 1):
                 m = np.einsum("zr,zr->z", np.repeat(b_blk, counts, axis=0), pi)
                 objectives[it] += b_blk.sum() - float(x @ np.log(m))
-                if it < inner_iterations:
+                if it < INNER_ITERATIONS:
                     b_blk *= np.add.reduceat(pi * (x / m)[:, None], starts,
                                              axis=0)
             b[rows] = b_blk
-        return b[part.rows], objectives
+        return objectives
 
-    solved = map_row_ranges(
-        layout, solve_range, calls=(_pi_product,),
-        work=layout.nnz * model.rank * (inner_iterations + 1))
-    b[layout.rows] = np.concatenate([rows for rows, _ in solved])
-    return MuSolveResult(b, sum(objectives for _, objectives in solved))
+    objectives = map_row_ranges(
+        layout, b, solve_range, calls=(_pi_product,),
+        work=layout.nnz * model.rank * (INNER_ITERATIONS + 1))
+    return MuSolveResult(b, sum(objectives))

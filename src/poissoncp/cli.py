@@ -215,7 +215,7 @@ def _fit_config(config: dict, **overrides) -> tuple[FitConfig, dict]:
     fit_config = _build(FitConfig, config, _FIT_KEYS, **overrides)
     resolved = {key: getattr(fit_config, key) for key in (
         "method", "rank", "tau", "outer_max", "time_limit", "seed",
-        "mode1_only", "inner_iterations")}
+        "mode1_only")}
     resolved["solver"] = config.get("solver", {})
     return fit_config, resolved
 

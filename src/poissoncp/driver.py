@@ -21,11 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .baselines import INNER_ITERATIONS_MAX, mu_solve_mode
-from .errors import (IndexOutOfRangeError, check_integer, check_number,
-                     check_size)
+from .baselines import mu_solve_mode
+from .errors import check_integer, check_number, check_size
 from .evaluation import exact_zero_count, mode_kkt_violation
-from .kruskal import KruskalModel, _pi_product, kl_objective, normalize
+from .kruskal import (KruskalModel, _check_shape, _pi_product, kl_objective,
+                      normalize)
 from .row_solver import (
     RowProblem,
     SolverParams,
@@ -73,8 +73,8 @@ class FitConfig:
     ``mode1_only`` restricts the sweep to mode 1 (used to study a single
     convex block subproblem).  ``solver`` may be SolverParams or a mapping
     of its fields; None or a mapping without ``tau`` gives row solves at the
-    fit's ``tau``.  ``inner_iterations`` counts the updates of each ``mu``
-    mode solve, at most ``INNER_ITERATIONS_MAX``.  ``workers`` is validated
+    fit's ``tau``.  Each ``mu`` mode solve runs
+    ``baselines.INNER_ITERATIONS`` updates.  ``workers`` is validated
     (at least 1) but has no effect: a mode's rows are split into one range
     per CPU in the process's affinity mask when the mode has at least
     ``sparse_tensor.PARALLEL_MIN_ROWS`` nonempty rows (``pdnr``, ``pqnr``)
@@ -91,7 +91,6 @@ class FitConfig:
     tau: float = 1e-4
     time_limit: Optional[float] = None
     solver: Optional[SolverParams] = None
-    inner_iterations: int = 10
     seed: int = 0
     mode1_only: bool = False
     workers: int = 1
@@ -105,8 +104,6 @@ class FitConfig:
         if self.time_limit is not None:
             self.time_limit = check_number("time_limit", self.time_limit,
                                            positive=True)
-        self.inner_iterations = check_integer(
-            "inner_iterations", self.inner_iterations, 1, INNER_ITERATIONS_MAX)
         self.seed = check_integer("seed", self.seed, 0)
         if not isinstance(self.mode1_only, bool):
             raise ValueError("config field 'mode1_only' is not a valid "
@@ -228,18 +225,16 @@ def _solve_rows(b_matrix, layout, factors, mode0, method, solver, deadline):
             b_matrix[row0], report = solve_row(
                 RowProblem(b_matrix[row0], x, pi), solver)
             reports.append(report)
-        return b_matrix[part.rows], reports
+        return reports
 
-    solved = map_row_ranges(layout, solve_range,
+    solved = map_row_ranges(layout, b_matrix, solve_range,
                             calls=(solve_row, RowProblem, _pi_product))
-    b_matrix[layout.rows] = np.concatenate([rows for rows, _ in solved])
-    return [report for _, reports in solved for report in reports]
+    return [report for reports in solved for report in reports]
 
 
 def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
                method: str = "pdnr", solver: Optional[SolverParams] = None,
-               inner_iterations: int = 10, layout=None,
-               deadline=None):
+               layout=None, deadline=None):
     """Solve the block subproblem of one mode and rescale.
 
     ``layout`` may carry the mode's precomputed
@@ -248,19 +243,19 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     optimum, since the objective restricted to them is sum(b)).
     Afterwards column sums move into the weights, so the returned model is
     normalized.  Returns (model, ModeSweepReport).  Raises ValueError for
-    a ``method`` outside :data:`METHODS`.
+    a ``method`` outside :data:`METHODS`, and ShapeMismatchError when the
+    model's dims are not the tensor's.
     """
     _check_method(method)
-    if not 1 <= mode <= model.ndim:
-        raise IndexOutOfRangeError(f"mode {mode} out of range")
+    _check_shape(model, tensor)
+    if layout is None:
+        layout = mode_row_positions(tensor, mode)
     if not model.normalized:
         model = normalize(model)
     mode0 = mode - 1
     report = ModeSweepReport(mode=mode)
-    if layout is None:
-        layout = mode_row_positions(tensor, mode)
     if method == "mu":
-        result = mu_solve_mode(tensor, model, mode, inner_iterations, layout)
+        result = mu_solve_mode(tensor, model, mode, layout)
         b_matrix = result.b_matrix
         report.rows_solved = len(layout)
         report.inner_iterations = len(result.objectives) - 1
@@ -323,8 +318,7 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
         for n in modes:
             model, sweep = solve_mode(
                 tensor, model, n, method=config.method, solver=config.solver,
-                inner_iterations=config.inner_iterations, layout=layouts[n],
-                deadline=deadline,
+                layout=layouts[n], deadline=deadline,
             )
             ls_failures += sweep.line_search_failures
             fallbacks += sweep.fallback_steps

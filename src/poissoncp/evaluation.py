@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .kruskal import KruskalModel, _pi_product, _unit_columns, normalize
+from .kruskal import (KruskalModel, _check_shape, _pi_product, _unit_columns,
+                      normalize)
 from .row_solver import _pi_x_over_m, kkt_violation_row
 from .sparse_tensor import SparseCountTensor, mode_row_positions
 
@@ -113,8 +114,10 @@ def mode_kkt_violation(tensor: SparseCountTensor, model: KruskalModel,
     Pure recomputation: rebuilds B and the Khatri-Rao rows from the model,
     walking the mode layout's row views in the calling process; a few
     microseconds a row.  ``layout`` may carry the mode's precomputed
-    :func:`poissoncp.sparse_tensor.mode_row_positions`.
+    :func:`poissoncp.sparse_tensor.mode_row_positions`.  Raises
+    ShapeMismatchError when the model's dims are not the tensor's.
     """
+    _check_shape(model, tensor)
     if not model.normalized:
         model = normalize(model)
     mode0 = mode - 1

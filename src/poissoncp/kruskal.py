@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatchError, ZeroColumnWarning, prefixed
-from .sparse_tensor import Shape, SparseCountTensor, as_shape
+from .sparse_tensor import Shape, SparseCountTensor
 
 __all__ = [
     "KruskalModel",
@@ -164,6 +164,13 @@ def model_entries(model: KruskalModel, subs0: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_shape(model: KruskalModel, tensor: SparseCountTensor) -> None:
+    """Raise ShapeMismatchError unless the model's dims are the tensor's."""
+    if model.shape.dims != tensor.shape.dims:
+        raise ShapeMismatchError(f"model shape {model.shape.dims} != "
+                                 f"tensor shape {tensor.shape.dims}")
+
+
 def kl_objective(model: KruskalModel, tensor: SparseCountTensor) -> float:
     """Kullback-Leibler fit of the model to a count tensor.
 
@@ -174,10 +181,7 @@ def kl_objective(model: KruskalModel, tensor: SparseCountTensor) -> float:
     zero, or so close to zero that x / m**2, a weight of the row solves'
     Hessian, overflows.
     """
-    if model.shape.dims != as_shape(tensor.shape).dims:
-        raise ShapeMismatchError(
-            f"model shape {model.shape.dims} != tensor shape {tensor.shape.dims}"
-        )
+    _check_shape(model, tensor)
     if not model.normalized:
         model = normalize(model)
     first = float(model.weights.sum())

@@ -387,20 +387,22 @@ def _allowed_cpus() -> int:
         return 1
 
 
-def map_row_ranges(layout: ModeLayout, fn, calls=(), work=None) -> list:
+def map_row_ranges(layout: ModeLayout, out: np.ndarray, fn, calls=(),
+                   work=None) -> list:
     """``fn(part)`` for each of ``layout.parts(n)``, in part order.
 
+    ``fn(part)`` writes the part's rows of ``out`` and returns a result.
     ``n`` is the number of allowed CPUs when the layout is worth splitting,
     else 1: when the caller passes an estimate of the whole layout's
     ``work``, it must reach ``PARALLEL_MIN_WORK``; otherwise the layout
     must have ``PARALLEL_MIN_ROWS`` rows.  The calling process computes the
     first part; forked children compute the others and send back their
-    pickled results.  What a child writes into arrays is lost with it, so
-    ``fn`` must return everything the caller needs.  If a fork fails, the
-    caller computes the remaining parts itself.  No child outlives the
-    call: the caller reads and reaps every child, killing them first when
-    its own part raises.  A child's exception is raised again here; a child
-    that ends without a result raises ChildProcessError.
+    pickled results and rows of ``out``, which are copied in; all else a
+    child writes is lost.  If a fork fails, the caller computes the
+    remaining parts itself.  No child outlives the call: the caller reads
+    and reaps every child, killing them first when its own part raises.  A
+    child's exception is raised again here; a child that ends without a
+    result raises ChildProcessError.
 
     ``calls`` lists the functions ``fn`` looks up by module name.  When one
     of them is not this package's own, as when a profiler or a test has
@@ -416,7 +418,7 @@ def map_row_ranges(layout: ModeLayout, fn, calls=(), work=None) -> list:
     children = []  # (pid, read end of its pipe) for parts[1:]
     try:
         for part in parts[1:]:
-            child = _fork_call(fn, part)
+            child = _fork_call(lambda p: (fn(p), out[p.rows]), part)
             if child is None:
                 break
             children.append(child)
@@ -432,7 +434,9 @@ def map_row_ranges(layout: ModeLayout, fn, calls=(), work=None) -> list:
             raise ChildProcessError("a row-range worker ended without a result")
         if not outcome[0]:
             raise outcome[1]
-    return [own[0], *(value for _, value in outcomes), *own[1:]]
+    for part, (_, (_, rows)) in zip(parts[1:], outcomes):
+        out[part.rows] = rows
+    return [own[0], *(result for _, (result, _) in outcomes), *own[1:]]
 
 
 def _fork_call(fn, part):

@@ -147,11 +147,12 @@ def sample_tensor(model: KruskalModel, samples: int, seed=0):
         raise ValueError("samples must be at least 1")
     rng = seeded_rng(seed)
     r = model.rank
+    # Each cumulative sum ends at exactly 1.0 and every uniform is below 1,
+    # so no search below returns an index past the end.
     cw = np.cumsum(model.weights)
     cw /= cw[-1]
-    comp = np.minimum(
-        np.searchsorted(cw, rng.random(samples), side="right"), r - 1
-    ).astype(np.min_scalar_type(r - 1))
+    comp = np.searchsorted(cw, rng.random(samples), side="right").astype(
+        np.min_scalar_type(r - 1))
     by_comp = np.argsort(comp, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(comp, minlength=r))))
     del comp
@@ -164,7 +165,6 @@ def sample_tensor(model: KruskalModel, samples: int, seed=0):
             lo, hi = bounds[comp_r], bounds[comp_r + 1]
             subs0[lo:hi, k] = np.searchsorted(cum[:, comp_r], u[lo:hi],
                                               side="right")
-        np.minimum(subs0[:, k], f.shape[0] - 1, out=subs0[:, k])
     del by_comp, u  # freed before the sort and the tensor's copies
     order, starts = lexsort_runs(subs0)
     cells = subs0[order[starts]]

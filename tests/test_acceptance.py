@@ -303,7 +303,7 @@ def test_criterion_9_mu_baseline_monotonicity():
         factors = tuple(rng.uniform(0.1, 1.0, (d, rank)) for d in dims)
         model = normalize(KruskalModel(rng.uniform(0.5, 1.5, rank), factors))
         mode = int(rng.integers(1, 4))
-        result = mu_solve_mode(tensor, model, mode, inner_iterations=10)
+        result = mu_solve_mode(tensor, model, mode)
         worst = max(worst, float(np.diff(result.objectives).max()))
     ok = worst <= 1e-9
     _report(9, ok, f"largest inner-iteration objective increase {worst:.2e} "

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import coo_pi_product, random_model
-from poissoncp.baselines import INNER_ITERATIONS_MAX, mu_solve_mode
-from poissoncp.driver import FitConfig
+from poissoncp import baselines
+from poissoncp.baselines import mu_solve_mode
 from poissoncp.kruskal import KruskalModel, normalize
 from poissoncp.row_solver import RowProblem, multiplicative_step
 from poissoncp.sparse_tensor import SparseCountTensor
@@ -24,51 +24,27 @@ def exact_fit_instance():
     return tensor, model, b
 
 
-class TestInnerIterations:
-    def test_fit_config_rejects_zero_inner(self):
-        with pytest.raises(ValueError):
-            FitConfig(method="mu", rank=2, inner_iterations=0)
-
-    def test_mu_solve_mode_rejects_zero_inner(self):
-        tensor, model, _ = exact_fit_instance()
-        with pytest.raises(ValueError):
-            mu_solve_mode(tensor, model, 1, inner_iterations=0)
-
-    @pytest.mark.parametrize("inner", [True, 2.5, "3", INNER_ITERATIONS_MAX + 1,
-                                       10**9])
-    def test_mu_solve_mode_checks_inner_as_fit_config_does(self, inner):
-        # The check comes before the objective history is allocated, so
-        # 10**9 fails at once instead of asking for 8 GB.
-        tensor, model, _ = exact_fit_instance()
-        with pytest.raises(ValueError):
-            FitConfig(method="mu", rank=2, inner_iterations=inner)
-        with pytest.raises(ValueError, match="inner_iterations"):
-            mu_solve_mode(tensor, model, 1, inner_iterations=inner)
-
-    def test_mu_solve_mode_accepts_an_integral_float(self):
-        tensor, model, _ = exact_fit_instance()
-        assert FitConfig(method="mu", rank=2,
-                         inner_iterations=np.float64(3.0)).inner_iterations == 3
-        got = mu_solve_mode(tensor, model, 1, inner_iterations=np.float64(3.0))
-        want = mu_solve_mode(tensor, model, 1, inner_iterations=3)
-        assert len(got.objectives) == 4
-        assert np.array_equal(got.b_matrix, want.b_matrix)
-        assert np.array_equal(got.objectives, want.objectives)
-
-
 class TestMuSolveMode:
-    def test_exact_fit_is_fixed_point(self):
+    def test_runs_inner_iterations_updates(self, monkeypatch):
+        tensor, model, _ = exact_fit_instance()
+        assert len(mu_solve_mode(tensor, model, 1).objectives) == 11
+        monkeypatch.setattr(baselines, "INNER_ITERATIONS", 3)
+        assert len(mu_solve_mode(tensor, model, 1).objectives) == 4
+
+    def test_exact_fit_is_fixed_point(self, monkeypatch):
+        monkeypatch.setattr(baselines, "INNER_ITERATIONS", 3)
         tensor, model, b = exact_fit_instance()
-        result = mu_solve_mode(tensor, model, 1, inner_iterations=3)
+        result = mu_solve_mode(tensor, model, 1)
         np.testing.assert_allclose(result.b_matrix, b, rtol=1e-12)
 
-    def test_scalar_case_one_update_reaches_optimum(self):
+    def test_scalar_case_one_update_reaches_optimum(self, monkeypatch):
         # One cell with count 2 and pi = 1: b <- b * (x / b) lands on x.
+        monkeypatch.setattr(baselines, "INNER_ITERATIONS", 1)
         a2 = np.array([[1.0]])
         a1 = np.array([[1.0]])
         model = KruskalModel(np.array([1.0]), (a1, a2), normalized=True)
         tensor = SparseCountTensor.from_entries((1, 1), [((1, 1), 2)])
-        result = mu_solve_mode(tensor, model, 1, inner_iterations=1)
+        result = mu_solve_mode(tensor, model, 1)
         assert result.b_matrix[0, 0] == pytest.approx(2.0)
 
     def test_output_nonnegative(self, rng):
@@ -89,8 +65,9 @@ class TestMuSolveMode:
         np.testing.assert_array_equal(result.b_matrix[1], 0.0)
         np.testing.assert_array_equal(result.b_matrix[3], 0.0)
 
-    def test_objective_nonincreasing_random(self, rng):
+    def test_objective_nonincreasing_random(self, rng, monkeypatch):
         # Mode objective must not increase across any inner iteration.
+        monkeypatch.setattr(baselines, "INNER_ITERATIONS", 5)
         for _ in range(50):
             dims = tuple(int(rng.integers(2, 6)) for _ in range(3))
             size = dims[0] * dims[1] * dims[2]
@@ -102,20 +79,21 @@ class TestMuSolveMode:
             )
             model = normalize(random_model(rng, dims, int(rng.integers(1, 4))))
             mode = int(rng.integers(1, 4))
-            result = mu_solve_mode(tensor, model, mode, inner_iterations=5)
+            result = mu_solve_mode(tensor, model, mode)
             diffs = np.diff(result.objectives)
             assert (diffs <= 1e-9).all()
 
-    def test_matches_per_row_multiplicative_steps(self, rng):
+    def test_matches_per_row_multiplicative_steps(self, rng, monkeypatch):
         # The vectorized mode update must equal row-by-row multiplicative
         # steps built from the same Khatri-Rao columns.
+        monkeypatch.setattr(baselines, "INNER_ITERATIONS", 1)
         model = normalize(random_model(rng, (4, 3, 2), 2))
         cells = rng.choice(24, size=10, replace=False)
         subs = np.stack(np.unravel_index(cells, (4, 3, 2)), axis=1) + 1
         tensor = SparseCountTensor.from_arrays(
             (4, 3, 2), subs, rng.integers(1, 6, size=10)
         )
-        result = mu_solve_mode(tensor, model, 1, inner_iterations=1)
+        result = mu_solve_mode(tensor, model, 1)
         b_start = np.maximum(model.factors[0] * model.weights, 1e-16)
         from poissoncp.sparse_tensor import mode_row_positions
 

@@ -70,9 +70,9 @@ def run(argv, outdir: Path) -> None:
             strict_json(path.read_text())
 
 
-# Sweep and iteration counts that a config accepts are drawn small: a
-# huge accepted count would run for hours, not fail.
-COUNTS = ("outer_max", "inner_iterations")
+# Sweep counts that a config accepts are drawn small: a huge accepted
+# count would run for hours, not fail.
+COUNTS = ("outer_max",)
 ODD_COUNT = ODD.filter(lambda v: not (
     isinstance(v, (int, float)) and not isinstance(v, bool)
     and math.isfinite(v) and v > 20))
@@ -104,7 +104,6 @@ FIT_VALUES = {
     "method": st.sampled_from(["pdnr", "pqnr", "mu", "MU", "newton"]),
     "rank": SMALL_INT, "tau": REAL, "outer_max": st.integers(-1, 3),
     "time_limit": REAL, "seed": SMALL_INT, "mode1_only": st.booleans(),
-    "inner_iterations": st.integers(-1, 20),
     "solver": st.fixed_dictionaries({}, optional={
         "tau": REAL, "k_max": st.integers(-1, 20), "sigma": REAL}),
 }
@@ -114,7 +113,6 @@ BENCH_VALUES = {
     "seeds": st.lists(SMALL_INT | ODD, max_size=2),
     "methods": st.lists(FIT_VALUES["method"] | ODD, max_size=2),
     "tau": REAL, "outer_max": st.integers(-1, 2), "time_limit": REAL,
-    "inner_iterations": st.integers(-1, 20),
 }
 
 TOKENS = st.sampled_from(["0", "1", "2", "-1", "7", "99", "1.5", "x", "",

@@ -1,11 +1,12 @@
 import csv
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from poissoncp.baselines import mu_solve_mode
 from poissoncp.driver import (
-    INNER_ITERATIONS_MAX,
     METHODS,
     FitConfig,
     fit,
@@ -13,8 +14,9 @@ from poissoncp.driver import (
     solve_mode,
     write_trace,
 )
-from poissoncp.errors import IndexOutOfRangeError, ZeroColumnWarning
-from poissoncp.evaluation import full_kkt_violation
+from poissoncp.errors import (IndexOutOfRangeError, ShapeMismatchError,
+                              ZeroColumnWarning)
+from poissoncp.evaluation import full_kkt_violation, mode_kkt_violation
 from poissoncp.kruskal import KruskalModel, kl_objective, normalize
 from poissoncp.row_solver import SolverParams
 from poissoncp.sparse_tensor import SparseCountTensor
@@ -89,6 +91,18 @@ class TestSolveMode:
         model = init_model(tensor.shape, 1, seed=0)
         with pytest.raises(IndexOutOfRangeError, match="mode 3 out of range"):
             solve_mode(tensor, model, 3)
+
+    @pytest.mark.parametrize("dims", [(6, 7, 8), (3, 4)])
+    @pytest.mark.parametrize("walk", [solve_mode, mu_solve_mode,
+                                      mode_kkt_violation])
+    def test_model_of_another_shape_is_rejected(self, walk, dims):
+        # As by kl_objective: a larger model would walk the tensor's rows
+        # silently, and one of fewer modes would fail inside numpy.
+        tensor = SparseCountTensor.from_entries((3, 4, 5), [((1, 2, 3), 4)])
+        model = init_model(dims, 2, seed=0)
+        message = f"model shape {dims} != tensor shape (3, 4, 5)"
+        with pytest.raises(ShapeMismatchError, match=re.escape(message)):
+            walk(tensor, model, 1)
 
     def test_unknown_method_is_rejected(self, small_dataset):
         _, tensor = small_dataset
@@ -181,7 +195,7 @@ class TestFit:
 
     @pytest.mark.parametrize("fields", [
         {"rank": 2.5}, {"rank": True}, {"tau": float("nan")},
-        {"tau": float("inf")}, {"inner_iterations": 2.5},
+        {"tau": float("inf")}, {"outer_max": 2.5},
         {"time_limit": float("inf")}, {"mode1_only": "no"}, {"workers": 0.5},
         {"solver": []}, {"solver": {"lbfgs_memory": 3}},
         {"solver": {"k_max": 2.5}}, {"time_limit": -3}, {"time_limit": 0},
@@ -199,15 +213,6 @@ class TestFit:
         assert all(type(v) is int for v in (config.rank, config.outer_max,
                                              config.seed))
         assert type(config.tau) is float and type(config.time_limit) is float
-
-    def test_caps_inner_iterations(self):
-        config = FitConfig(method="mu", rank=2,
-                           inner_iterations=INNER_ITERATIONS_MAX)
-        assert config.inner_iterations == INNER_ITERATIONS_MAX
-        with pytest.raises(ValueError, match="inner_iterations must be at "
-                                             "most 1000000"):
-            FitConfig(method="mu", rank=2,
-                      inner_iterations=INNER_ITERATIONS_MAX + 1)
 
     def test_row_tolerance_defaults_to_the_fit_tau(self):
         def solver(**fields):

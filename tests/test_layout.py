@@ -287,6 +287,7 @@ class TestLayoutMatchesPerRowReference:
         solver = SolverParams(tau=1e-6, k_max=20)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse_tensor, "BLOCK_DOUBLES", doubles)
+            mp.setattr(baselines, "INNER_ITERATIONS", 3)
             for mode in range(1, tensor.ndim + 1):
                 try:
                     want, rows = per_row_solve_mode(
@@ -298,10 +299,10 @@ class TestLayoutMatchesPerRowReference:
                     assert method == "mu"
                     with pytest.raises(ValueError, match="finite"):
                         solve_mode(tensor, model, mode, method=method,
-                                   solver=solver, inner_iterations=3)
+                                   solver=solver)
                     continue
                 got, report = solve_mode(tensor, model, mode, method=method,
-                                         solver=solver, inner_iterations=3)
+                                         solver=solver)
                 assert_models_equal(got, want)
                 if method != "mu":
                     assert report.rows_solved == len(rows)
@@ -314,13 +315,16 @@ class TestLayoutMatchesPerRowReference:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_mu_solve_mode(self, seed):
         tensor, model = layout_case(seed)
-        for mode in range(1, tensor.ndim + 1):
-            got = mu_solve_mode(tensor, model, mode, 4)
-            want = argsort_mu_solve_mode(tensor, model, mode, 4)
-            assert np.array_equal(got.b_matrix, want.b_matrix, equal_nan=True)
-            # Summed block by block, the objectives differ in rounding.
-            np.testing.assert_allclose(got.objectives, want.objectives,
-                                       rtol=1e-12)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "INNER_ITERATIONS", 4)
+            for mode in range(1, tensor.ndim + 1):
+                got = mu_solve_mode(tensor, model, mode)
+                want = argsort_mu_solve_mode(tensor, model, mode, 4)
+                assert np.array_equal(got.b_matrix, want.b_matrix,
+                                      equal_nan=True)
+                # Summed block by block, the objectives differ in rounding.
+                np.testing.assert_allclose(got.objectives, want.objectives,
+                                           rtol=1e-12)
 
     @LAYOUT_PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), doubles=st.integers(1, 12))
@@ -337,9 +341,10 @@ class TestLayoutMatchesPerRowReference:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse_tensor, "BLOCK_DOUBLES", doubles)
             mp.setattr(baselines, "_pi_product", recording)
+            mp.setattr(baselines, "INNER_ITERATIONS", 3)
             for mode in range(1, tensor.ndim + 1):
                 gathered.clear()
-                got = mu_solve_mode(tensor, model, mode, 3)
+                got = mu_solve_mode(tensor, model, mode)
                 want = argsort_mu_solve_mode(tensor, model, mode, 3)
                 assert np.array_equal(got.b_matrix, want.b_matrix,
                                       equal_nan=True)
@@ -520,14 +525,15 @@ class TestRowRanges:
         tensor, model = layout_case(seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse_tensor, "BLOCK_DOUBLES", doubles)
+            mp.setattr(baselines, "INNER_ITERATIONS", 3)
             forks = count_forks(mp)
             for mode in range(1, tensor.ndim + 1):
                 want = argsort_mu_solve_mode(tensor, model, mode, 3)
                 mp.setattr(sparse_tensor, "_allowed_cpus", lambda: 1)
-                serial = mu_solve_mode(tensor, model, mode, 3)
+                serial = mu_solve_mode(tensor, model, mode)
                 split_rows(mp, cpus)
                 forks.clear()
-                got = mu_solve_mode(tensor, model, mode, 3)
+                got = mu_solve_mode(tensor, model, mode)
                 parts = mode_row_positions(tensor, mode).parts(cpus)
                 assert len(forks) == len(parts) - 1
                 for other in (serial, want):
@@ -555,10 +561,11 @@ class TestRowRanges:
         modes = range(1, tensor.ndim + 1)
         with pytest.MonkeyPatch.context() as mp:
             split_rows(mp, cpus)
-            plain = [mu_solve_mode(tensor, model, mode, 3) for mode in modes]
+            mp.setattr(baselines, "INNER_ITERATIONS", 3)
+            plain = [mu_solve_mode(tensor, model, mode) for mode in modes]
             forks = count_forks(mp)
             mp.setattr(baselines, "_pi_product", spy)
-            spied = [mu_solve_mode(tensor, model, mode, 3) for mode in modes]
+            spied = [mu_solve_mode(tensor, model, mode) for mode in modes]
         assert forks == []
         assert pids and set(pids) == {os.getpid()}
         for got, want in zip(spied, plain):
@@ -581,12 +588,13 @@ class TestRowRanges:
         with pytest.MonkeyPatch.context() as mp:
             split_rows(mp, cpus)
             mp.setattr(sparse_tensor.ModeLayout, "blocks", fail_in_child)
+            mp.setattr(baselines, "INNER_ITERATIONS", 3)
             for mode in range(1, tensor.ndim + 1):
                 if len(mode_row_positions(tensor, mode).parts(cpus)) == 1:
-                    mu_solve_mode(tensor, model, mode, 3)
+                    mu_solve_mode(tensor, model, mode)
                     continue
                 with pytest.raises(FactorizationFailureError, match="rows"):
-                    mu_solve_mode(tensor, model, mode, 3)
+                    mu_solve_mode(tensor, model, mode)
         assert_no_children_left()
 
     @pytest.mark.parametrize("method", ["pdnr", "pqnr", "mu"])
@@ -620,6 +628,38 @@ class TestRowRanges:
             assert len(forks) == 1
         assert_no_children_left()
 
+    def test_forked_rows_of_out_reach_the_caller(self):
+        # Each range writes its own rows of out, here or in a child; what a
+        # child writes elsewhere is lost, and rows without data keep their
+        # values.
+        tensor = SparseCountTensor.from_entries(
+            (8, 2), [((i, 1), 1) for i in (1, 2, 4, 5, 7, 8)])
+        layout = mode_row_positions(tensor, 1)
+        out = np.full((8, 2), -1.0)
+        parent = os.getpid()
+
+        def write_rows(part):
+            out[part.rows, 0] = os.getpid()
+            out[part.rows, 1] = part.rows + 10
+            if os.getpid() != parent:
+                out[2] = 99.0
+            return part.rows.tolist()
+
+        with pytest.MonkeyPatch.context() as mp:
+            split_rows(mp, 3)
+            forks = count_forks(mp)
+            got = sparse_tensor.map_row_ranges(layout, out, write_rows)
+        parts = layout.parts(3)
+        assert len(parts) == 3 and len(forks) == 2
+        assert got == [p.rows.tolist() for p in parts]
+        assert np.array_equal(out[layout.rows, 1], layout.rows + 10)
+        pids = [set(out[p.rows, 0].tolist()) for p in parts]
+        assert pids[0] == {parent}
+        assert all(len(p) == 1 for p in pids[1:])
+        assert len(set.union(*pids)) == 3
+        assert (out[[2, 5]] == -1.0).all()
+        assert_no_children_left()
+
     @staticmethod
     def two_range_layout():
         tensor = SparseCountTensor.from_entries(
@@ -638,10 +678,10 @@ class TestRowRanges:
         with pytest.MonkeyPatch.context() as mp:
             split_rows(mp, 2)
             with pytest.raises(FactorizationFailureError, match="rows"):
-                sparse_tensor.map_row_ranges(layout, fail_in_child)
+                sparse_tensor.map_row_ranges(layout, np.zeros(4), fail_in_child)
             mp.setattr(sparse_tensor, "_allowed_cpus", lambda: 1)
-            assert sparse_tensor.map_row_ranges(layout, fail_in_child) == [
-                [0, 1, 2, 3]]
+            assert sparse_tensor.map_row_ranges(
+                layout, np.zeros(4), fail_in_child) == [[0, 1, 2, 3]]
         assert_no_children_left()
 
     @pytest.mark.parametrize("error", [KeyError, KeyboardInterrupt])
@@ -658,7 +698,8 @@ class TestRowRanges:
             split_rows(mp, 4)
             t0 = time.perf_counter()
             with pytest.raises(error, match="parent"):
-                sparse_tensor.map_row_ranges(layout, fail_in_parent)
+                sparse_tensor.map_row_ranges(layout, np.zeros(4),
+                                             fail_in_parent)
         assert time.perf_counter() - t0 < 30
         assert_no_children_left()
 
@@ -674,7 +715,8 @@ class TestRowRanges:
         with pytest.MonkeyPatch.context() as mp:
             split_rows(mp, 2)
             with pytest.raises(ChildProcessError):
-                sparse_tensor.map_row_ranges(layout, exit_in_child)
+                sparse_tensor.map_row_ranges(layout, np.zeros(4),
+                                             exit_in_child)
         assert_no_children_left()
 
     def test_failed_fork_computes_the_ranges_in_the_caller(self):
@@ -686,7 +728,7 @@ class TestRowRanges:
         with pytest.MonkeyPatch.context() as mp:
             split_rows(mp, 3)
             mp.setattr(sparse_tensor.os, "fork", no_fork)
-            got = sparse_tensor.map_row_ranges(layout,
+            got = sparse_tensor.map_row_ranges(layout, np.zeros(4),
                                                lambda p: p.rows.tolist())
         assert got == [p.rows.tolist() for p in layout.parts(3)]
         assert_no_children_left()
