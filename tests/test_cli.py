@@ -421,7 +421,7 @@ class TestConfigErrors:
         ("time_limit", INF, "config field 'time_limit' is not a valid number"),
         ("solver", {"tau": NAN}, "config field 'tau' is not a valid number"),
         ("workers", 0, "workers must be at least 1"),
-        ("inner_iterations", 10, "unknown config field 'inner_iterations'"),
+        ("inner_iterations", 10**30, "unknown config field 'inner_iterations'"),
         ("rank", 10**12, "GiB of physical memory"),
         ("time_limit", -1, "config field 'time_limit' must be positive"),
         ("time_limit", 0, "config field 'time_limit' must be positive"),
