@@ -32,30 +32,28 @@ class MuSolveResult(NamedTuple):
     objectives: np.ndarray  # mode objective before each inner iteration and after the last
 
 
-def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
-                  layout=None) -> MuSolveResult:
+def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel,
+                  mode: int) -> MuSolveResult:
     """Run ``INNER_ITERATIONS`` multiplicative updates on mode ``mode``.
 
     Entries of B are clamped up to 1e-16 before the first inner iteration so
     that no variable starts in the absorbing state at zero.  Rows of the
     unfolded tensor without any nonzero have objective sum(b) and are set to
     zero, their exact optimum.  The recorded objectives are nonincreasing.
-    Rows are independent, so each block of ``layout.blocks`` runs all its
+    Rows are independent, so each block of the mode's layout runs all its
     updates while its Khatri-Rao rows stay in cache, and each objective is
     summed block by block.  A mode with enough work is split into row
     ranges that forked children solve
     (:func:`poissoncp.sparse_tensor.map_row_ranges`); every row's
     arithmetic is the same in any range, so only the objectives' rounding
-    depends on the split.  ``layout`` may carry the mode's precomputed
-    :func:`poissoncp.sparse_tensor.mode_row_positions`.  Raises
-    ShapeMismatchError when the model's dims are not the tensor's.
+    depends on the split.  Raises ShapeMismatchError when the model's dims
+    are not the tensor's.
     """
     _check_shape(model, tensor)
+    layout = mode_row_positions(tensor, mode)
     if not model.normalized:
         model = normalize(model)
     mode0 = mode - 1
-    if layout is None:
-        layout = mode_row_positions(tensor, mode)
     factor = model.factors[mode0]
     b = np.zeros_like(factor)
     gather = functools.partial(_pi_product, model.factors, mode0)

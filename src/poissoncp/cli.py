@@ -168,6 +168,18 @@ def _model_objective(model, model_path, tensor, tensor_path) -> float:
     return objective
 
 
+def _output_dir(path) -> Path:
+    """Create the output directory ``path`` and its parents; a ConfigError
+    naming it when that fails, as when it is an existing file."""
+    outdir = Path(path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{outdir}: cannot create the output directory "
+                          f"({exc.strerror or exc})") from exc
+    return outdir
+
+
 def _write_manifest(outdir: Path, command: str, resolved: dict, outputs):
     canonical = json.dumps(resolved, sort_keys=True)
     manifest = {
@@ -197,8 +209,7 @@ def _gen_config(config: dict, **overrides) -> GenConfig:
 def cmd_generate(args) -> int:
     config = _load_config(args.config, _GEN_KEYS)
     gen = _gen_config(config, seed=args.seed)
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.output_dir)
     truth, tensor = generate_dataset(gen)
     write_coo(tensor, outdir / "tensor.coo")
     save_model(truth, outdir / "truth_model.json")
@@ -246,9 +257,9 @@ def cmd_factorize(args) -> int:
         if init.rank != fit_config.rank:
             raise DataError(f"{init_path}: model rank {init.rank} does not "
                             f"match the configured rank {fit_config.rank}")
+    fit_config.check_sizes(tensor)  # before the output directory is made
+    outdir = _output_dir(args.output_dir)
     result = fit(tensor, fit_config, init=init)
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     save_model(result.model, outdir / "model.json")
     write_trace(result.trace, outdir / "trace.csv")
     _write_manifest(outdir, "factorize", resolved, ["model.json", "trace.csv"])
@@ -290,7 +301,11 @@ def cmd_evaluate(args) -> int:
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"{args.output}: cannot write "
+                              f"({exc.strerror or exc})") from exc
     else:
         sys.stdout.write(text)
     return 0
@@ -315,8 +330,7 @@ def cmd_bench(args) -> int:
              [_fit_config(config, method=method, rank=rank, seed=seed)
               for method in methods])
             for rank in ranks for seed in seeds]
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.output_dir)
     rows = []
     for gen, fits in runs:
         _, tensor = generate_dataset(gen)

@@ -234,13 +234,11 @@ def _solve_rows(b_matrix, layout, factors, mode0, method, solver, deadline):
 
 def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
                method: str = "pdnr", solver: Optional[SolverParams] = None,
-               layout=None, deadline=None):
+               deadline=None):
     """Solve the block subproblem of one mode and rescale.
 
-    ``layout`` may carry the mode's precomputed
-    :func:`poissoncp.sparse_tensor.mode_row_positions`.  Rows of the
-    unfolded tensor without nonzeros are set to zero directly (their
-    optimum, since the objective restricted to them is sum(b)).
+    Rows of the unfolded tensor without nonzeros are set to zero directly
+    (their optimum, since the objective restricted to them is sum(b)).
     Afterwards column sums move into the weights, so the returned model is
     normalized.  Returns (model, ModeSweepReport).  Raises ValueError for
     a ``method`` outside :data:`METHODS`, and ShapeMismatchError when the
@@ -248,17 +246,15 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     """
     _check_method(method)
     _check_shape(model, tensor)
-    if layout is None:
-        layout = mode_row_positions(tensor, mode)
+    layout = mode_row_positions(tensor, mode)
     if not model.normalized:
         model = normalize(model)
     mode0 = mode - 1
     report = ModeSweepReport(mode=mode)
     if method == "mu":
-        result = mu_solve_mode(tensor, model, mode, layout)
-        b_matrix = result.b_matrix
+        b_matrix, objectives = mu_solve_mode(tensor, model, mode)
         report.rows_solved = len(layout)
-        report.inner_iterations = len(result.objectives) - 1
+        report.inner_iterations = len(objectives) - 1
     else:
         b_matrix = np.zeros_like(model.factors[mode0])
         b_matrix[layout.rows] = model.factors[mode0][layout.rows] * model.weights
@@ -293,8 +289,7 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
     model = init if init is not None else init_model(
         tensor.shape, config.rank, config.seed
     )
-    if model.shape.dims != tensor.shape.dims:
-        raise ValueError("initial model shape does not match the tensor")
+    _check_shape(model, tensor)
     if model.rank != config.rank:
         raise ValueError("initial model rank does not match the config")
     if not model.normalized:
@@ -305,7 +300,9 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
             "initial model is zero, or too close to zero for the row "
             "solves, at a cell with a positive count"
         )
-    layouts = {n: mode_row_positions(tensor, n) for n in modes}
+    # Group before the clock starts, so that no fit time includes it.
+    for n in modes:
+        mode_row_positions(tensor, n)
 
     start = time.perf_counter()
     deadline = None if config.time_limit is None else start + config.time_limit
@@ -316,17 +313,13 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
         ls_failures = 0
         fallbacks = 0
         for n in modes:
-            model, sweep = solve_mode(
-                tensor, model, n, method=config.method, solver=config.solver,
-                layout=layouts[n], deadline=deadline,
-            )
+            model, sweep = solve_mode(tensor, model, n, method=config.method,
+                                      solver=config.solver, deadline=deadline)
             ls_failures += sweep.line_search_failures
             fallbacks += sweep.fallback_steps
             if deadline is not None and time.perf_counter() > deadline:
                 break
-        mode_kkt = tuple(
-            mode_kkt_violation(tensor, model, n, layouts[n]) for n in modes
-        )
+        mode_kkt = tuple(mode_kkt_violation(tensor, model, n) for n in modes)
         final_kkt = max(mode_kkt)
         trace.append(OuterRecord(
             outer=outer,

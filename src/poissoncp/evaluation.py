@@ -108,22 +108,20 @@ def thresholded_zero_count(model: KruskalModel, threshold: float) -> ZeroCountRe
 
 
 def mode_kkt_violation(tensor: SparseCountTensor, model: KruskalModel,
-                       mode: int, layout=None) -> float:
+                       mode: int) -> float:
     """Largest row-subproblem KKT violation of one mode at the current model.
 
     Pure recomputation: rebuilds B and the Khatri-Rao rows from the model,
     walking the mode layout's row views in the calling process; a few
-    microseconds a row.  ``layout`` may carry the mode's precomputed
-    :func:`poissoncp.sparse_tensor.mode_row_positions`.  Raises
-    ShapeMismatchError when the model's dims are not the tensor's.
+    microseconds a row.  Raises ShapeMismatchError when the model's dims
+    are not the tensor's.
     """
     _check_shape(model, tensor)
+    layout = mode_row_positions(tensor, mode)
     if not model.normalized:
         model = normalize(model)
     mode0 = mode - 1
     b_matrix = model.factors[mode0] * model.weights
-    if layout is None:
-        layout = mode_row_positions(tensor, mode)
     # Rows without data have gradient 1 everywhere; each nonempty row's
     # gradient is written over it.
     grad = np.ones_like(b_matrix)

@@ -119,7 +119,6 @@ class RowSolveReport:
 
     iterations: int = 0
     final_kkt: float = 0.0
-    exact_zeros: int = 0
     backtrack_failures: int = 0
     fallback_steps: int = 0
 
@@ -390,17 +389,6 @@ def _repair_start(problem: RowProblem, b: np.ndarray):
     return b, f_b, m
 
 
-def _finish(b: np.ndarray, kkt: float, iters: int, ls_failures: int,
-            fallbacks: int) -> RowSolveReport:
-    return RowSolveReport(
-        iterations=iters,
-        final_kkt=float(kkt),
-        exact_zeros=int(np.count_nonzero(b == 0.0)),
-        backtrack_failures=ls_failures,
-        fallback_steps=fallbacks,
-    )
-
-
 def _damped_direction_with_retries(h_free, g_free, mu):
     """Damped Newton solve, bumping mu tenfold on factorization failure up
     to a retry cap; the final failure reports solved=False and the caller
@@ -424,7 +412,7 @@ def _solve_row(problem: RowProblem, params: SolverParams,
     epsilon = PDNR_EPSILON if store is None else PQNR_EPSILON
     b, f_b, m = _repair_start(problem, problem.b.copy())
     if not math.isfinite(f_b):
-        return b, _finish(b, float("inf"), 0, 0, 0)
+        return b, RowSolveReport(final_kkt=float("inf"))
     mu = MU0
     iters = ls_failures = fallbacks = 0
     prev_b = prev_g = None
@@ -479,7 +467,7 @@ def _solve_row(problem: RowProblem, params: SolverParams,
             f_b = _f_at(problem, b, m)
             fallbacks += 1
         iters += 1
-    return b, _finish(b, kkt, iters, ls_failures, fallbacks)
+    return b, RowSolveReport(iters, float(kkt), ls_failures, fallbacks)
 
 
 def solve_row_pdnr(problem: RowProblem, params: Optional[SolverParams] = None):

@@ -163,15 +163,19 @@ class SparseCountTensor:
     subs0:
         (nnz, N) int64 array of 0-based subscripts, sorted lexicographically.
     vals:
-        (nnz,) int64 array of strictly positive counts.
+        (nnz,) int64 array of strictly positive counts.  Both are read-only.
     """
 
     shape: Shape
     subs0: np.ndarray = field(repr=False)
     vals: np.ndarray = field(repr=False)
+    _layouts: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)  # mode -> mode_row_positions
 
     def __post_init__(self):
         object.__setattr__(self, "shape", as_shape(self.shape))
+        for array in (self.subs0, self.vals):  # the cached layouts copy them
+            array.setflags(write=False)
 
     @classmethod
     def from_entries(cls, shape, entries) -> "SparseCountTensor":
@@ -289,7 +293,7 @@ BLOCK_DOUBLES = 16384
 
 @dataclass(frozen=True)
 class ModeLayout:
-    """The tensor's nonzeros grouped by mode-n row, built once per fit.
+    """A tensor's nonzeros grouped by mode-n row, built once per tensor.
 
     The row order lists the nonzeros sorted by row, stably, so each row
     keeps its entries in COO order; nonempty row ``k`` has the 0-based id
@@ -487,12 +491,14 @@ def _reap(pid: int, read_fd: int):
 
 def mode_row_positions(tensor: SparseCountTensor, mode: int) -> ModeLayout:
     """Group the tensor's nonzeros by their mode-n row into a ModeLayout,
-    rows in increasing order.  The row counts take one integer per row up
-    to the last nonempty one, less than the mode's factor matrix.  Each
-    subscript column, and the counts, are narrowed before they are sorted
-    or permuted, which lets the stable sort of a mode of at most 65,536
-    rows run as a radix sort."""
+    rows in increasing order, once: the tensor keeps it for later calls.
+    The row counts take one integer per row up to the last nonempty one,
+    less than the mode's factor matrix.  Each subscript column, and the
+    counts, are narrowed before they are sorted or permuted, which lets the
+    stable sort of a mode of at most 65,536 rows run as a radix sort."""
     _check_mode(tensor.shape, mode)
+    if mode in tensor._layouts:
+        return tensor._layouts[mode]
 
     def narrow(k):
         return tensor.subs0[:, k].astype(np.min_scalar_type(tensor.shape[k] - 1))
@@ -503,8 +509,10 @@ def mode_row_positions(tensor: SparseCountTensor, mode: int) -> ModeLayout:
     columns = tuple(np.take(narrow(k), order)
                     for k in range(tensor.ndim) if k != mode - 1)
     vals = tensor.vals.astype(np.min_scalar_type(tensor.vals.max(initial=0)))
-    return ModeLayout(columns, np.take(vals, order), rows,
-                      np.concatenate(([0], np.cumsum(counts[rows]))))
+    layout = tensor._layouts[mode] = ModeLayout(
+        columns, np.take(vals, order), rows,
+        np.concatenate(([0], np.cumsum(counts[rows]))))
+    return layout
 
 
 def read_coo(path) -> SparseCountTensor:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import poissoncp
+import poissoncp.cli as cli
 import poissoncp.errors as errors
 from poissoncp.cli import main
 from poissoncp.sparse_tensor import (PARALLEL_MIN_ROWS, PARALLEL_MIN_WORK,
@@ -552,6 +553,39 @@ class TestConfigErrors:
                     "--output-dir", str(tmp_path / "out")]
         self.run_and_check(capsys, argv, f"error: {folder}: cannot read")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "factorize", "bench",
+                                         "evaluate"])
+    def test_unusable_output_path(self, generated, capsys, monkeypatch,
+                                  command):
+        # An output dir that is a file is rejected before any fit; an
+        # evaluate report cannot be written into a missing directory.
+        tmp_path, outdir = generated
+        taken = outdir / "tensor.coo"
+        before = taken.read_bytes()
+        fits = []
+        real_fit = cli.fit
+        monkeypatch.setattr(cli, "fit", lambda *a, **k: fits.append(a)
+                            or real_fit(*a, **k))
+        if command == "evaluate":
+            path = tmp_path / "missing" / "report.json"
+            argv = ["evaluate", "--model", str(outdir / "truth_model.json"),
+                    "--truth", str(outdir / "truth_model.json"),
+                    "--tensor", str(taken), "--output", str(path)]
+        else:
+            path = taken
+            cfg = write_json(tmp_path / "cfg.json", {
+                "generate": {"dims": [6, 7, 8], "rank": 3, "samples": 100},
+                "factorize": {"tensor": str(taken), "method": "mu",
+                              "rank": 3},
+                "bench": {"dims": [5, 6, 4], "samples": 100, "ranks": [2],
+                          "seeds": [0], "methods": ["mu"], "outer_max": 1},
+            }[command])
+            argv = [command, "--config", cfg, "--output-dir", str(path)]
+        self.run_and_check(capsys, argv, f"error: {path}: ")
+        assert fits == []
+        assert taken.read_bytes() == before
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("command", ["generate", "factorize", "bench"])
     def test_config_that_is_not_an_object(self, tmp_path, capsys, command):

@@ -35,7 +35,7 @@ from conftest import (
 )
 from poissoncp.baselines import mu_solve_mode
 from poissoncp.driver import FitConfig, fit, init_model, solve_mode
-from poissoncp.errors import FactorizationFailureError
+from poissoncp.errors import FactorizationFailureError, IndexOutOfRangeError
 from poissoncp.evaluation import mode_kkt_violation
 from poissoncp.kruskal import KruskalModel, kl_objective, normalize
 from poissoncp.row_solver import SolverParams
@@ -265,6 +265,60 @@ class TestModeLayout:
         assert list(layout.row_views(3, gathered.append)) == []
         assert list(layout.blocks(3, gathered.append)) == []
         assert gathered == []
+
+
+class TestLayoutBuiltOncePerTensor:
+    """A tensor keeps each mode's layout from its first grouping on, so
+    fits, KKT checks and direct mode solves share it."""
+
+    def test_fits_and_kkt_checks_build_each_mode_once(self):
+        # No mode of this tensor is large enough to split into parts, so
+        # each ModeLayout made is a grouping of the tensor.
+        _, tensor = generate_dataset(GenConfig(dims=(6, 7, 8), rank=3,
+                                               samples=500, seed=1))
+        builds = []
+        layout_class = sparse_tensor.ModeLayout
+
+        def counting(*args):
+            builds.append(layout_class(*args))
+            return builds[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_tensor, "ModeLayout", counting)
+            model = fit(tensor, FitConfig(method="pdnr", rank=3,
+                                          outer_max=2)).model
+            assert len(builds) == 3
+            evaluation.full_kkt_violation(tensor, model)
+            fit(tensor, FitConfig(method="mu", rank=3, outer_max=2))
+            solve_mode(tensor, model, 2, method="pqnr")
+        assert [id(b) for b in builds] == [
+            id(mode_row_positions(tensor, n)) for n in (1, 2, 3)]
+
+    def test_same_layout_per_tensor_and_none_shared_between_tensors(self):
+        tensor, _ = layout_case(4)
+        twin = SparseCountTensor.from_arrays(tensor.shape, tensor.subs0,
+                                             tensor.vals, one_based=False)
+        for mode in range(1, tensor.ndim + 1):
+            layout = mode_row_positions(tensor, mode)
+            assert mode_row_positions(tensor, mode) is layout
+            assert mode_row_positions(twin, mode) is not layout
+            assert_layouts_equal(mode_row_positions(twin, mode), layout)
+        # A kept layout would go stale if the tensor's arrays changed.
+        for array in (tensor.subs0, tensor.vals):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_out_of_range_mode_after_the_others_are_cached(self):
+        tensor, model = layout_case(5)
+        for mode in range(1, tensor.ndim + 1):
+            mode_row_positions(tensor, mode)
+        for mode in (0, tensor.ndim + 1):
+            for call in (mode_row_positions, mode_kkt_violation,
+                         mu_solve_mode, solve_mode):
+                args = (tensor,) if call is mode_row_positions else (
+                    tensor, model)
+                with pytest.raises(IndexOutOfRangeError, match="out of range"):
+                    call(*args, mode)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
