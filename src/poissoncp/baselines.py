@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kruskal import KruskalModel, _check_shape, _pi_product, normalize
+from .kruskal import KruskalModel, _pi_product, _prepared
 from .sparse_tensor import (SparseCountTensor, map_row_ranges,
                             mode_row_positions)
 
@@ -49,10 +49,8 @@ def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel,
     depends on the split.  Raises ShapeMismatchError when the model's dims
     are not the tensor's.
     """
-    _check_shape(model, tensor)
+    model = _prepared(model, tensor)
     layout = mode_row_positions(tensor, mode)
-    if not model.normalized:
-        model = normalize(model)
     mode0 = mode - 1
     factor = model.factors[mode0]
     b = np.zeros_like(factor)

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -43,37 +45,35 @@ from .synth import GenConfig, generate_dataset
 __all__ = ["main"]
 
 
-def _load_config(path, keys) -> dict:
-    """The JSON object in ``path``, whose keys must all be among ``keys``."""
+def _load_config(path, keys, **flags) -> dict:
+    """The JSON object in ``path``, whose keys must all be among ``keys``,
+    with each of ``flags`` that was set (not None, typed by argparse) in
+    place of the file's value; the dict's readers check both alike.  An
+    unreadable file and invalid or too deeply nested JSON are ConfigErrors."""
     try:
         with open(path) as fh:
             config = json.load(fh)
     except OSError as exc:
         raise ConfigError(
             f"{path}: cannot read config ({exc.strerror or exc})") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = [key for key in config if key not in keys]
     if unknown:
         raise ConfigError(f"unknown config field {unknown[0]!r}")
+    config.update((k, v) for k, v in flags.items() if v is not None)
     return config
 
 
 _REQUIRED = object()
 
 
-def _field(config: dict, key: str, kind, what: str, default=_REQUIRED,
-           override=None):
-    """Config field ``key``, one that only the CLI reads, checked by ``kind``.
-
-    A command-line ``override`` (already typed by argparse) wins over the
-    file, and ``default`` stands in for a missing key; without a default a
-    missing key is an error.
-    """
-    if override is not None:
-        return override
+def _field(config: dict, key: str, kind, what: str, default=_REQUIRED):
+    """Config field ``key``, one that only the CLI reads, checked by ``kind``;
+    ``default`` stands in for a missing key, and without a default a
+    missing key is an error."""
     if key not in config:
         if default is _REQUIRED:
             raise ConfigError(f"missing required config field {key!r}")
@@ -102,12 +102,11 @@ def _list(kind):
     return convert
 
 
-def _build(cls, config: dict, names, **overrides):
-    """``cls`` from the ``config`` entries named in ``names`` and the set
-    ``overrides``, which win.  The class checks each value; a missing
-    required field and a value the class rejects are ConfigErrors."""
+def _build(cls, config: dict, names):
+    """``cls`` from the ``config`` entries named in ``names``.  The class
+    checks each value; a missing required field and a value the class
+    rejects are ConfigErrors."""
     fields = {key: config[key] for key in names if key in config}
-    fields.update((k, v) for k, v in overrides.items() if v is not None)
     for f in dataclasses.fields(cls):
         if (f.name not in fields and f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING):
@@ -202,13 +201,9 @@ _GEN_KEYS = {f.name for f in dataclasses.fields(GenConfig)}
 _FIT_KEYS = {f.name for f in dataclasses.fields(FitConfig)}
 
 
-def _gen_config(config: dict, **overrides) -> GenConfig:
-    return _build(GenConfig, config, _GEN_KEYS, **overrides)
-
-
 def cmd_generate(args) -> int:
-    config = _load_config(args.config, _GEN_KEYS)
-    gen = _gen_config(config, seed=args.seed)
+    config = _load_config(args.config, _GEN_KEYS, seed=args.seed)
+    gen = _build(GenConfig, config, _GEN_KEYS)
     outdir = _output_dir(args.output_dir)
     truth, tensor = generate_dataset(gen)
     write_coo(tensor, outdir / "tensor.coo")
@@ -220,10 +215,10 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _fit_config(config: dict, **overrides) -> tuple[FitConfig, dict]:
+def _fit_config(config: dict) -> tuple[FitConfig, dict]:
     """The FitConfig and the resolved fit fields, for the manifest, which
     records the ``solver`` object as the config gives it."""
-    fit_config = _build(FitConfig, config, _FIT_KEYS, **overrides)
+    fit_config = _build(FitConfig, config, _FIT_KEYS)
     resolved = {key: getattr(fit_config, key) for key in (
         "method", "rank", "tau", "outer_max", "time_limit", "seed",
         "mode1_only")}
@@ -235,17 +230,17 @@ _FACTORIZE_KEYS = {*_FIT_KEYS, "tensor", "init_model"}
 
 
 def cmd_factorize(args) -> int:
-    config = _load_config(args.config, _FACTORIZE_KEYS)
-    tensor_path = _field(config, "tensor", _exactly(str), "path",
-                         override=args.tensor)
-    fit_config, resolved = _fit_config(
-        config, method=args.method, rank=args.rank, tau=args.tau,
-        outer_max=args.outer_max, time_limit=args.time_limit, seed=args.seed,
-        mode1_only=args.mode1_only or None)
+    config = _load_config(
+        args.config, _FACTORIZE_KEYS, tensor=args.tensor, method=args.method,
+        rank=args.rank, tau=args.tau, outer_max=args.outer_max,
+        time_limit=args.time_limit, seed=args.seed,
+        mode1_only=args.mode1_only or None, init_model=args.init_model)
+    tensor_path = _field(config, "tensor", _exactly(str), "path")
+    fit_config, resolved = _fit_config(config)
     resolved["tensor"] = tensor_path
     init = None
     init_path = _field(config, "init_model", _exactly((str, type(None))),
-                       "path", None, args.init_model)
+                       "path", None)
     if init_path:
         init = _read_model(init_path)
         resolved["init_model"] = init_path
@@ -272,7 +267,22 @@ def cmd_factorize(args) -> int:
     return 0
 
 
+def _check_writable(path) -> None:
+    """Raise the ConfigError that writing ``path`` would raise when it is
+    a directory or its parent is not an existing one; creates nothing."""
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"{path}: cannot write ({os.strerror(code)})")
+
+
 def cmd_evaluate(args) -> int:
+    if args.output:  # before any input is read
+        _check_writable(args.output)
     model = _read_model(args.model)
     truth = _read_model(args.truth)
     tensor = _read_input(read_coo, args.tensor)
@@ -326,10 +336,10 @@ def cmd_bench(args) -> int:
     ranks, seeds = (_field(config, key, _list(partial(check_integer, key)),
                            "non-empty list of integers")
                     for key in ("ranks", "seeds"))
-    runs = [(_gen_config(config, rank=rank, seed=seed),
-             [_fit_config(config, method=method, rank=rank, seed=seed)
-              for method in methods])
-            for rank in ranks for seed in seeds]
+    runs = [(_build(GenConfig, run, _GEN_KEYS),
+             [_fit_config({**run, "method": method}) for method in methods])
+            for run in ({**config, "rank": rank, "seed": seed}
+                        for rank in ranks for seed in seeds)]
     outdir = _output_dir(args.output_dir)
     rows = []
     for gen, fits in runs:
@@ -370,13 +380,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a synthetic tensor and truth model")
     p.add_argument("--config", required=True, help="JSON generator config")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--seed", type=int, default=None, help="replaces the config seed")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("factorize", help="fit a tensor from a COO file")
     p.add_argument("--config", required=True, help="JSON factorization config")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--tensor", default=None, help="override config tensor path")
+    p.add_argument("--tensor", default=None, help="replaces the config tensor path")
     p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--tau", type=float, default=None)

@@ -24,7 +24,7 @@ import numpy as np
 from .baselines import mu_solve_mode
 from .errors import check_integer, check_number, check_size
 from .evaluation import exact_zero_count, mode_kkt_violation
-from .kruskal import (KruskalModel, _check_shape, _pi_product, kl_objective,
+from .kruskal import (KruskalModel, _pi_product, _prepared, kl_objective,
                       normalize)
 from .row_solver import (
     RowProblem,
@@ -167,10 +167,16 @@ class FitTrace:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit's model, trace and convergence; ``final_kkt`` reads the last
+    sweep's largest mode KKT violation from the trace."""
+
     model: KruskalModel
     trace: FitTrace
     converged: bool
-    final_kkt: float
+
+    @property
+    def final_kkt(self) -> float:
+        return self.trace.records[-1].mode_kkt_max
 
 
 @dataclass
@@ -245,10 +251,8 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     model's dims are not the tensor's.
     """
     _check_method(method)
-    _check_shape(model, tensor)
+    model = _prepared(model, tensor)
     layout = mode_row_positions(tensor, mode)
-    if not model.normalized:
-        model = normalize(model)
     mode0 = mode - 1
     report = ModeSweepReport(mode=mode)
     if method == "mu":
@@ -289,11 +293,9 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
     model = init if init is not None else init_model(
         tensor.shape, config.rank, config.seed
     )
-    _check_shape(model, tensor)
+    model = _prepared(model, tensor)
     if model.rank != config.rank:
         raise ValueError("initial model rank does not match the config")
-    if not model.normalized:
-        model = normalize(model)
     start_objective = kl_objective(model, tensor)
     if not np.isfinite(start_objective):
         raise ValueError(
@@ -308,7 +310,6 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
     deadline = None if config.time_limit is None else start + config.time_limit
     trace = FitTrace()
     converged = False
-    final_kkt = float("inf")
     for outer in range(1, config.outer_max + 1):
         ls_failures = 0
         fallbacks = 0
@@ -320,7 +321,6 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
             if deadline is not None and time.perf_counter() > deadline:
                 break
         mode_kkt = tuple(mode_kkt_violation(tensor, model, n) for n in modes)
-        final_kkt = max(mode_kkt)
         trace.append(OuterRecord(
             outer=outer,
             mode_kkt=mode_kkt,
@@ -330,13 +330,12 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
             line_search_failures=ls_failures,
             fallback_steps=fallbacks,
         ))
-        if final_kkt <= config.tau:
+        if max(mode_kkt) <= config.tau:
             converged = True
             break
         if deadline is not None and time.perf_counter() > deadline:
             break
-    return FitResult(model=model, trace=trace, converged=converged,
-                     final_kkt=final_kkt)
+    return FitResult(model=model, trace=trace, converged=converged)
 
 
 def write_trace(trace: FitTrace, path) -> None:

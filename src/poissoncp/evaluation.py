@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .kruskal import (KruskalModel, _check_shape, _pi_product, _unit_columns,
-                      normalize)
+from .kruskal import KruskalModel, _pi_product, _prepared, _unit_columns
 from .row_solver import _pi_x_over_m, kkt_violation_row
 from .sparse_tensor import SparseCountTensor, mode_row_positions
 
@@ -95,9 +94,9 @@ def score_greedy(model_a: KruskalModel, model_b: KruskalModel) -> ScoreReport:
 
 
 def exact_zero_count(model: KruskalModel) -> ZeroCountReport:
-    """Entries of each factor literally equal to zero; no threshold."""
-    per = tuple(int(np.count_nonzero(f == 0.0)) for f in model.factors)
-    return ZeroCountReport(threshold=0.0, per_factor=per, total=sum(per))
+    """Entries of each factor literally equal to zero; no threshold.  As
+    factors are nonnegative, these are the entries at or below 0.0."""
+    return thresholded_zero_count(model, 0.0)
 
 
 def thresholded_zero_count(model: KruskalModel, threshold: float) -> ZeroCountReport:
@@ -116,10 +115,8 @@ def mode_kkt_violation(tensor: SparseCountTensor, model: KruskalModel,
     microseconds a row.  Raises ShapeMismatchError when the model's dims
     are not the tensor's.
     """
-    _check_shape(model, tensor)
+    model = _prepared(model, tensor)
     layout = mode_row_positions(tensor, mode)
-    if not model.normalized:
-        model = normalize(model)
     mode0 = mode - 1
     b_matrix = model.factors[mode0] * model.weights
     # Rows without data have gradient 1 everywhere; each nonempty row's

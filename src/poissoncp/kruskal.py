@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatchError, ZeroColumnWarning, prefixed
-from .sparse_tensor import Shape, SparseCountTensor
+from .sparse_tensor import BLOCK_DOUBLES, Shape, SparseCountTensor
 
 __all__ = [
     "KruskalModel",
@@ -148,27 +148,27 @@ def _unit_columns(factors) -> list[np.ndarray]:
     return [f / np.where(n == 0.0, 1.0, n) for f, n in zip(factors, norms)]
 
 
-# Subscript rows per block of model_entries: its (rows, R) temporaries
-# stay in cache.  A multiple of 4, so the blocked matrix-vector products
-# sum each row as the one-shot product over all rows does.
-_ENTRY_BLOCK_ROWS = 4096
-
-
 def model_entries(model: KruskalModel, subs0: np.ndarray) -> np.ndarray:
-    """Vectorized model values at the given 0-based subscript rows."""
+    """Vectorized model values at the given 0-based subscript rows, in
+    blocks of a multiple of 4 rows and about ``BLOCK_DOUBLES`` gathered
+    doubles: the temporaries stay in cache, and the blocked products sum
+    each row as the one-shot matrix-vector product over all rows does."""
+    step = 4 * max(BLOCK_DOUBLES // (4 * model.rank), 1)
     out = np.empty(subs0.shape[0], dtype=np.float64)
-    for start in range(0, subs0.shape[0], _ENTRY_BLOCK_ROWS):
-        block = subs0[start:start + _ENTRY_BLOCK_ROWS]
+    for start in range(0, subs0.shape[0], step):
+        block = subs0[start:start + step]
         out[start:start + block.shape[0]] = (
             _pi_product(model.factors, None, block.T) @ model.weights)
     return out
 
 
-def _check_shape(model: KruskalModel, tensor: SparseCountTensor) -> None:
-    """Raise ShapeMismatchError unless the model's dims are the tensor's."""
+def _prepared(model: KruskalModel, tensor: SparseCountTensor) -> KruskalModel:
+    """``model``, normalized, for a walk over ``tensor``'s nonzeros; a
+    ShapeMismatchError unless the model's dims are the tensor's."""
     if model.shape.dims != tensor.shape.dims:
         raise ShapeMismatchError(f"model shape {model.shape.dims} != "
                                  f"tensor shape {tensor.shape.dims}")
+    return model if model.normalized else normalize(model)
 
 
 def kl_objective(model: KruskalModel, tensor: SparseCountTensor) -> float:
@@ -181,9 +181,7 @@ def kl_objective(model: KruskalModel, tensor: SparseCountTensor) -> float:
     zero, or so close to zero that x / m**2, a weight of the row solves'
     Hessian, overflows.
     """
-    _check_shape(model, tensor)
-    if not model.normalized:
-        model = normalize(model)
+    model = _prepared(model, tensor)
     first = float(model.weights.sum())
     m = model_entries(model, tensor.subs0)
     # The extremes rule the case out without a temporary array per nonzero.
@@ -211,13 +209,16 @@ def load_model(path) -> KruskalModel:
 
     ``R`` and each ``dims`` entry must be JSON integers, ``lambda`` a flat
     list of numbers and each factor a list of equal-length lists of
-    numbers.  A file that is not JSON, lacks a field, or holds invalid or
-    mutually inconsistent fields raises ValueError (or its
-    ShapeMismatchError subclass) with a message that starts with the path.
+    numbers.  A file that is not JSON or nests too deep to decode, lacks a
+    field, or holds invalid or mutually inconsistent fields raises
+    ValueError (or its ShapeMismatchError subclass) with a message that
+    starts with the path.
     """
     with open(path) as fh:
         try:
             return _parse_model(json.load(fh))
+        except RecursionError as exc:  # JSON nested too deep to decode
+            raise ValueError(f"{path}: invalid JSON ({exc})") from exc
         except KeyError as exc:
             raise ValueError(f"{path}: missing model field {exc}") from exc
         except TypeError as exc:

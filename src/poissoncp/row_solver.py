@@ -132,13 +132,9 @@ class LineSearchResult(NamedTuple):
     m_next: Optional[np.ndarray] = None  # b_next @ pi of an accepted step
 
 
-def _cell_values(problem: RowProblem, b: np.ndarray) -> np.ndarray:
-    return b.dot(problem.pi)
-
-
 def _f_at(problem: RowProblem, b: np.ndarray, m: Optional[np.ndarray] = None) -> float:
     if m is None:
-        m = _cell_values(problem, b)
+        m = b.dot(problem.pi)
     total = float(np.add.reduce(b))
     if np.minimum.reduce(m, initial=np.inf) <= 0.0:
         return float("inf")
@@ -167,7 +163,7 @@ def _pi_x_over_m(pi: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
 def grad_row(problem: RowProblem, b: Optional[np.ndarray] = None) -> np.ndarray:
     """Gradient 1 - pi @ (x / (b @ pi))."""
     b = problem.b if b is None else np.asarray(b, dtype=np.float64)
-    m = _cell_values(problem, b)
+    m = b.dot(problem.pi)
     _check_defined(m)
     return 1.0 - _pi_x_over_m(problem.pi, problem.x, m)
 
@@ -175,7 +171,7 @@ def grad_row(problem: RowProblem, b: Optional[np.ndarray] = None) -> np.ndarray:
 def hess_row(problem: RowProblem, b: Optional[np.ndarray] = None) -> np.ndarray:
     """Hessian pi @ diag(x / (b @ pi)^2) @ pi.T; positive semidefinite."""
     b = problem.b if b is None else np.asarray(b, dtype=np.float64)
-    m = _cell_values(problem, b)
+    m = b.dot(problem.pi)
     _check_defined(m)
     return _hessian_block(problem, m, np.ones(b.shape[0], dtype=bool))
 
@@ -276,7 +272,7 @@ def armijo_projected_search(problem: RowProblem, b: np.ndarray, f_b: float,
         b_try = np.maximum(b + step * d, 0.0)
         predicted = float(g.dot(b_try - b))
         if predicted < 0.0:
-            m_try = _cell_values(problem, b_try)
+            m_try = b_try.dot(problem.pi)
             f_try = _f_at(problem, b_try, m_try)
             evals += 1
             if t == 0:
@@ -311,7 +307,7 @@ def multiplicative_step(problem: RowProblem, b: np.ndarray,
     the line search cannot certify progress.
     """
     if m is None:
-        m = _cell_values(problem, b)
+        m = b.dot(problem.pi)
     _check_defined(m)
     return b * _pi_x_over_m(problem.pi, problem.x, m)
 
@@ -376,13 +372,13 @@ def _repair_start(problem: RowProblem, b: np.ndarray):
     with zero model value; returns (b, f(b), b @ pi) where f(b) may still be
     infinite when no lift can help (an all-zero pi column under a positive
     count)."""
-    m = _cell_values(problem, b)
+    m = b.dot(problem.pi)
     f_b = _f_at(problem, b, m)
     if math.isfinite(f_b):
         return b, f_b, m
     scale = float(b.max()) if b.size and b.max() > 0 else 1.0
     lifted = np.where(b > 0.0, b, 1e-10 * scale)
-    m_lifted = _cell_values(problem, lifted)
+    m_lifted = lifted.dot(problem.pi)
     f_lifted = _f_at(problem, lifted, m_lifted)
     if math.isfinite(f_lifted):
         return lifted, f_lifted, m_lifted
@@ -463,7 +459,7 @@ def _solve_row(problem: RowProblem, params: SolverParams,
             b, f_b, m = result.b_next, result.f_next, result.m_next
         else:
             b = multiplicative_step(problem, b, m)
-            m = _cell_values(problem, b)
+            m = b.dot(problem.pi)
             f_b = _f_at(problem, b, m)
             fallbacks += 1
         iters += 1

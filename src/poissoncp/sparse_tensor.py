@@ -14,6 +14,7 @@ import os
 import pickle
 import re
 import signal
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -547,12 +548,13 @@ def _parse_coo(fh) -> SparseCountTensor:
                          f"{len(header) - 1} dimensions")
     dims = tuple(int(d) for d in header[1:])
     body = fh.tell()
-    if not _has_data_line(fh):
-        return SparseCountTensor.from_arrays(
-            dims, np.empty((0, n), dtype=np.int64), np.empty((0,), dtype=np.int64)
-        )
     try:
-        data = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
+        with warnings.catch_warnings():
+            # An empty or all-blank body is an empty tensor, not a warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
+        if data.shape[0] == 0:
+            data = np.empty((0, n + 1), dtype=np.int64)
         if data.shape[1] != n + 1:
             raise ValueError(f"entries must have {n} indices plus a count, "
                              f"got lines of {data.shape[1]} fields")
@@ -582,16 +584,6 @@ def _first_bad_line(fh, n: int, first: int):
                 return ValueError(f"line {number}: {token!r} is not an int64 "
                                   "integer")
     return None
-
-
-def _has_data_line(fh) -> bool:
-    """Whether a non-blank line follows; the file position is left as found."""
-    start = fh.tell()
-    for line in iter(fh.readline, ""):
-        if line.strip():
-            fh.seek(start)
-            return True
-    return False
 
 
 # Rows formatted per write: one %-format call each, with bounded transient

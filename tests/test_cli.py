@@ -124,17 +124,20 @@ class TestFactorize:
         assert float(rows[-1]["mode_kkt_max"]) <= 1e-8
 
     def test_flag_overrides_recorded_in_manifest(self, generated):
+        # A flag wins over the file's value, also over a malformed one.
         tmp_path, outdir = generated
         cfg = write_json(tmp_path / "fac.json", {
-            "tensor": str(outdir / "tensor.coo"),
-            "method": "pdnr", "rank": 3, "tau": 1e-3, "seed": 2,
+            "tensor": 5, "method": "bogus", "rank": 3, "tau": 1e-3,
+            "seed": 2, "outer_max": 0,
         })
         run = tmp_path / "ovr"
-        main(["factorize", "--config", cfg, "--output-dir", str(run),
-              "--method", "mu", "--outer-max", "3"])
+        assert main(["factorize", "--config", cfg, "--output-dir", str(run),
+                     "--tensor", str(outdir / "tensor.coo"),
+                     "--method", "mu", "--outer-max", "3"]) == 0
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["config"]["method"] == "mu"
         assert manifest["config"]["outer_max"] == 3
+        assert manifest["config"]["tensor"] == str(outdir / "tensor.coo")
 
 
 class TestEvaluate:
@@ -586,6 +589,52 @@ class TestConfigErrors:
         assert fits == []
         assert taken.read_bytes() == before
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("output", ["missing/report.json", "folder"])
+    def test_unwritable_report_is_rejected_before_any_input(
+            self, generated, capsys, monkeypatch, output):
+        tmp_path, outdir = generated
+        (tmp_path / "folder").mkdir()
+        path = tmp_path / output
+
+        def unexpected(*args):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli, "read_coo", unexpected)
+        monkeypatch.setattr(cli, "load_model", unexpected)
+        reason = "Is a directory" if output == "folder" else \
+            "No such file or directory"
+        self.run_and_check(capsys, [
+            "evaluate", "--model", str(outdir / "truth_model.json"),
+            "--truth", str(outdir / "truth_model.json"),
+            "--tensor", str(outdir / "tensor.coo"), "--output", str(path)],
+            f"error: {path}: cannot write ({reason})")
+        assert not (tmp_path / "missing").exists()
+        assert list((tmp_path / "folder").iterdir()) == []
+
+    @pytest.mark.parametrize("command, role", [
+        ("generate", "--config"), ("evaluate", "--model"),
+        ("factorize", "--init-model"),
+    ])
+    def test_deeply_nested_json(self, generated, capsys, command, role):
+        # json raises RecursionError, not ValueError, on such a file.
+        tmp_path, outdir = generated
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        truth = str(outdir / "truth_model.json")
+        tensor = str(outdir / "tensor.coo")
+        fit_cfg = write_json(tmp_path / "fac.json", {
+            "tensor": tensor, "method": "mu", "rank": 3})
+        argv = {
+            "generate": ["generate", "--config", str(deep)],
+            "evaluate": ["evaluate", "--model", str(deep), "--truth", truth,
+                         "--tensor", tensor],
+            "factorize": ["factorize", "--config", fit_cfg,
+                          "--init-model", str(deep)],
+        }[command]
+        if command != "evaluate":
+            argv += ["--output-dir", str(tmp_path / "out")]
+        self.run_and_check(capsys, argv, f"error: {deep}: invalid JSON")
 
     @pytest.mark.parametrize("command", ["generate", "factorize", "bench"])
     def test_config_that_is_not_an_object(self, tmp_path, capsys, command):

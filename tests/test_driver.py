@@ -93,11 +93,15 @@ class TestSolveMode:
             solve_mode(tensor, model, 3)
 
     @pytest.mark.parametrize("dims", [(6, 7, 8), (3, 4)])
-    @pytest.mark.parametrize("walk", [solve_mode, mu_solve_mode,
-                                      mode_kkt_violation])
+    @pytest.mark.parametrize("walk", [
+        solve_mode, mu_solve_mode, mode_kkt_violation,
+        pytest.param(lambda t, m, mode: kl_objective(m, t), id="kl_objective"),
+        pytest.param(lambda t, m, mode: fit(t, FitConfig(method="mu", rank=2),
+                                            init=m), id="fit"),
+    ])
     def test_model_of_another_shape_is_rejected(self, walk, dims):
-        # As by kl_objective: a larger model would walk the tensor's rows
-        # silently, and one of fewer modes would fail inside numpy.
+        # A larger model would walk the tensor's rows silently, and one of
+        # fewer modes would fail inside numpy.
         tensor = SparseCountTensor.from_entries((3, 4, 5), [((1, 2, 3), 4)])
         model = init_model(dims, 2, seed=0)
         message = f"model shape {dims} != tensor shape (3, 4, 5)"

@@ -201,7 +201,8 @@ class TestModelEntries:
     @pytest.mark.parametrize("block, nnz", [(8, 37), (4, 3), (65536, 65536 * 2 + 5)])
     def test_blocked_values_equal_one_shot_bitwise(self, rng, monkeypatch,
                                                    block, nnz):
-        monkeypatch.setattr(kruskal, "_ENTRY_BLOCK_ROWS", block)
+        # At rank 7 this gives blocks of ``block`` rows.
+        monkeypatch.setattr(kruskal, "BLOCK_DOUBLES", block * 7)
         model = random_model(rng, (50, 40, 30), 7)
         subs0 = np.stack([rng.integers(0, d, size=nnz) for d in (50, 40, 30)],
                          axis=1)
