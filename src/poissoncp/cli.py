@@ -267,11 +267,13 @@ def cmd_factorize(args) -> int:
     return 0
 
 
-def _check_writable(path) -> None:
+def _check_writable(path: str) -> None:
     """Raise the ConfigError that writing ``path`` would raise when it is
-    a directory or its parent is not an existing one; creates nothing."""
+    a directory, ends in a separator or its parent is not an existing
+    directory; creates nothing.  ``Path`` drops a trailing separator, so
+    that is checked on the string, as ``open`` sees it."""
     target = Path(path)
-    if target.is_dir():
+    if target.is_dir() or path.endswith((os.sep, os.altsep or os.sep)):
         code = errno.EISDIR
     elif not target.parent.is_dir():
         code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
@@ -312,7 +314,8 @@ def cmd_evaluate(args) -> int:
     text = json.dumps(doc, indent=2) + "\n"
     if args.output:
         try:
-            Path(args.output).write_text(text)
+            with open(args.output, "w") as out:
+                out.write(text)
         except OSError as exc:
             raise ConfigError(f"{args.output}: cannot write "
                               f"({exc.strerror or exc})") from exc

@@ -81,8 +81,10 @@ class FitConfig:
     or ``sparse_tensor.PARALLEL_MIN_WORK`` element-updates (``mu``), and
     the models do not depend on the split.  It remains only because the
     benchmark in ``perfbench/`` still passes it.  Building a ``pdnr``
-    config imports LAPACK from scipy, which only the damped Newton
-    direction uses, so that one-time cost falls outside ``fit``.
+    config loads LAPACK's Cholesky, which only the damped Newton direction
+    uses, so that one-time cost (about 15 ms and 4 MB: ``scipy`` and its
+    ``_flapack`` extension, not the ``scipy.linalg`` package; see
+    ``row_solver.lapack_cholesky``) falls outside ``fit``.
     """
 
     method: str

@@ -24,7 +24,11 @@ search fails, so progress is always made.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -208,15 +212,37 @@ def partition_variables(b: np.ndarray, g: np.ndarray, epsilon: float):
 
 @functools.cache
 def lapack_cholesky():
-    """LAPACK ``(dpotrf, dpotrs)``, imported from scipy on the first call.
+    """LAPACK ``(dpotrf, dpotrs)``, loaded from scipy on the first call.
 
-    Only the damped Newton direction needs LAPACK, and importing
-    ``scipy.linalg`` takes about a quarter of a second, so it is deferred
+    Only the damped Newton direction needs LAPACK.  Both routines live in
+    scipy's compiled extension ``scipy.linalg._flapack``, but importing it
+    by name first runs the ``scipy.linalg`` package ``__init__``, which
+    loads most of ``scipy.linalg``: about a quarter of a second and 28 MB.
+    So the extension file is loaded on its own, after ``import scipy`` has
+    run scipy's start-up hooks, for about 15 ms and 4 MB; its functions are
+    the very objects that ``scipy.linalg.lapack`` exports.  An extension
+    that ``scipy.linalg`` has already loaded is reused, and the public
+    ``scipy.linalg.lapack`` import runs only when scipy's ``linalg`` folder
+    holds no ``_flapack`` file for this interpreter.  The call is deferred
     until a damped Newton fit is configured or a direction is first solved.
     """
-    from scipy.linalg.lapack import dpotrf, dpotrs
+    import scipy
 
-    return dpotrf, dpotrs
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+        paths = [stem + suffix
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                 if os.path.isfile(stem + suffix)]
+        if not paths:
+            from scipy.linalg.lapack import dpotrf, dpotrs
+
+            return dpotrf, dpotrs
+        spec = importlib.util.spec_from_file_location(name, paths[0])
+        flapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+    return flapack.dpotrf, flapack.dpotrs
 
 
 def damped_newton_direction(hess_free: np.ndarray, grad_free: np.ndarray,

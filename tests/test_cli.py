@@ -590,27 +590,32 @@ class TestConfigErrors:
         assert taken.read_bytes() == before
         assert not (tmp_path / "missing").exists()
 
-    @pytest.mark.parametrize("output", ["missing/report.json", "folder"])
+    # A trailing separator names a directory even where none exists, as
+    # open() treats it; pathlib would drop it and write a file.
+    @pytest.mark.parametrize("output", ["missing/report.json", "folder",
+                                        "newdir/", "report.json/"])
     def test_unwritable_report_is_rejected_before_any_input(
             self, generated, capsys, monkeypatch, output):
         tmp_path, outdir = generated
         (tmp_path / "folder").mkdir()
-        path = tmp_path / output
+        path = os.path.join(tmp_path, output)
+        before = sorted(tmp_path.iterdir())
 
         def unexpected(*args):
             raise AssertionError("an input was read")
 
         monkeypatch.setattr(cli, "read_coo", unexpected)
         monkeypatch.setattr(cli, "load_model", unexpected)
-        reason = "Is a directory" if output == "folder" else \
-            "No such file or directory"
+        reason = "No such file or directory" if output.startswith("missing") \
+            else "Is a directory"
         self.run_and_check(capsys, [
             "evaluate", "--model", str(outdir / "truth_model.json"),
             "--truth", str(outdir / "truth_model.json"),
-            "--tensor", str(outdir / "tensor.coo"), "--output", str(path)],
+            "--tensor", str(outdir / "tensor.coo"), "--output", path],
             f"error: {path}: cannot write ({reason})")
         assert not (tmp_path / "missing").exists()
         assert list((tmp_path / "folder").iterdir()) == []
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("command, role", [
         ("generate", "--config"), ("evaluate", "--model"),
