@@ -255,6 +255,9 @@ def cmd_factorize(args) -> int:
     fit_config.check_sizes(tensor)  # before the output directory is made
     outdir = _output_dir(args.output_dir)
     result = fit(tensor, fit_config, init=init)
+    # The tensor and its layouts go before the model is encoded, so the
+    # encoder's strings do not add to the fit's peak memory.
+    del tensor
     save_model(result.model, outdir / "model.json")
     write_trace(result.trace, outdir / "trace.csv")
     _write_manifest(outdir, "factorize", resolved, ["model.json", "trace.csv"])

@@ -199,9 +199,9 @@ def save_model(model: KruskalModel, path) -> None:
         "lambda": model.weights.tolist(),
         "factors": [f.tolist() for f in model.factors],
     }
+    # json.dumps encodes in C, json.dump in Python; the bytes are the same.
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_model(path) -> KruskalModel:

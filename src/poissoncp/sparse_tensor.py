@@ -139,10 +139,11 @@ def lexsort_runs(subs0: np.ndarray):
     ``starts[k]:starts[k + 1]``.  The subscripts must be nonnegative, as
     the validated 0-based subscripts of every caller are: each column is
     sorted and compared narrowed to the smallest unsigned dtype that holds
-    its largest value, which numpy sorts by radix up to 16 bits.  Only
-    comparisons are used, so no shape is too large.
+    its largest value (a column already of that dtype is used as it is),
+    which numpy sorts by radix up to 16 bits.  Only comparisons are used,
+    so no shape is too large.
     """
-    keys = [col.astype(np.min_scalar_type(int(col.max(initial=0))))
+    keys = [col.astype(np.min_scalar_type(int(col.max(initial=0))), copy=False)
             for col in subs0.T]
     order = np.lexsort(keys[::-1])
     new = np.zeros(order.shape[0], dtype=bool)

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import check_integer, check_number, check_size
 from .kruskal import KruskalModel, _unit_columns, normalize
-from .sparse_tensor import SparseCountTensor, as_shape, lexsort_runs
+from .sparse_tensor import (BLOCK_DOUBLES, SparseCountTensor, as_shape,
+                            lexsort_runs)
 
 __all__ = [
     "GenConfig",
@@ -132,12 +133,15 @@ def sample_tensor(model: KruskalModel, samples: int, seed=0):
     Each draw picks a component by weight, then one index per mode from
     that component's column, and increments the cell.  Draw order (one
     PCG64 stream): one uniform block for the components, then one block per
-    mode.  The draws are then grouped by component (a stable sort), so each
-    component's indices come from one search over a contiguous slice; the
-    draw order is unchanged, and the cells and counts do not depend on the
-    order of the rows.  Returns (tensor, model with weights rescaled so
-    their sum equals ``samples`` exactly, matching the tensor's total
-    count).
+    mode; each block is drawn in steps of ``BLOCK_DOUBLES`` uniforms, which
+    gives the same uniforms as one call.  Every pick equals
+    ``np.searchsorted(cum, u, side="right")`` over the cumulative weights
+    or the component's cumulative column, bit for bit; a bucket table
+    (:class:`_BucketTable`) finds most of them without a binary search.
+    Repeated cells are merged by one lexicographic sort; the cells and
+    counts do not depend on the order of the draws.  Returns (tensor, model
+    with weights rescaled so their sum equals ``samples`` exactly, matching
+    the tensor's total count).
     """
     if not model.normalized:
         raise ValueError("sample_tensor needs a normalized model")
@@ -146,35 +150,95 @@ def sample_tensor(model: KruskalModel, samples: int, seed=0):
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = seeded_rng(seed)
-    r = model.rank
     # Each cumulative sum ends at exactly 1.0 and every uniform is below 1,
     # so no search below returns an index past the end.
     cw = np.cumsum(model.weights)
     cw /= cw[-1]
-    comp = np.searchsorted(cw, rng.random(samples), side="right").astype(
-        np.min_scalar_type(r - 1))
-    by_comp = np.argsort(comp, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(comp, minlength=r))))
-    del comp
-    subs0 = np.empty((samples, model.ndim), dtype=np.int64)
+    weights = _BucketTable(cw[:, None], samples)
+    comp = np.empty(samples, dtype=np.min_scalar_type(model.rank - 1))
+    for lo, hi in _chunks(samples):
+        comp[lo:hi] = weights.search(0, rng.random(hi - lo))
+    dims = tuple(f.shape[0] for f in model.factors)
+    subs = np.empty((model.ndim, samples),
+                    dtype=np.min_scalar_type(max(dims) - 1))
     for k, f in enumerate(model.factors):
         cum = np.cumsum(f, axis=0)
         cum /= cum[-1:, :]
-        u = np.take(rng.random(samples), by_comp)
-        for comp_r in range(r):
-            lo, hi = bounds[comp_r], bounds[comp_r + 1]
-            subs0[lo:hi, k] = np.searchsorted(cum[:, comp_r], u[lo:hi],
-                                              side="right")
-    del by_comp, u  # freed before the sort and the tensor's copies
-    order, starts = lexsort_runs(subs0)
-    cells = subs0[order[starts]]
-    del subs0, order
+        table = _BucketTable(cum, samples)
+        for lo, hi in _chunks(samples):
+            subs[k, lo:hi] = table.search(comp[lo:hi], rng.random(hi - lo))
+    del comp  # freed before the sort and the tensor's copies
+    order, starts = lexsort_runs(subs.T)
+    picks = order[starts]
+    del order
+    cells = np.empty((picks.shape[0], model.ndim), dtype=np.int64)
+    for k in range(model.ndim):
+        cells[:, k] = np.take(subs[k], picks)
+    del subs, picks
     counts = np.diff(starts, append=samples)
-    tensor = SparseCountTensor.from_arrays(
-        tuple(f.shape[0] for f in model.factors), cells, counts, one_based=False
-    )
+    del starts
+    tensor = SparseCountTensor.from_arrays(dims, cells, counts, one_based=False)
     scaled = _force_sum(model.weights * float(samples), float(samples))
     return tensor, KruskalModel(scaled, model.factors, normalized=True)
+
+
+def _chunks(samples: int):
+    """(lo, hi) bounds of consecutive steps of at most ``BLOCK_DOUBLES``
+    draws, so each step's uniforms and temporaries stay in cache."""
+    return ((lo, min(lo + BLOCK_DOUBLES, samples))
+            for lo in range(0, samples, BLOCK_DOUBLES))
+
+
+class _BucketTable:
+    """Exact ``searchsorted(cum[:, c], u, side="right")`` by bucket lookup.
+
+    [0, 1) is cut into ``buckets`` equal buckets, a power of two: the one
+    above ``min(4 I, samples // (4 R))`` for an (I, R) ``cum``, so the table
+    holds at most half an entry per draw.  For each bucket ``b`` and column
+    ``c`` it keeps how many values of ``cum[:, c]`` lie at or below the
+    lower edge ``b / buckets`` and the first value above it; that value is
+    NaN when more than one value lies strictly inside the bucket.  A
+    uniform lies on the 2**-53 grid, so ``u * buckets`` is exact and so is
+    its bucket.  The values at or below the edge are below ``u``, those at
+    or above the upper edge are above it, and the lone value inside, if
+    any, takes one comparison; only draws that meet a NaN fall back to a
+    binary search.
+    """
+
+    def __init__(self, cum: np.ndarray, samples: int):
+        size, rank = cum.shape
+        self.cum = cum
+        self.buckets = 1 << min(4 * size, samples // (4 * rank)).bit_length()
+        edges = np.arange(self.buckets + 1) / self.buckets
+        below = np.empty((self.buckets, rank),
+                         dtype=np.min_scalar_type(size - 1))
+        first = np.empty((self.buckets, rank))
+        for c, col in enumerate(cum.T):
+            at = np.searchsorted(col, edges[:-1], side="right")
+            inside = np.searchsorted(col, edges[1:], side="left") - at
+            below[:, c] = at
+            first[:, c] = np.where(inside > 1, np.nan, col[at])
+        self.below = below.ravel()
+        self.first = first.ravel()
+
+    def search(self, cols, u: np.ndarray) -> np.ndarray:
+        """Index of each uniform ``u[j]`` in column ``cols[j]``; ``cols`` is
+        an array or one column for all."""
+        cols = np.broadcast_to(cols, u.shape)
+        key = (u * self.buckets).astype(np.intp)
+        key *= self.cum.shape[1]
+        key += cols
+        index = np.take(self.below, key)
+        first = np.take(self.first, key)
+        index += first <= u
+        spill = np.flatnonzero(np.isnan(first))
+        if spill.size:
+            spill = spill[np.argsort(cols[spill])]
+            runs = np.flatnonzero(np.diff(cols[spill])) + 1
+            for part in np.split(spill, runs):
+                index[part] = np.searchsorted(self.cum[:, cols[part[0]]],
+                                              u[part], side="right")
+        return index
 
 
 def generate_dataset(config: GenConfig):

@@ -284,6 +284,25 @@ class TestModelJson:
         assert doc["R"] == 2
         assert len(doc["factors"][0]) == 3  # row-major: one list per row
 
+    def test_bytes_match_the_streaming_encoder(self, tmp_path):
+        # save_model encodes with json.dumps (C); json.dump streams through
+        # the Python encoder.  Both must print every float alike, down to
+        # the smallest subnormal and the widest exponents.
+        extremes = np.array([0.0, 5e-324, 1e-300, 1e300])
+        m = KruskalModel(extremes[::-1].copy(),
+                         (np.tile(extremes, (3, 1)), extremes[None, :].copy()))
+        path = tmp_path / "model.json"
+        save_model(m, path)
+        doc = {"dims": [3, 1], "R": 4, "lambda": m.weights.tolist(),
+               "factors": [f.tolist() for f in m.factors]}
+        expected = tmp_path / "expected.json"
+        with open(expected, "w") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+        assert path.read_bytes() == expected.read_bytes()
+        for text in ("0.0", "5e-324", "1e-300", "1e+300"):
+            assert text in path.read_text()
+
     def test_factors_not_a_list_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"dims": [2, 2], "R": 1, "lambda": [1.0],

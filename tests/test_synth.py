@@ -1,16 +1,18 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_model_array, unique_sample_cells
 from poissoncp.kruskal import KruskalModel
-from poissoncp.sparse_tensor import write_coo
+from poissoncp.sparse_tensor import BLOCK_DOUBLES, write_coo
 from poissoncp.synth import (
     GenConfig,
+    _BucketTable,
     collinearity_stats,
     generate_dataset,
     generate_model,
@@ -171,6 +173,9 @@ class TestSampleDedupOracle:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(shape=sampler_shapes(), samples=st.integers(1, 200),
            seed=st.integers(0, 2**16))
+    # Draws on both sides of a step boundary of the chunked draw.
+    @example(shape=([30, 20, 10], 4), samples=BLOCK_DOUBLES, seed=3)
+    @example(shape=([30, 20, 10], 4), samples=2 * BLOCK_DOUBLES + 3, seed=3)
     def test_matches_unique_oracle(self, shape, samples, seed):
         dims, rank = shape
         model = generate_model(GenConfig(dims=tuple(dims), rank=rank,
@@ -179,6 +184,94 @@ class TestSampleDedupOracle:
         cells, counts = unique_sample_cells(model, samples, (seed, 1))
         np.testing.assert_array_equal(tensor.subs0, cells)
         np.testing.assert_array_equal(tensor.vals, counts)
+
+
+@st.composite
+def bucket_cases(draw):
+    """(cum, samples, cols, u) for one bucket table: cumulative columns with
+    zero-mass rows (ties) at the start, middle and end, or with every value
+    a multiple of a power of two so that values fall on bucket edges; a
+    rank above 255 (uint16 columns) or a mode above 65,536 (uint32 indices)
+    on some cases; uniforms including 0.0, 1 - 2**-53, the column values
+    and the bucket edges themselves."""
+    kind = draw(st.sampled_from(["ties", "on edges", "wide rank", "long mode"]))
+    size = (draw(st.integers(65_537, 66_000)) if kind == "long mode"
+            else draw(st.integers(1, 40)))
+    rank = (draw(st.integers(256, 300)) if kind == "wide rank"
+            else draw(st.integers(1, 4)))
+    samples = draw(st.integers(1, 20_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if kind == "on edges":
+        mass = rng.integers(0, 4, (size, rank)).astype(float)
+        mass[-1] += 2.0 ** np.ceil(np.log2(mass.sum(axis=0) + 1)) - mass.sum(axis=0)
+    else:
+        mass = rng.uniform(0.1, 5.0, (size, rank))
+        start, mid, end = (draw(st.integers(0, 3)) for _ in range(3))
+        mass[:start] = 0.0
+        mass[size // 2:size // 2 + mid] = 0.0
+        mass[size - end:] = 0.0
+        mass[rng.integers(0, size), (mass.sum(axis=0) == 0)] = 1.0
+    cum = np.cumsum(mass, axis=0)
+    cum /= cum[-1:, :]
+    table = _BucketTable(cum, samples)
+    edges = np.arange(table.buckets) / table.buckets
+    u = np.concatenate((
+        [0.0, 1.0 - 2.0**-53], cum[cum < 1.0][:500], edges[:500],
+        rng.integers(0, 2**53, 2000) * 2.0**-53))
+    cols = rng.integers(0, rank, u.shape[0]).astype(np.min_scalar_type(rank - 1))
+    return cum, samples, cols, u
+
+
+class TestBucketTable:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(case=bucket_cases())
+    @example(case=(np.ones((1, 2)), 100, np.array([0, 1, 0], dtype=np.uint8),
+                   np.array([0.0, 0.5, 1.0 - 2.0**-53])))
+    @example(case=(np.array([[0.0], [0.0], [0.25], [0.25], [0.5], [1.0], [1.0]]),
+                   1000, np.zeros(6, dtype=np.uint8),
+                   np.array([0.0, 0.25, 0.25 - 2.0**-53, 0.5, 0.75,
+                             1.0 - 2.0**-53])))
+    def test_matches_binary_search(self, case):
+        cum, samples, cols, u = case
+        expected = np.empty(u.shape[0], dtype=np.intp)
+        for c in range(cum.shape[1]):
+            hit = cols == c
+            expected[hit] = np.searchsorted(cum[:, c], u[hit], side="right")
+        np.testing.assert_array_equal(
+            _BucketTable(cum, samples).search(cols, u), expected)
+
+    @pytest.mark.parametrize("size, rank, samples, buckets", [
+        (1000, 10, 500_000, 4096),  # 4 I binds: 4,000
+        (1000, 10, 100_000, 4096),  # samples // (4 R) binds: 2,500
+        (5, 3, 11, 1),  # samples // (4 R) is 0
+        (1, 1, 1000, 8),  # 4 I binds: 4
+    ])
+    def test_bucket_count_is_the_power_of_two_above_the_bound(
+            self, size, rank, samples, buckets):
+        cum = np.cumsum(np.ones((size, rank)), axis=0) / size
+        table = _BucketTable(cum, samples)
+        assert table.buckets == buckets
+        assert table.below.size <= max(samples // 2, rank)
+
+
+class TestSampleMemory:
+    # tracemalloc peaks of sample_tensor before the bucket table, which
+    # kept an int64 copy of every draw's subscripts and a stable argsort by
+    # component (numpy 2.4, Python 3.11): the sampler must not need more.
+    @pytest.mark.parametrize("dims, samples, bytes_per_draw", [
+        ((200, 150, 100), 100_000, 57.9),
+        ((1000, 800, 600), 500_000, 71.3),
+    ])
+    def test_peak_stays_within_the_earlier_bytes_per_draw(
+            self, dims, samples, bytes_per_draw):
+        model = generate_model(GenConfig(dims=dims, rank=10, samples=samples))
+        tracemalloc.start()
+        try:
+            sample_tensor(model, samples, seed=(0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / samples <= bytes_per_draw
 
 
 class TestGenerateDataset:
@@ -200,6 +293,8 @@ class TestGenerateDataset:
          "a5513c19b021987e403ffcc0c37880e33c1c3392842eb1302ceda1f736d42702"),
         (GenConfig(dims=(2000, 1500, 1000), rank=10, samples=30_000, seed=0),
          "697679e17880000f3880d9ed53b261c844377342c67bdd4b8f152e3ee4c39581"),
+        (GenConfig(dims=(1000, 800, 600), rank=10, samples=500_000, seed=0),
+         "53c1dbdb51e35d6247f47388d216b707b8fcbd47c0e3c2d2002b8044476b6700"),
     ])
     def test_coo_bytes_are_pinned(self, tmp_path, cfg, digest):
         # The draw order and the dedup fix these bytes for good: a faster
