@@ -35,6 +35,9 @@ _FLOAT_MAX = float(np.finfo(np.float64).max)
 # The largest total mass a model may have: no model value then exceeds it,
 # so the squares the row solves take of model values stay finite.
 MASS_MAX = math.sqrt(_FLOAT_MAX)
+# Numbers per json.dumps call in save_model: the C encoder keeps each
+# number's string until the call returns, so a block bounds that memory.
+_JSON_BLOCK_DOUBLES = 1024
 
 
 @dataclass(frozen=True)
@@ -192,16 +195,24 @@ def kl_objective(model: KruskalModel, tensor: SparseCountTensor) -> float:
 
 
 def save_model(model: KruskalModel, path) -> None:
-    """Write a model to JSON with fields lambda, factors, dims, R."""
-    doc = {
-        "dims": list(model.shape.dims),
-        "R": model.rank,
-        "lambda": model.weights.tolist(),
-        "factors": [f.tolist() for f in model.factors],
-    }
-    # json.dumps encodes in C, json.dump in Python; the bytes are the same.
+    """Write a model to JSON with fields lambda, factors, dims, R.
+
+    The bytes are those of ``json.dump`` on the whole document, but the
+    encoding runs in C: ``json.dumps`` takes the factor rows in blocks of
+    about ``_JSON_BLOCK_DOUBLES`` numbers.
+    """
+    head = json.dumps({"dims": list(model.shape.dims), "R": model.rank,
+                       "lambda": model.weights.tolist(), "factors": []})
+    step = max(_JSON_BLOCK_DOUBLES // model.rank, 1)
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(head[:-2])  # up to the factors' opening bracket
+        for k, f in enumerate(model.factors):
+            fh.write(", [" if k else "[")
+            for lo in range(0, f.shape[0], step):
+                rows = json.dumps(f[lo:lo + step].tolist())[1:-1]
+                fh.write(", " + rows if lo else rows)
+            fh.write("]")
+        fh.write("]}\n")
 
 
 def load_model(path) -> KruskalModel:

@@ -284,16 +284,19 @@ class TestModelJson:
         assert doc["R"] == 2
         assert len(doc["factors"][0]) == 3  # row-major: one list per row
 
-    def test_bytes_match_the_streaming_encoder(self, tmp_path):
-        # save_model encodes with json.dumps (C); json.dump streams through
-        # the Python encoder.  Both must print every float alike, down to
-        # the smallest subnormal and the widest exponents.
+    @pytest.mark.parametrize("rows", [1, 3, 256, 257, 600])
+    def test_bytes_match_the_streaming_encoder(self, tmp_path, rows):
+        # save_model encodes blocks of 256 rows at R4 with json.dumps (C);
+        # json.dump streams the whole document through the Python encoder.
+        # Both must print every float alike, down to the smallest subnormal
+        # and the widest exponents, and the blocks must join seamlessly.
         extremes = np.array([0.0, 5e-324, 1e-300, 1e300])
         m = KruskalModel(extremes[::-1].copy(),
-                         (np.tile(extremes, (3, 1)), extremes[None, :].copy()))
+                         (np.tile(extremes, (rows, 1)), extremes[None, :].copy(),
+                          np.tile(extremes[::-1], (rows, 1))))
         path = tmp_path / "model.json"
         save_model(m, path)
-        doc = {"dims": [3, 1], "R": 4, "lambda": m.weights.tolist(),
+        doc = {"dims": [rows, 1, rows], "R": 4, "lambda": m.weights.tolist(),
                "factors": [f.tolist() for f in m.factors]}
         expected = tmp_path / "expected.json"
         with open(expected, "w") as fh:
