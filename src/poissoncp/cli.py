@@ -216,13 +216,11 @@ def cmd_generate(args) -> int:
 
 
 def _fit_config(config: dict) -> tuple[FitConfig, dict]:
-    """The FitConfig and the resolved fit fields, for the manifest, which
-    records the ``solver`` object as the config gives it."""
+    """The FitConfig and the resolved fit fields, for the manifest."""
     fit_config = _build(FitConfig, config, _FIT_KEYS)
     resolved = {key: getattr(fit_config, key) for key in (
         "method", "rank", "tau", "outer_max", "time_limit", "seed",
         "mode1_only")}
-    resolved["solver"] = config.get("solver", {})
     return fit_config, resolved
 
 
@@ -327,10 +325,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# The sweep sets each run's method, rank and seed; its fits use the default
-# solver and sweep every mode.
+# The sweep sets each run's method, rank and seed; its fits sweep every
+# mode.
 _BENCH_KEYS = {"methods", "ranks", "seeds", *_GEN_KEYS, *_FIT_KEYS} - {
-    "method", "rank", "seed", "workers", "mode1_only", "solver"}
+    "method", "rank", "seed", "workers", "mode1_only"}
 _BENCH_COLUMNS = ("method", "rank", "seed", "time_to_tau", "final_objective",
                   "exact_zeros", "converged")
 

@@ -15,8 +15,7 @@ import csv
 import functools
 import time
 import warnings
-from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -24,8 +23,8 @@ import numpy as np
 from .baselines import mu_solve_mode
 from .errors import check_integer, check_number, check_size
 from .evaluation import exact_zero_count, mode_kkt_violation
-from .kruskal import (KruskalModel, _pi_product, _prepared, kl_objective,
-                      normalize)
+from .kruskal import (MASS_MAX, KruskalModel, _pi_product, _prepared,
+                      kl_objective, normalize)
 from .row_solver import (
     RowProblem,
     SolverParams,
@@ -63,20 +62,16 @@ TRACE_HEADER = (
 )
 
 
-_SOLVER_FIELDS = {f.name for f in fields(SolverParams)}
-
-
-@dataclass
+@dataclass(frozen=True)
 class FitConfig:
     """Configuration of one factorization run.
 
     ``mode1_only`` restricts the sweep to mode 1 (used to study a single
-    convex block subproblem).  ``solver`` may be SolverParams or a mapping
-    of its fields; None or a mapping without ``tau`` gives row solves at the
-    fit's ``tau``.  Each ``mu`` mode solve runs
-    ``baselines.INNER_ITERATIONS`` updates.  ``workers`` is validated
-    (at least 1) but has no effect: a mode's rows are split into one range
-    per CPU in the process's affinity mask when the mode has at least
+    convex block subproblem).  A fit's row solves stop at its ``tau`` or
+    after ``SolverParams``' default ``k_max``; each ``mu`` mode solve runs
+    ``baselines.INNER_ITERATIONS`` updates.  ``workers`` is validated (at
+    least 1) but has no effect: a mode's rows are split into one range per
+    CPU in the process's affinity mask when the mode has at least
     ``sparse_tensor.PARALLEL_MIN_ROWS`` nonempty rows (``pdnr``, ``pqnr``)
     or ``sparse_tensor.PARALLEL_MIN_WORK`` element-updates (``mu``), and
     the models do not depend on the split.  It remains only because the
@@ -92,33 +87,25 @@ class FitConfig:
     outer_max: int = 200
     tau: float = 1e-4
     time_limit: Optional[float] = None
-    solver: Optional[SolverParams] = None
     seed: int = 0
     mode1_only: bool = False
     workers: int = 1
 
     def __post_init__(self):
-        self.method = str(self.method).lower()
+        put = functools.partial(object.__setattr__, self)
+        put("method", str(self.method).lower())
         _check_method(self.method)
-        self.rank = check_integer("rank", self.rank, 1)
-        self.outer_max = check_integer("outer_max", self.outer_max, 1)
-        self.tau = check_number("tau", self.tau, positive=True)
+        put("rank", check_integer("rank", self.rank, 1))
+        put("outer_max", check_integer("outer_max", self.outer_max, 1))
+        put("tau", check_number("tau", self.tau, positive=True))
         if self.time_limit is not None:
-            self.time_limit = check_number("time_limit", self.time_limit,
-                                           positive=True)
-        self.seed = check_integer("seed", self.seed, 0)
+            put("time_limit", check_number("time_limit", self.time_limit,
+                                           positive=True))
+        put("seed", check_integer("seed", self.seed, 0))
         if not isinstance(self.mode1_only, bool):
             raise ValueError("config field 'mode1_only' is not a valid "
                              f"boolean, got {self.mode1_only!r}")
-        if not isinstance(self.solver, SolverParams):
-            if not isinstance(self.solver, (Mapping, type(None))):
-                raise ValueError("config field 'solver' is not a valid object")
-            solver = {"tau": self.tau, **(self.solver or {})}
-            unknown = [key for key in solver if key not in _SOLVER_FIELDS]
-            if unknown:
-                raise ValueError(f"unknown config field {unknown[0]!r}")
-            self.solver = SolverParams(**solver)
-        self.workers = check_integer("workers", self.workers, 1)
+        put("workers", check_integer("workers", self.workers, 1))
         if self.method == "pdnr":
             lapack_cholesky()
 
@@ -248,11 +235,15 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     Rows of the unfolded tensor without nonzeros are set to zero directly
     (their optimum, since the objective restricted to them is sum(b)).
     Afterwards column sums move into the weights, so the returned model is
-    normalized.  Returns (model, ModeSweepReport).  Raises ValueError for
-    a ``method`` outside :data:`METHODS`, and ShapeMismatchError when the
+    normalized.  ``solver`` stops the ``pdnr`` and ``pqnr`` row solves
+    (None: ``SolverParams()``).  Returns (model, ModeSweepReport).  Raises
+    ValueError for a ``method`` outside :data:`METHODS` or a ``solver``
+    that is not SolverParams or None, and ShapeMismatchError when the
     model's dims are not the tensor's.
     """
     _check_method(method)
+    if not isinstance(solver, (SolverParams, type(None))):
+        raise ValueError("solver must be SolverParams or None")
     model = _prepared(model, tensor)
     layout = mode_row_positions(tensor, mode)
     mode0 = mode - 1
@@ -284,9 +275,11 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
 
     Stops at convergence, at ``outer_max`` sweeps, or once the time limit is
     exceeded (checked between row solves).  The objective recorded in the
-    trace is nonincreasing across sweeps for every method.  Raises
-    ConfigError, a ValueError, when :meth:`FitConfig.check_sizes` rejects
-    the tensor at the configured rank.
+    trace is nonincreasing across sweeps for every method.  Every row
+    solve stops at the fit's ``tau``.  Raises ConfigError, a ValueError,
+    when :meth:`FitConfig.check_sizes` rejects the tensor at the configured
+    rank, and ValueError when the starting model's total mass is not below
+    ``kruskal.MASS_MAX``.
     """
     if tensor.nnz == 0:
         raise ValueError("cannot fit an empty tensor")
@@ -295,7 +288,11 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
     model = init if init is not None else init_model(
         tensor.shape, config.rank, config.seed
     )
-    model = _prepared(model, tensor)
+    with np.errstate(over="ignore"):  # an overflow fails a check here
+        model = _prepared(model, tensor)
+        if not model.weights.sum() < MASS_MAX:
+            raise ValueError("the initial model's total mass overflows: it "
+                             f"must stay below {MASS_MAX:.3g}")
     if model.rank != config.rank:
         raise ValueError("initial model rank does not match the config")
     start_objective = kl_objective(model, tensor)
@@ -308,6 +305,7 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
     for n in modes:
         mode_row_positions(tensor, n)
 
+    solver = SolverParams(tau=config.tau)
     start = time.perf_counter()
     deadline = None if config.time_limit is None else start + config.time_limit
     trace = FitTrace()
@@ -317,7 +315,7 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
         fallbacks = 0
         for n in modes:
             model, sweep = solve_mode(tensor, model, n, method=config.method,
-                                      solver=config.solver, deadline=deadline)
+                                      solver=solver, deadline=deadline)
             ls_failures += sweep.line_search_failures
             fallbacks += sweep.fallback_steps
             if deadline is not None and time.perf_counter() > deadline:

@@ -204,9 +204,9 @@ class SparseCountTensor:
         their number differs from the number of counts.  Indices and counts
         must be integers (integral floats convert exactly); a boolean,
         fractional or non-finite one raises ValueError.  Rows already
-        strictly increasing in lexicographic order, as :func:`write_coo` and
-        the generator produce them, skip the sort.  The tensor owns new
-        C-contiguous arrays, which share no memory with ``subs`` or ``vals``.
+        strictly increasing in lexicographic order, as :func:`write_coo`
+        writes them, skip the sort.  The tensor owns new C-contiguous
+        arrays, which share no memory with ``subs`` or ``vals``.
         """
         shape = as_shape(shape)
         subs = _int64_array("indices", subs)

@@ -175,9 +175,11 @@ def sample_tensor(model: KruskalModel, samples: int, seed=0):
     for k in range(model.ndim):
         cells[:, k] = np.take(subs[k], picks)
     del subs, picks
-    counts = np.diff(starts, append=samples)
+    counts = np.diff(starts, append=samples).astype(np.int64, copy=False)
     del starts
-    tensor = SparseCountTensor.from_arrays(dims, cells, counts, one_based=False)
+    # Fresh, in-range, strictly increasing cells with counts of at least 1:
+    # the tensor takes them without from_arrays' copies and checks.
+    tensor = SparseCountTensor(dims, cells, counts)
     scaled = _force_sum(model.weights * float(samples), float(samples))
     return tensor, KruskalModel(scaled, model.factors, normalized=True)
 

@@ -104,8 +104,6 @@ FIT_VALUES = {
     "method": st.sampled_from(["pdnr", "pqnr", "mu", "MU", "newton"]),
     "rank": SMALL_INT, "tau": REAL, "outer_max": st.integers(-1, 3),
     "time_limit": REAL, "seed": SMALL_INT, "mode1_only": st.booleans(),
-    "solver": st.fixed_dictionaries({}, optional={
-        "tau": REAL, "k_max": st.integers(-1, 20), "sigma": REAL}),
 }
 BENCH_VALUES = {
     **{k: v for k, v in GEN_VALUES.items() if k not in ("rank", "seed")},

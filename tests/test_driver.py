@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import re
 import warnings
 
 import numpy as np
 import pytest
 
+from poissoncp import driver
 from poissoncp.baselines import mu_solve_mode
 from poissoncp.driver import (
     METHODS,
@@ -19,7 +21,8 @@ from poissoncp.errors import (IndexOutOfRangeError, ShapeMismatchError,
 from poissoncp.evaluation import full_kkt_violation, mode_kkt_violation
 from poissoncp.kruskal import KruskalModel, kl_objective, normalize
 from poissoncp.row_solver import SolverParams
-from poissoncp.sparse_tensor import SparseCountTensor
+from poissoncp.sparse_tensor import (PARALLEL_MIN_ROWS, SparseCountTensor,
+                                     mode_row_positions)
 from poissoncp.synth import GenConfig, generate_dataset
 
 
@@ -118,6 +121,21 @@ class TestSolveMode:
         assert str(from_solve.value) == str(from_config.value)
         assert "method must be one of" in str(from_solve.value)
 
+    @pytest.mark.parametrize("solver", [{"tau": 1e-6}, 1e-6, "pdnr"])
+    @pytest.mark.parametrize("dims", [(6, 7, 8), (600, 3, 3)])
+    def test_solver_must_be_solver_params(self, monkeypatch, dims, solver):
+        # The (600, 3, 3) tensor's mode-1 rows would be split into ranges;
+        # the check runs before any row range.
+        _, tensor = generate_dataset(
+            GenConfig(dims=dims, rank=2, samples=6000, seed=3))
+        if dims[0] == 600:
+            assert len(mode_row_positions(tensor, 1)) >= PARALLEL_MIN_ROWS
+        model = init_model(tensor.shape, 2, seed=0)
+        monkeypatch.setattr(driver, "map_row_ranges", None)
+        with pytest.raises(ValueError, match="solver must be SolverParams "
+                                             "or None"):
+            solve_mode(tensor, model, 1, method="pdnr", solver=solver)
+
     def test_mode_subproblem_unique_across_starts(self, small_dataset):
         # Strictly convex block subproblem: identical B* from any start.
         _, tensor = small_dataset
@@ -201,8 +219,8 @@ class TestFit:
         {"rank": 2.5}, {"rank": True}, {"tau": float("nan")},
         {"tau": float("inf")}, {"outer_max": 2.5},
         {"time_limit": float("inf")}, {"mode1_only": "no"}, {"workers": 0.5},
-        {"solver": []}, {"solver": {"lbfgs_memory": 3}},
-        {"solver": {"k_max": 2.5}}, {"time_limit": -3}, {"time_limit": 0},
+        {"seed": 2.5}, {"workers": True}, {"tau": -1e-3},
+        {"time_limit": -3}, {"time_limit": 0},
     ])
     def test_rejects_invalid_field(self, fields):
         with pytest.raises(ValueError, match="config field"):
@@ -218,14 +236,42 @@ class TestFit:
                                              config.seed))
         assert type(config.tau) is float and type(config.time_limit) is float
 
-    def test_row_tolerance_defaults_to_the_fit_tau(self):
-        def solver(**fields):
-            return FitConfig(method="mu", rank=2, tau=1e-6, **fields).solver
-        assert solver() == SolverParams(tau=1e-6)
-        assert solver(solver={"k_max": 7}) == SolverParams(tau=1e-6, k_max=7)
-        assert solver(solver={"tau": 1e-9}) == SolverParams(tau=1e-9)
-        given = SolverParams(tau=1e-3, k_max=3)
-        assert solver(solver=given) is given
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(FitConfig)] == [
+            "method", "rank", "outer_max", "tau", "time_limit", "seed",
+            "mode1_only", "workers"]
+
+    def test_config_is_frozen(self):
+        config = FitConfig(method="pdnr", rank=3)
+        for f in dataclasses.fields(FitConfig):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, f.name, getattr(config, f.name))
+
+    def test_rows_are_solved_at_the_fit_tau(self, small_dataset):
+        # One mode-1 sweep of a fit is one solve_mode call at the fit's tau;
+        # at SolverParams' default tau the rows land elsewhere.
+        _, tensor = small_dataset
+        start = init_model(tensor.shape, 3, seed=0)
+        for method in ("pdnr", "pqnr"):
+            config = FitConfig(method=method, rank=3, tau=1e-3, outer_max=1,
+                               mode1_only=True)
+            model = fit(tensor, config).model
+            expected, _ = solve_mode(tensor, start, 1, method=method,
+                                     solver=SolverParams(tau=config.tau))
+            tight, _ = solve_mode(tensor, start, 1, method=method)
+            for a, b in zip((model.weights, *model.factors),
+                            (expected.weights, *expected.factors)):
+                assert a.tobytes() == b.tobytes()
+            assert not np.array_equal(model.weights, tight.weights)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_init_of_overflowing_mass_rejected(self, method):
+        truth, tensor = generate_dataset(
+            GenConfig(dims=(6, 7, 8), rank=3, samples=2000, seed=1))
+        init = KruskalModel(truth.weights * 1e160, truth.factors,
+                            normalized=True)
+        with pytest.raises(ValueError, match="total mass overflows"):
+            fit(tensor, FitConfig(method=method, rank=3), init=init)
 
     def test_seed_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="seed must be nonnegative"):

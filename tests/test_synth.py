@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_model_array, unique_sample_cells
 from poissoncp.kruskal import KruskalModel
-from poissoncp.sparse_tensor import BLOCK_DOUBLES, write_coo
+from poissoncp.sparse_tensor import BLOCK_DOUBLES, SparseCountTensor, write_coo
 from poissoncp.synth import (
     GenConfig,
     _BucketTable,
@@ -120,6 +120,26 @@ class TestSampleTensor:
         t2, _ = sample_tensor(model, 200, seed=6)
         np.testing.assert_array_equal(t1.subs0, t2.subs0)
         np.testing.assert_array_equal(t1.vals, t2.vals)
+
+    @pytest.mark.parametrize("dims, rank, samples", [
+        ((5, 6), 2, 1), ((5, 6, 4), 3, 500), ((9, 2, 7, 3), 4, 3000),
+        ((70_000, 3), 2, 2000), ((20, 30, 40), 5, 50_000),
+    ])
+    def test_tensor_equals_the_checked_construction(self, dims, rank,
+                                                    samples):
+        # sample_tensor builds its tensor without from_arrays' copies and
+        # checks; the checked construction must give the same arrays.
+        model = generate_model(GenConfig(dims=dims, rank=rank, samples=1,
+                                         seed=4))
+        tensor, _ = sample_tensor(model, samples, seed=7)
+        checked = SparseCountTensor.from_arrays(
+            dims, tensor.subs0, tensor.vals, one_based=False)
+        assert tensor.shape == checked.shape
+        for a, b in ((tensor.subs0, checked.subs0),
+                     (tensor.vals, checked.vals)):
+            assert a.dtype == b.dtype == np.int64
+            assert a.flags.c_contiguous and not a.flags.writeable
+            np.testing.assert_array_equal(a, b)
 
     def test_requires_unit_weights(self):
         model = generate_model(GenConfig(dims=(4, 4), rank=2, samples=1, seed=5))
