@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kruskal import KruskalModel, _pi_product, _prepared
+from .row_solver import _block_model, _block_pi_x_over_m
 from .sparse_tensor import (SparseCountTensor, map_row_ranges,
                             mode_row_positions)
 
@@ -62,11 +63,10 @@ def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel,
             b_blk = np.maximum(factor[rows] * model.weights, POSITIVITY_CLAMP)
             starts = np.cumsum(counts) - counts
             for it in range(INNER_ITERATIONS + 1):
-                m = np.einsum("zr,zr->z", np.repeat(b_blk, counts, axis=0), pi)
+                m = _block_model(b_blk, counts, pi)
                 objectives[it] += b_blk.sum() - float(x @ np.log(m))
                 if it < INNER_ITERATIONS:
-                    b_blk *= np.add.reduceat(pi * (x / m)[:, None], starts,
-                                             axis=0)
+                    b_blk *= _block_pi_x_over_m(pi, x / m, starts)
             b[rows] = b_blk
         return objectives
 

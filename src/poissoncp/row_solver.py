@@ -89,12 +89,18 @@ class RowProblem:
             raise ValueError(
                 f"pi must be {b.shape[0]} x {x.shape[0]}, got {pi.shape}"
             )
-        if (b < 0).any():
-            raise ValueError("b must be nonnegative")
-        if (x <= 0).any():
-            raise ValueError("all counts must be strictly positive")
-        if (pi < 0).any():
-            raise ValueError("pi entries must be nonnegative")
+        if b.shape[0] == 0:
+            raise ValueError("b must hold at least one variable")
+        # The reductions propagate NaN, so each comparison fails on one.
+        if not (np.minimum.reduce(b, initial=np.inf) >= 0.0
+                and np.maximum.reduce(b, initial=0.0) < np.inf):
+            raise ValueError("b must be nonnegative and finite")
+        if not (np.minimum.reduce(x, initial=np.inf) > 0.0
+                and np.maximum.reduce(x, initial=0.0) < np.inf):
+            raise ValueError("all counts must be strictly positive and finite")
+        if not (np.minimum.reduce(pi, axis=None, initial=np.inf) >= 0.0
+                and np.maximum.reduce(pi, axis=None, initial=0.0) < np.inf):
+            raise ValueError("pi entries must be nonnegative and finite")
 
     @property
     def rank(self) -> int:
@@ -162,6 +168,23 @@ def _pi_x_over_m(pi: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """pi @ (x / m) for an (R, J) pi: the data term of the row gradient,
     negated, and the multiplicative update factor.  Zeros when J = 0."""
     return pi.dot(x / m)
+
+
+def _block_model(b_blk: np.ndarray, counts: np.ndarray,
+                 pi: np.ndarray) -> np.ndarray:
+    """Model values ``b_i @ pi_j`` of every nonzero of a block of rows: row
+    ``i``'s variables ``b_blk[i]`` against each of its ``counts[i]``
+    Khatri-Rao rows in the block's ``(J, R)`` ``pi``, row after row."""
+    return np.einsum("zr,zr->z", np.repeat(b_blk, counts, axis=0), pi)
+
+
+def _block_pi_x_over_m(pi: np.ndarray, x_over_m: np.ndarray,
+                       starts: np.ndarray) -> np.ndarray:
+    """:func:`_pi_x_over_m` of every row of a block, one row per line: the
+    segment sums from ``starts`` of the block's ``(J, R)`` ``pi`` scaled by
+    its ``x / m``.  The same terms as the per-row dot product, summed in
+    another order."""
+    return np.add.reduceat(pi * x_over_m[:, None], starts, axis=0)
 
 
 def grad_row(problem: RowProblem, b: Optional[np.ndarray] = None) -> np.ndarray:
@@ -346,9 +369,7 @@ class LbfgsStore:
     """
 
     def __init__(self, memory: int = LBFGS_MEMORY):
-        if memory < 1:
-            raise ValueError("memory must be at least 1")
-        self.memory = int(memory)
+        self.memory = check_integer("memory", memory, 1)
         self._s: list[np.ndarray] = []
         self._y: list[np.ndarray] = []
         self._rho: list[float] = []

@@ -9,6 +9,7 @@ deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import pickle
@@ -347,10 +348,8 @@ class ModeLayout:
         """Yield ``(row0, x, pi)`` per nonempty row, in row order: the
         row's counts as floats and its ``(R, J)`` Khatri-Rao columns, views
         into the arrays of its :meth:`blocks` block."""
-        for rows, counts, x_blk, pi_blk in self.blocks(rank, gather):
-            bounds = [0, *np.cumsum(counts).tolist()]
-            for row0, lo, hi in zip(rows.tolist(), bounds[:-1], bounds[1:]):
-                yield row0, x_blk[lo:hi], pi_blk[lo:hi].T
+        for block in self.blocks(rank, gather):
+            yield from block_rows(*block)
 
     def parts(self, n: int) -> list["ModeLayout"]:
         """At most ``n`` layouts of consecutive rows, in row order, with
@@ -366,6 +365,18 @@ class ModeLayout:
         return [ModeLayout(self.columns, self.vals, self.rows[a:b],
                            self.starts[a:b + 1])
                 for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
+def block_rows(rows, counts, x, pi, keep=None):
+    """Yield ``(row0, x, pi)`` per row of one :meth:`ModeLayout.blocks`
+    block, in row order, as :meth:`ModeLayout.row_views` does; only the
+    rows where the boolean array ``keep`` is set, when given."""
+    bounds = [0, *np.cumsum(counts).tolist()]
+    spans = zip(rows.tolist(), bounds[:-1], bounds[1:])
+    if keep is not None:
+        spans = itertools.compress(spans, keep.tolist())
+    for row0, lo, hi in spans:
+        yield row0, x[lo:hi], pi[lo:hi].T
 
 
 # Nonempty rows a mode needs before its row solves go to more than one

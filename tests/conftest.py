@@ -258,7 +258,8 @@ def lexsort_mode_row_positions(tensor, mode: int) -> ModeLayout:
 
 def per_row_mode_kkt_violation(tensor, model: KruskalModel, mode: int) -> float:
     """Reference mode KKT check: one Khatri-Rao gather per row and a running
-    maximum, empty rows handled after the loop."""
+    maximum that NaN propagates through, empty rows handled after the
+    loop."""
     if not model.normalized:
         model = normalize(model)
     mode0 = mode - 1
@@ -273,11 +274,11 @@ def per_row_mode_kkt_violation(tensor, model: KruskalModel, mode: int) -> float:
         if (m <= 0.0).any():
             return float("inf")
         g = 1.0 - (tensor.vals[pos] / m) @ pi
-        worst = max(worst, float(np.abs(np.minimum(b, g)).max()))
+        worst = np.maximum(worst, np.abs(np.minimum(b, g)).max())
     empty = b_matrix[~has_data]
     if empty.size:
-        worst = max(worst, float(np.minimum(empty, 1.0).max()))
-    return worst
+        worst = np.maximum(worst, np.minimum(empty, 1.0).max())
+    return float(worst)
 
 
 def argsort_mu_solve_mode(tensor, model: KruskalModel, mode: int,

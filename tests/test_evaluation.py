@@ -18,7 +18,8 @@ from poissoncp.evaluation import (
     thresholded_zero_count,
 )
 from poissoncp.kruskal import KruskalModel, normalize
-from poissoncp.sparse_tensor import SparseCountTensor
+from poissoncp.row_solver import _pi_x_over_m, kkt_violation_row
+from poissoncp.sparse_tensor import SparseCountTensor, block_rows
 from poissoncp.synth import GenConfig, generate_dataset
 
 
@@ -187,3 +188,26 @@ class TestKktReports:
         first = mode_kkt_violation(tensor, res.model, 1)
         second = mode_kkt_violation(tensor, res.model, 1)
         assert first == second
+
+
+class TestKktScreen:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bound_holds_the_per_row_violation(self, seed):
+        # Blocks of 1-8 rows of up to 3,000 nonzeros, counts up to 1e6, and
+        # b and pi from 1e-12 to 1e3: every row's per-row violation lies
+        # between the screen's bounds around the blocked one.
+        rng = np.random.default_rng(seed)
+        rank = int(rng.integers(1, 13))
+        counts = np.rint(10.0 ** rng.uniform(0, 3.5, size=int(
+            rng.integers(1, 9)))).astype(np.int64)
+        b_blk = 10.0 ** rng.uniform(-12, 3, size=(len(counts), rank))
+        pi = 10.0 ** rng.uniform(-12, 3, size=(int(counts.sum()), rank))
+        x = np.rint(10.0 ** rng.uniform(0, 6, size=len(pi)))
+        _, low, high, safe = evaluation._screen_block(b_blk, counts, x, pi)
+        assert safe.all()
+        views = block_rows(np.arange(len(counts)), counts, x, pi)
+        for row0, x_row, pi_row in views:
+            b = b_blk[row0]
+            g = 1.0 - _pi_x_over_m(pi_row, x_row, b.dot(pi_row))
+            assert low[row0] <= kkt_violation_row(b, g) <= high[row0]

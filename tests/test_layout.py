@@ -1,8 +1,9 @@
 """The per-mode row layout against per-row and argsort references.
 
-The solve and the KKT check walk a mode's row views, which gather the
-Khatri-Rao rows in cache-sized blocks of rows; the multiplicative baseline
-runs its updates on the same blocks.  With the block bound shrunk so that
+The solve walks a mode's row views, which gather the Khatri-Rao rows in
+cache-sized blocks of rows; the multiplicative baseline runs its updates
+on the same blocks, and the KKT check screens them, walking only the rows
+that may hold its maximum.  With the block bound shrunk so that
 blocks split often, every result must equal the per-row reference bit for
 bit (the mu objectives, summed block by block, to rounding), on tensors
 with empty rows, rows shorter than the rank and rows longer than one
@@ -16,7 +17,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poissoncp.baselines as baselines
@@ -44,6 +45,45 @@ from poissoncp.synth import GenConfig, generate_dataset
 
 LAYOUT_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                            database=None)
+
+
+def kkt_edge_case(case):
+    """A (10, 4, 3) rank-2 tensor whose mode-1 rows 0-7 hold the same three
+    cells of the other modes and rows 8 and 9 none, and a model, built so
+    that mode 1 meets one edge of the KKT check.
+
+    ``"tie"``: rows 2 and 5 hold the same counts and the same small factor
+    rows, so they tie for the largest violation.  ``"all tied"``: every
+    nonempty row holds the same counts and factor row.  ``"zero"``: row 3's
+    factor row is zero, a zero model value at a positive count, and row 6's
+    makes ``x / m`` overflow.  ``"overflow"``: only row 6's, whose gradient
+    is NaN, as a zero in the mode-2 factor meets the infinite ``x / m``.
+    ``"empty"``: the empty rows' factor rows are large.
+    """
+    rng = np.random.default_rng(11)
+    dims, rank = (10, 4, 3), 2
+    pattern = [(0, 0), (1, 2), (3, 1)]
+    cells = [(i, j, k) for i in range(8) for j, k in pattern]
+    counts = rng.integers(1, 10, size=len(cells))
+    a = rng.uniform(0.1, 1.0, size=(dims[0], rank))
+    b = rng.uniform(0.1, 1.0, size=(dims[1], rank))
+    if case == "tie":
+        counts[6:9] = counts[15:18]
+        a[2] = a[5] = 1e-3
+    elif case == "all tied":
+        counts = np.tile(counts[:3], 8)
+        a[:] = a[0]
+    elif case in ("zero", "overflow"):
+        a[6] = (1e-310, 0.0)
+        b[0, 1] = 0.0
+        if case == "zero":
+            a[3] = 0.0
+    elif case == "empty":
+        a[8:] = 5.0
+    tensor = SparseCountTensor.from_arrays(dims, np.array(cells), counts,
+                                           one_based=False)
+    c = rng.uniform(0.1, 1.0, size=(dims[2], rank))
+    return tensor, normalize(KruskalModel(np.ones(rank), [a, b, c]))
 
 
 def layout_case(seed):
@@ -324,14 +364,29 @@ class TestLayoutBuiltOncePerTensor:
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestLayoutMatchesPerRowReference:
     @LAYOUT_PROPERTY
-    @given(seed=st.integers(0, 2**32 - 1), doubles=st.integers(1, 12))
-    def test_mode_kkt_violation(self, seed, doubles):
-        tensor, model = layout_case(seed)
+    @given(seed=st.integers(0, 2**32 - 1), doubles=st.integers(1, 12),
+           min_rows=st.sampled_from((1, 2, evaluation.SCREEN_MIN_ROWS)),
+           case=st.just(None))
+    @example(seed=0, doubles=10**6, min_rows=1, case="tie")
+    @example(seed=0, doubles=10**6, min_rows=10**9, case="tie")
+    @example(seed=0, doubles=10**6, min_rows=1, case="all tied")
+    @example(seed=0, doubles=6, min_rows=1, case="all tied")
+    @example(seed=0, doubles=10**6, min_rows=1, case="zero")
+    @example(seed=0, doubles=10**6, min_rows=1, case="empty")
+    @example(seed=0, doubles=10**6, min_rows=1, case="overflow")
+    @example(seed=0, doubles=10**6, min_rows=10**9, case="overflow")
+    def test_mode_kkt_violation(self, seed, doubles, min_rows, case):
+        # min_rows 1 sends every block to the blocked screen, 10**9 none.
+        tensor, model = (layout_case(seed) if case is None
+                         else kkt_edge_case(case))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse_tensor, "BLOCK_DOUBLES", doubles)
+            mp.setattr(evaluation, "SCREEN_MIN_ROWS", min_rows)
             for mode in range(1, tensor.ndim + 1):
-                assert (mode_kkt_violation(tensor, model, mode)
-                        == per_row_mode_kkt_violation(tensor, model, mode))
+                # assert_equal counts NaN as equal to NaN.
+                np.testing.assert_equal(
+                    mode_kkt_violation(tensor, model, mode),
+                    per_row_mode_kkt_violation(tensor, model, mode))
 
     @LAYOUT_PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), doubles=st.integers(1, 12),
@@ -556,8 +611,9 @@ class TestRowRanges:
     @LAYOUT_PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), cpus=st.integers(2, 4))
     def test_kkt_check_forks_nothing(self, seed, cpus):
-        # The check costs a few microseconds a row, less than a fork, so
-        # it walks the rows in this process even when the solve splits.
+        # The check costs a few microseconds a row, or a few whole-block
+        # passes, less than a fork, so it walks the blocks in this process
+        # even when the solve splits.
         tensor, model = layout_case(seed)
         with pytest.MonkeyPatch.context() as mp:
             split_rows(mp, cpus)

@@ -49,6 +49,13 @@ class TestRowProblem:
         ([1.0, -1.0], [2.0], [[1.0], [1.0]], "b must be nonnegative"),
         ([1.0, 1.0], [0.0], [[1.0], [1.0]], "strictly positive"),
         ([1.0, 1.0], [2.0], [[1.0], [-1.0]], "pi entries must be nonnegative"),
+        ([np.nan, 1.0], [1.0], [[1.0], [1.0]], "b must be nonnegative and finite"),
+        ([np.inf, 1.0], [1.0], [[1.0], [1.0]], "b must be nonnegative and finite"),
+        ([1.0, 1.0], [np.nan], [[1.0], [1.0]], "counts must be strictly positive and finite"),
+        ([1.0, 1.0], [np.inf], [[1.0], [1.0]], "counts must be strictly positive and finite"),
+        ([1.0, 1.0], [2.0], [[1.0], [np.nan]], "pi entries must be nonnegative and finite"),
+        ([1.0, 1.0], [2.0], [[np.inf], [1.0]], "pi entries must be nonnegative and finite"),
+        (np.zeros(0), np.zeros(0), np.zeros((0, 0)), "b must hold at least one variable"),
     ])
     def test_rejects_invalid_rows(self, b, x, pi, message):
         with pytest.raises(ValueError, match=message):
@@ -361,6 +368,14 @@ class TestLbfgsStore:
     def test_rejects_memory_below_one(self):
         with pytest.raises(ValueError, match="memory must be at least 1"):
             LbfgsStore(0)
+
+    @pytest.mark.parametrize("memory", [2.5, True, "3", float("nan")])
+    def test_rejects_memory_that_is_not_an_integer(self, memory):
+        with pytest.raises(ValueError, match="'memory' is not a valid integer"):
+            LbfgsStore(memory)
+
+    def test_integral_float_memory_is_an_int(self):
+        assert LbfgsStore(2.0).memory == 2
 
     def test_empty_store_returns_gradient(self):
         store = LbfgsStore(3)
