@@ -19,7 +19,6 @@ import numpy as np
 
 from poissoncp import (
     RowProblem,
-    SolverParams,
     f_row,
     grad_row,
     hess_row,
@@ -51,8 +50,8 @@ print(f"two-metric split: {int(active.sum())} fixed at zero, "
 
 # ---------------------------------------------------------------------------
 # Solve with both second-order methods; they must agree on the optimum.
-b_newton, rep_n = solve_row_pdnr(problem, SolverParams(tau=1e-10))
-b_quasi, rep_q = solve_row_pqnr(problem, SolverParams(tau=1e-10))
+b_newton, rep_n = solve_row_pdnr(problem, tau=1e-10)
+b_quasi, rep_q = solve_row_pqnr(problem, tau=1e-10)
 newton_zeros = int((b_newton == 0).sum())
 print(f"\ndamped Newton:  b* = {np.round(b_newton, 6)} "
       f"({rep_n.iterations} iterations, kkt {rep_n.final_kkt:.1e}, "
@@ -86,11 +85,10 @@ for r in (20, 40, 80, 160):
         x=rng.integers(1, 20, 60).astype(float),
         pi=rng.uniform(0.05, 1.0, (r, 60)),
     )
-    params = SolverParams(tau=1e-8, k_max=30)
     t0 = time.perf_counter()
-    solve_row_pdnr(p, params)
+    solve_row_pdnr(p)
     t_newton = time.perf_counter() - t0
     t0 = time.perf_counter()
-    solve_row_pqnr(p, params)
+    solve_row_pqnr(p)
     t_quasi = time.perf_counter() - t0
     print(f"{r:>5} {t_newton * 1e3:>9.2f}ms {t_quasi * 1e3:>9.2f}ms")

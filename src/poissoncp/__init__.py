@@ -37,7 +37,6 @@ from .row_solver import (
     LbfgsStore,
     RowProblem,
     RowSolveReport,
-    SolverParams,
     f_row,
     grad_row,
     hess_row,
@@ -73,7 +72,6 @@ __all__ = [
     "save_model",
     "load_model",
     "RowProblem",
-    "SolverParams",
     "RowSolveReport",
     "LbfgsStore",
     "f_row",

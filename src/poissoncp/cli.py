@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .driver import METHODS, FitConfig, fit, write_trace
-from .errors import ConfigError, DataError, check_integer
+from .errors import ConfigError, DataError, check_integer, check_size
 from .evaluation import (
     DEFAULT_ZERO_THRESHOLDS,
     exact_zero_count,
@@ -294,6 +294,7 @@ def cmd_evaluate(args) -> int:
     if model.rank != truth.rank:
         raise DataError(f"{args.model}: rank {model.rank} does not match "
                         f"rank {truth.rank} of {args.truth}")
+    check_size("rank * rank", model.rank * model.rank)  # congruence matrices
     report = score_greedy(model, truth)
     zeros = exact_zero_count(model)
     per_mode, kkt_max = full_kkt_violation(tensor, model)

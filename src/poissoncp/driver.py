@@ -26,8 +26,8 @@ from .evaluation import exact_zero_count, mode_kkt_violation
 from .kruskal import (MASS_MAX, KruskalModel, _pi_product, _prepared,
                       kl_objective, normalize)
 from .row_solver import (
+    ROW_TAU,
     RowProblem,
-    SolverParams,
     lapack_cholesky,
     solve_row_pdnr,
     solve_row_pqnr,
@@ -68,7 +68,7 @@ class FitConfig:
 
     ``mode1_only`` restricts the sweep to mode 1 (used to study a single
     convex block subproblem).  A fit's row solves stop at its ``tau`` or
-    after ``SolverParams``' default ``k_max``; each ``mu`` mode solve runs
+    after ``row_solver.K_MAX`` iterations; each ``mu`` mode solve runs
     ``baselines.INNER_ITERATIONS`` updates.  ``workers`` is validated (at
     least 1) but has no effect: a mode's rows are split into one range per
     CPU in the process's affinity mask when the mode has at least
@@ -76,8 +76,11 @@ class FitConfig:
     or ``sparse_tensor.PARALLEL_MIN_WORK`` element-updates (``mu``), and
     the models do not depend on the split.  It remains only because the
     benchmark in ``perfbench/`` still passes it.  Building a ``pdnr``
-    config loads LAPACK's Cholesky, which only the damped Newton direction
-    uses, so that one-time cost (about 15 ms and 4 MB: ``scipy`` and its
+    config raises ConfigError when a row's ``rank * rank`` damped Hessian
+    would not fit in int64 or physical memory, a check that needs no
+    tensor, so it comes before any input is read.  It also loads LAPACK's
+    Cholesky, which only the damped Newton direction uses, so that one-time
+    cost (about 15 ms and 4 MB: ``scipy`` and its
     ``_flapack`` extension, not the ``scipy.linalg`` package; see
     ``row_solver.lapack_cholesky``) falls outside ``fit``.
     """
@@ -107,13 +110,15 @@ class FitConfig:
                              f"boolean, got {self.mode1_only!r}")
         put("workers", check_integer("workers", self.workers, 1))
         if self.method == "pdnr":
+            check_size("rank * rank", self.rank * self.rank)
             lapack_cholesky()
 
     def check_sizes(self, tensor: SparseCountTensor) -> None:
         """Raise ConfigError when a fit of ``tensor`` at this rank needs
         arrays beyond int64 or physical memory: the ``rank * sum(dims)``
         model entries, or ``nnz * rank`` Khatri-Rao rows, the most one
-        gather can take, as a row longer than a block is gathered whole."""
+        gather can take, as a row longer than a block is gathered whole.
+        A ``pdnr`` config checks its ``rank * rank`` Hessian when built."""
         check_size("rank * sum(dims)", self.rank * sum(tensor.shape.dims))
         check_size("nnz * rank", tensor.nnz * self.rank)
 
@@ -199,7 +204,7 @@ def init_model(shape, rank: int, seed: int = 0) -> KruskalModel:
     return normalize(KruskalModel(np.ones(rank), tuple(factors)))
 
 
-def _solve_rows(b_matrix, layout, factors, mode0, method, solver, deadline):
+def _solve_rows(b_matrix, layout, factors, mode0, method, tau, deadline):
     """Solve each nonempty row subproblem, writing results into b_matrix.
 
     Returns the row reports.  The rows are split into contiguous ranges, one
@@ -218,7 +223,7 @@ def _solve_rows(b_matrix, layout, factors, mode0, method, solver, deadline):
             if deadline is not None and time.perf_counter() > deadline:
                 break
             b_matrix[row0], report = solve_row(
-                RowProblem(b_matrix[row0], x, pi), solver)
+                RowProblem(b_matrix[row0], x, pi), tau)
             reports.append(report)
         return reports
 
@@ -228,22 +233,20 @@ def _solve_rows(b_matrix, layout, factors, mode0, method, solver, deadline):
 
 
 def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
-               method: str = "pdnr", solver: Optional[SolverParams] = None,
-               deadline=None):
+               method: str = "pdnr", tau: float = ROW_TAU, deadline=None):
     """Solve the block subproblem of one mode and rescale.
 
     Rows of the unfolded tensor without nonzeros are set to zero directly
     (their optimum, since the objective restricted to them is sum(b)).
     Afterwards column sums move into the weights, so the returned model is
-    normalized.  ``solver`` stops the ``pdnr`` and ``pqnr`` row solves
-    (None: ``SolverParams()``).  Returns (model, ModeSweepReport).  Raises
-    ValueError for a ``method`` outside :data:`METHODS` or a ``solver``
-    that is not SolverParams or None, and ShapeMismatchError when the
-    model's dims are not the tensor's.
+    normalized.  The ``pdnr`` and ``pqnr`` row solves stop at the KKT
+    tolerance ``tau`` or after ``row_solver.K_MAX`` iterations.  Returns
+    (model, ModeSweepReport).  Raises ValueError for a ``method`` outside
+    :data:`METHODS` or a ``tau`` that is not a positive finite number, and
+    ShapeMismatchError when the model's dims are not the tensor's.
     """
     _check_method(method)
-    if not isinstance(solver, (SolverParams, type(None))):
-        raise ValueError("solver must be SolverParams or None")
+    tau = check_number("tau", tau, positive=True)
     model = _prepared(model, tensor)
     layout = mode_row_positions(tensor, mode)
     mode0 = mode - 1
@@ -256,7 +259,7 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
         b_matrix = np.zeros_like(model.factors[mode0])
         b_matrix[layout.rows] = model.factors[mode0][layout.rows] * model.weights
         reports = _solve_rows(b_matrix, layout, model.factors, mode0, method,
-                              solver, deadline)
+                              tau, deadline)
         report.rows_solved = len(reports)
         report.inner_iterations = sum(r.iterations for r in reports)
         report.line_search_failures = sum(r.backtrack_failures for r in reports)
@@ -305,7 +308,6 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
     for n in modes:
         mode_row_positions(tensor, n)
 
-    solver = SolverParams(tau=config.tau)
     start = time.perf_counter()
     deadline = None if config.time_limit is None else start + config.time_limit
     trace = FitTrace()
@@ -315,7 +317,7 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
         fallbacks = 0
         for n in modes:
             model, sweep = solve_mode(tensor, model, n, method=config.method,
-                                      solver=solver, deadline=deadline)
+                                      tau=config.tau, deadline=deadline)
             ls_failures += sweep.line_search_failures
             fallbacks += sweep.fallback_steps
             if deadline is not None and time.perf_counter() > deadline:

@@ -39,7 +39,6 @@ from .errors import (FactorizationFailureError, UndefinedAtZeroModelError,
 
 __all__ = [
     "RowProblem",
-    "SolverParams",
     "RowSolveReport",
     "LbfgsStore",
     "f_row",
@@ -63,6 +62,8 @@ MU0 = 1e-5  # initial Levenberg-Marquardt damping
 SIGMA = 1e-4  # Armijo sufficient-decrease constant
 BETA = 0.5  # backtrack factor
 MAX_BACKTRACKS = 10
+K_MAX = 50  # iterations of one row solve
+ROW_TAU = 1e-8  # default KKT tolerance of a direct row or mode solve
 LBFGS_MEMORY = 3  # stored curvature pairs
 CURVATURE_SKIP_REL = 1e-12
 FACTORIZATION_RETRIES = 5
@@ -105,22 +106,6 @@ class RowProblem:
     @property
     def rank(self) -> int:
         return int(self.b.shape[0])
-
-
-@dataclass(frozen=True)
-class SolverParams:
-    """Stopping rule of a row solve: the KKT tolerance ``tau`` and at most
-    ``k_max`` iterations.  The algorithm's other constants are fixed at
-    module level (``MU0``, ``SIGMA``, ``BETA``, ``MAX_BACKTRACKS``,
-    ``LBFGS_MEMORY`` and the two-metric epsilon of each direction)."""
-
-    tau: float = 1e-8
-    k_max: int = 50
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau", check_number("tau", self.tau,
-                                                     positive=True))
-        object.__setattr__(self, "k_max", check_integer("k_max", self.k_max, 1))
 
 
 @dataclass
@@ -444,14 +429,16 @@ def _damped_direction_with_retries(h_free, g_free, mu):
     return np.zeros_like(g_free), mu, False
 
 
-def _solve_row(problem: RowProblem, params: SolverParams,
+def _solve_row(problem: RowProblem, tau: float,
                store: Optional[LbfgsStore]):
     """The loop shared by both solvers: gradient -> KKT check -> two-metric
     partition -> free-set direction -> projected Armijo search, with a
-    multiplicative rescue step when no certified step is found.  The
-    free-set direction is damped Newton when ``store`` is None and the
-    L-BFGS two-loop over ``store`` otherwise, each with its own two-metric
-    epsilon."""
+    multiplicative rescue step when no certified step is found.  It stops
+    when the KKT violation falls to ``tau`` or after ``K_MAX`` steps, and
+    checks ``tau`` first.  The free-set direction is damped Newton when
+    ``store`` is None and the L-BFGS two-loop over ``store`` otherwise,
+    each with its own two-metric epsilon."""
+    tau = check_number("tau", tau, positive=True)
     epsilon = PDNR_EPSILON if store is None else PQNR_EPSILON
     b, f_b, m = _repair_start(problem, problem.b.copy())
     if not math.isfinite(f_b):
@@ -464,7 +451,7 @@ def _solve_row(problem: RowProblem, params: SolverParams,
         if prev_b is not None:
             store.update(b - prev_b, g - prev_g)
         kkt = kkt_violation_row(b, g)
-        if kkt <= params.tau or iters >= params.k_max:
+        if kkt <= tau or iters >= K_MAX:
             break
         sets = partition_variables(b, g, epsilon)
         free = sets[2]
@@ -513,23 +500,25 @@ def _solve_row(problem: RowProblem, params: SolverParams,
     return b, RowSolveReport(iters, float(kkt), ls_failures, fallbacks)
 
 
-def solve_row_pdnr(problem: RowProblem, params: Optional[SolverParams] = None):
+def solve_row_pdnr(problem: RowProblem, tau: float = ROW_TAU):
     """Projected damped Newton solve of one row subproblem.
 
     Iterates gradient -> KKT check -> two-metric partition -> damped Newton
     direction on the free set -> projected Armijo search -> damping update,
-    stopping when the KKT violation falls to ``params.tau`` or after
-    ``params.k_max`` steps.  Returns (b_star, RowSolveReport).
+    stopping when the KKT violation falls to ``tau`` or after ``K_MAX``
+    steps.  Returns (b_star, RowSolveReport).  Raises ValueError when
+    ``tau`` is not a positive finite number.
     """
-    return _solve_row(problem, params or SolverParams(), None)
+    return _solve_row(problem, tau, None)
 
 
-def solve_row_pqnr(problem: RowProblem, params: Optional[SolverParams] = None):
+def solve_row_pqnr(problem: RowProblem, tau: float = ROW_TAU):
     """Projected quasi-Newton solve of one row subproblem.
 
     Same loop as :func:`solve_row_pdnr` with the free-set direction taken
     from a limited-memory BFGS approximation over all variables; the
     curvature pair from each step feeds a store that starts empty.
-    Returns (b_star, RowSolveReport).
+    Returns (b_star, RowSolveReport).  Raises ValueError when ``tau`` is
+    not a positive finite number.
     """
-    return _solve_row(problem, params or SolverParams(), LbfgsStore())
+    return _solve_row(problem, tau, LbfgsStore())

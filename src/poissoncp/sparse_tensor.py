@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import pickle
 import re
@@ -87,7 +88,10 @@ def as_shape(shape) -> Shape:
 
 
 def _check_mode(shape: Shape, mode: int) -> None:
-    if not 1 <= mode <= shape.ndim:
+    """Raise IndexOutOfRangeError unless ``mode`` is an integer, numpy's
+    included but not a bool, from 1 to the number of modes."""
+    if (isinstance(mode, bool) or not isinstance(mode, numbers.Integral)
+            or not 1 <= mode <= shape.ndim):
         raise IndexOutOfRangeError(
             f"mode {mode} out of range for a {shape.ndim}-way tensor"
         )

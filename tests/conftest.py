@@ -313,7 +313,7 @@ def argsort_mu_solve_mode(tensor, model: KruskalModel, mode: int,
 
 
 def per_row_solve_mode(tensor, model: KruskalModel, mode: int, method: str,
-                       solver=None, inner_iterations: int = 10):
+                       tau: float = 1e-8, inner_iterations: int = 10):
     """Reference mode solve: pdnr/pqnr gather each row's Khatri-Rao columns
     on their own, mu runs :func:`argsort_mu_solve_mode`; then the model is
     renormalized.  Returns (model, row reports), reports empty for mu."""
@@ -331,9 +331,9 @@ def per_row_solve_mode(tensor, model: KruskalModel, mode: int, method: str,
             pi = coo_pi_product(model.factors, mode0, tensor.subs0[pos]).T
             problem = RowProblem(b_start[row0], tensor.vals[pos], pi)
             if method == "pdnr":
-                b_star, report = solve_row_pdnr(problem, solver)
+                b_star, report = solve_row_pdnr(problem, tau)
             else:
-                b_star, report = solve_row_pqnr(problem, solver)
+                b_star, report = solve_row_pqnr(problem, tau)
             b_matrix[row0] = b_star
             reports.append(report)
     factors = list(model.factors)

@@ -21,7 +21,6 @@ from poissoncp.evaluation import (full_kkt_violation, mode_kkt_violation,
                                   score_greedy)
 from poissoncp.kruskal import KruskalModel, normalize
 from poissoncp.row_solver import (
-    SolverParams,
     f_row,
     grad_row,
     hess_row,
@@ -81,8 +80,7 @@ def mode1_tight(desk):
     b_stars, kkts = [], []
     for s in range(10):
         model, _ = solve_mode(tensor, truth_held_start(tensor, truth, 200 + s),
-                              1, method="pdnr",
-                              solver=SolverParams(tau=1e-11, k_max=100))
+                              1, method="pdnr", tau=1e-11)
         kkts.append(mode_kkt_violation(tensor, model, 1))
         b_stars.append(model.factors[0] * model.weights)
     return Mode1Runs(b_stars, kkts, time.perf_counter() - t0)
@@ -141,12 +139,11 @@ def test_criterion_1_derivative_correctness():
 def test_criterion_2_row_solver_oracle_equivalence():
     rng = np.random.default_rng(202)
     t0 = time.perf_counter()
-    params = SolverParams(tau=1e-10, k_max=500)
     worst_gap = worst_bdiff = 0.0
     for _ in range(50):
         p = random_row_problem(rng, r_max=3, j_max=5, strictly_convex=True)
-        b_newton, _ = solve_row_pdnr(p, params)
-        b_quasi, _ = solve_row_pqnr(p, params)
+        b_newton, _ = solve_row_pdnr(p, tau=1e-10)
+        b_quasi, _ = solve_row_pqnr(p, tau=1e-10)
         oracle = projected_gradient_solve(p, tol=1e-11, max_iter=500_000)
         f_oracle = f_row(p, oracle)
         worst_gap = max(worst_gap, abs(f_row(p, b_newton) - f_oracle),

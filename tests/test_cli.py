@@ -5,14 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import poissoncp
 import poissoncp.cli as cli
 import poissoncp.errors as errors
 from poissoncp.cli import main
+from poissoncp.kruskal import KruskalModel, save_model
 from poissoncp.sparse_tensor import (PARALLEL_MIN_ROWS, PARALLEL_MIN_WORK,
-                                     mode_row_positions, read_coo)
+                                     SparseCountTensor, mode_row_positions,
+                                     read_coo, write_coo)
 
 
 NAN = float("nan")
@@ -502,6 +505,43 @@ class TestConfigErrors:
                                     "--output-dir", str(tmp_path / "run")],
                            "nnz * rank = ")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["factorize", "bench"])
+    def test_pdnr_hessian_beyond_memory(self, generated, capsys, monkeypatch,
+                                        command):
+        # A pdnr row solve factors a rank x rank damped Hessian: 74.5 GiB at
+        # rank 100,000, where the model and the gathered rows fit in 16 GiB.
+        tmp_path, outdir = generated
+        monkeypatch.setattr(errors, "physical_memory", lambda: 16 * 2**30)
+        monkeypatch.setattr(cli, "fit", None)
+        cfg = write_json(tmp_path / "cfg.json", {
+            "factorize": {"tensor": str(outdir / "tensor.coo"),
+                          "method": "pdnr", "rank": 100_000},
+            "bench": {"dims": [5, 6, 4], "samples": 100, "ranks": [100_000],
+                      "seeds": [0], "methods": ["mu", "pdnr"]},
+        }[command])
+        self.run_and_check(capsys, [command, "--config", cfg,
+                                    "--output-dir", str(tmp_path / "out")],
+                           "rank * rank = 10000000000 values of 8 bytes "
+                           "need 74.5 GiB")
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_congruence_beyond_memory(self, tmp_path, capsys,
+                                               monkeypatch):
+        # The score compares rank x rank congruences; the models themselves
+        # and the 2 x 2 tensor fit.
+        rank = 300
+        model = KruskalModel(np.ones(rank), (np.ones((2, rank)),) * 2)
+        save_model(model, tmp_path / "model.json")
+        write_coo(SparseCountTensor.from_entries((2, 2), [((1, 1), 3)]),
+                  tmp_path / "tensor.coo")
+        monkeypatch.setattr(errors, "physical_memory", lambda: 8 * 50_000)
+        monkeypatch.setattr(cli, "score_greedy", None)
+        model_path = str(tmp_path / "model.json")
+        self.run_and_check(capsys, ["evaluate", "--model", model_path,
+                                    "--truth", model_path,
+                                    "--tensor", str(tmp_path / "tensor.coo")],
+                           "rank * rank = 90000 ")
 
     @pytest.mark.parametrize("command", ["generate", "factorize"])
     def test_negative_seed_flag(self, generated, capsys, command):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from poissoncp import driver
+from poissoncp import driver, errors
 from poissoncp.baselines import mu_solve_mode
 from poissoncp.driver import (
     METHODS,
@@ -16,11 +16,10 @@ from poissoncp.driver import (
     solve_mode,
     write_trace,
 )
-from poissoncp.errors import (IndexOutOfRangeError, ShapeMismatchError,
-                              ZeroColumnWarning)
+from poissoncp.errors import (ConfigError, IndexOutOfRangeError,
+                              ShapeMismatchError, ZeroColumnWarning)
 from poissoncp.evaluation import full_kkt_violation, mode_kkt_violation
 from poissoncp.kruskal import KruskalModel, kl_objective, normalize
-from poissoncp.row_solver import SolverParams
 from poissoncp.sparse_tensor import (PARALLEL_MIN_ROWS, SparseCountTensor,
                                      mode_row_positions)
 from poissoncp.synth import GenConfig, generate_dataset
@@ -121,9 +120,9 @@ class TestSolveMode:
         assert str(from_solve.value) == str(from_config.value)
         assert "method must be one of" in str(from_solve.value)
 
-    @pytest.mark.parametrize("solver", [{"tau": 1e-6}, 1e-6, "pdnr"])
+    @pytest.mark.parametrize("tau", [0.0, float("nan"), "1e-6"])
     @pytest.mark.parametrize("dims", [(6, 7, 8), (600, 3, 3)])
-    def test_solver_must_be_solver_params(self, monkeypatch, dims, solver):
+    def test_tau_must_be_a_positive_number(self, monkeypatch, dims, tau):
         # The (600, 3, 3) tensor's mode-1 rows would be split into ranges;
         # the check runs before any row range.
         _, tensor = generate_dataset(
@@ -132,9 +131,8 @@ class TestSolveMode:
             assert len(mode_row_positions(tensor, 1)) >= PARALLEL_MIN_ROWS
         model = init_model(tensor.shape, 2, seed=0)
         monkeypatch.setattr(driver, "map_row_ranges", None)
-        with pytest.raises(ValueError, match="solver must be SolverParams "
-                                             "or None"):
-            solve_mode(tensor, model, 1, method="pdnr", solver=solver)
+        with pytest.raises(ValueError, match="config field 'tau'"):
+            solve_mode(tensor, model, 1, method="pdnr", tau=tau)
 
     def test_mode_subproblem_unique_across_starts(self, small_dataset):
         # Strictly convex block subproblem: identical B* from any start.
@@ -247,9 +245,19 @@ class TestFit:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(config, f.name, getattr(config, f.name))
 
+    def test_only_pdnr_checks_its_hessian_size(self, small_dataset,
+                                               monkeypatch):
+        # Only the damped Newton direction builds a rank x rank array.
+        _, tensor = small_dataset
+        monkeypatch.setattr(errors, "physical_memory", lambda: 16 * 2**30)
+        with pytest.raises(ConfigError, match=r"rank \* rank = 10000000000 "):
+            FitConfig(method="pdnr", rank=100_000)
+        for method in ("pqnr", "mu"):
+            FitConfig(method=method, rank=100_000).check_sizes(tensor)
+
     def test_rows_are_solved_at_the_fit_tau(self, small_dataset):
         # One mode-1 sweep of a fit is one solve_mode call at the fit's tau;
-        # at SolverParams' default tau the rows land elsewhere.
+        # at solve_mode's default tau the rows land elsewhere.
         _, tensor = small_dataset
         start = init_model(tensor.shape, 3, seed=0)
         for method in ("pdnr", "pqnr"):
@@ -257,7 +265,7 @@ class TestFit:
                                mode1_only=True)
             model = fit(tensor, config).model
             expected, _ = solve_mode(tensor, start, 1, method=method,
-                                     solver=SolverParams(tau=config.tau))
+                                     tau=config.tau)
             tight, _ = solve_mode(tensor, start, 1, method=method)
             for a, b in zip((model.weights, *model.factors),
                             (expected.weights, *expected.factors)):

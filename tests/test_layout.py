@@ -24,6 +24,7 @@ import poissoncp.baselines as baselines
 import poissoncp.driver as driver
 import poissoncp.evaluation as evaluation
 import poissoncp.kruskal as kruskal
+import poissoncp.row_solver as row_solver
 import poissoncp.sparse_tensor as sparse_tensor
 from conftest import (
     argsort_mode_row_positions,
@@ -39,7 +40,6 @@ from poissoncp.driver import FitConfig, fit, init_model, solve_mode
 from poissoncp.errors import FactorizationFailureError, IndexOutOfRangeError
 from poissoncp.evaluation import mode_kkt_violation
 from poissoncp.kruskal import KruskalModel, kl_objective, normalize
-from poissoncp.row_solver import SolverParams
 from poissoncp.sparse_tensor import SparseCountTensor, mode_row_positions
 from poissoncp.synth import GenConfig, generate_dataset
 
@@ -352,13 +352,22 @@ class TestLayoutBuiltOncePerTensor:
         tensor, model = layout_case(5)
         for mode in range(1, tensor.ndim + 1):
             mode_row_positions(tensor, mode)
-        for mode in (0, tensor.ndim + 1):
+        for mode in (0, tensor.ndim + 1, 1.0, 2.0, True):
             for call in (mode_row_positions, mode_kkt_violation,
                          mu_solve_mode, solve_mode):
                 args = (tensor,) if call is mode_row_positions else (
                     tensor, model)
-                with pytest.raises(IndexOutOfRangeError, match="out of range"):
+                with pytest.raises(IndexOutOfRangeError,
+                                   match=f"mode {mode} out of range"):
                     call(*args, mode)
+        assert mode_row_positions(tensor, np.int64(2)) is mode_row_positions(
+            tensor, 2)
+
+    def test_bool_mode_caches_no_layout(self):
+        tensor, model = layout_case(5)
+        with pytest.raises(IndexOutOfRangeError, match="mode True out of"):
+            solve_mode(tensor, model, True)
+        assert tensor._layouts == {}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -393,14 +402,14 @@ class TestLayoutMatchesPerRowReference:
            method=st.sampled_from(("pdnr", "pqnr", "mu")))
     def test_solve_mode(self, seed, doubles, method):
         tensor, model = layout_case(seed)
-        solver = SolverParams(tau=1e-6, k_max=20)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse_tensor, "BLOCK_DOUBLES", doubles)
             mp.setattr(baselines, "INNER_ITERATIONS", 3)
+            mp.setattr(row_solver, "K_MAX", 20)
             for mode in range(1, tensor.ndim + 1):
                 try:
                     want, rows = per_row_solve_mode(
-                        tensor, model, mode, method, solver,
+                        tensor, model, mode, method, 1e-6,
                         inner_iterations=3)
                 except ValueError:
                     # Multiplicative updates on a zero model value at a
@@ -408,10 +417,10 @@ class TestLayoutMatchesPerRowReference:
                     assert method == "mu"
                     with pytest.raises(ValueError, match="finite"):
                         solve_mode(tensor, model, mode, method=method,
-                                   solver=solver)
+                                   tau=1e-6)
                     continue
                 got, report = solve_mode(tensor, model, mode, method=method,
-                                         solver=solver)
+                                         tau=1e-6)
                 assert_models_equal(got, want)
                 if method != "mu":
                     assert report.rows_solved == len(rows)
@@ -543,20 +552,20 @@ class TestRowRanges:
     def test_forked_ranges_match_serial_and_per_row(self, seed, doubles, cpus,
                                                     method):
         tensor, model = layout_case(seed)
-        solver = SolverParams(tau=1e-6, k_max=20)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse_tensor, "BLOCK_DOUBLES", doubles)
+            mp.setattr(row_solver, "K_MAX", 20)
             for mode in range(1, tensor.ndim + 1):
                 want, rows = per_row_solve_mode(tensor, model, mode, method,
-                                                solver)
+                                                1e-6)
                 want_kkt = per_row_mode_kkt_violation(tensor, model, mode)
                 mp.setattr(sparse_tensor, "_allowed_cpus", lambda: 1)
                 serial, serial_report = solve_mode(tensor, model, mode,
-                                                   method=method, solver=solver)
+                                                   method=method, tau=1e-6)
                 serial_kkt = mode_kkt_violation(tensor, model, mode)
                 split_rows(mp, cpus)
                 got, report = solve_mode(tensor, model, mode, method=method,
-                                         solver=solver)
+                                         tau=1e-6)
                 assert_models_equal(got, serial)
                 assert_models_equal(got, want)
                 assert report == serial_report

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +19,6 @@ from poissoncp.row_solver import (
     FACTORIZATION_RETRIES,
     LbfgsStore,
     RowProblem,
-    SolverParams,
     armijo_projected_search,
     assemble_direction,
     damped_newton_direction,
@@ -31,6 +32,8 @@ from poissoncp.row_solver import (
     solve_row_pqnr,
     update_damping,
 )
+from poissoncp.driver import init_model, solve_mode
+from poissoncp.synth import GenConfig, generate_dataset
 
 
 def scalar_problem(b=1.0):
@@ -239,8 +242,9 @@ class TestFactorizationRetries:
             row_solver, "_hessian_block",
             lambda problem, m, free: np.diag(np.full(int(free.sum()), -1e3)),
         )
+        monkeypatch.setattr(row_solver, "K_MAX", 1)
         p = scalar_problem(1.0)
-        b, report = solve_row_pdnr(p, SolverParams(k_max=1))
+        b, report = solve_row_pdnr(p)
         assert report.iterations == 1
         assert report.fallback_steps == 1
         assert report.backtrack_failures == 0
@@ -464,14 +468,19 @@ class TestLbfgsStore:
         assert store.gamma == pytest.approx(float(s @ y) / float(y @ y))
 
 
-class TestSolverParams:
-    @pytest.mark.parametrize("fields", [
-        {"k_max": 2.5}, {"k_max": True}, {"k_max": 0}, {"tau": 0.0},
-        {"tau": float("inf")}, {"tau": float("nan")}, {"tau": 10**400},
-    ])
-    def test_rejects_invalid_stopping_rule(self, fields):
-        with pytest.raises(ValueError):
-            SolverParams(**fields)
+class TestTau:
+    @pytest.mark.parametrize("tau", [
+        0.0, float("inf"), float("nan"), 10**400, True,
+    ], ids=["zero", "inf", "nan", "int-beyond-float", "bool"])
+    def test_rejects_invalid_tau(self, tau):
+        _, tensor = generate_dataset(
+            GenConfig(dims=(4, 5, 6), rank=2, samples=100, seed=0))
+        model = init_model(tensor.shape, 2)
+        for solve in (functools.partial(solve_row_pdnr, scalar_problem()),
+                      functools.partial(solve_row_pqnr, scalar_problem()),
+                      functools.partial(solve_mode, tensor, model, 1)):
+            with pytest.raises(ValueError, match="config field 'tau'"):
+                solve(tau=tau)
 
 
 class TestSolvePdnr:
@@ -487,22 +496,22 @@ class TestSolvePdnr:
         assert b[0] == pytest.approx(2.0, abs=1e-7)
 
     def test_matches_projected_gradient_oracle(self, rng):
-        params = SolverParams(tau=1e-10, k_max=200)
         for _ in range(10):
             p = random_row_problem(rng, r_max=3, j_max=5, strictly_convex=True)
-            b, report = solve_row_pdnr(p, params)
+            b, report = solve_row_pdnr(p, tau=1e-10)
             oracle = projected_gradient_solve(p)
             assert f_row(p, b) <= f_row(p, oracle) + 1e-6
 
-    def test_strict_descent(self, rng):
+    def test_strict_descent(self, rng, monkeypatch):
         # With the tolerance unmet at the start, the solve must strictly
         # decrease the objective.
+        monkeypatch.setattr(row_solver, "K_MAX", 5)
         for _ in range(20):
             p = random_row_problem(rng, r_max=4, j_max=8, interior=False)
             g = grad_row(p) if f_row(p) < np.inf else None
             if g is None or kkt_violation_row(p.b, g) <= 1e-8:
                 continue
-            b, _ = solve_row_pdnr(p, SolverParams(k_max=5))
+            b, _ = solve_row_pdnr(p)
             assert f_row(p, b) < f_row(p)
 
     def test_iterates_exactly_nonnegative(self, rng):
@@ -523,14 +532,13 @@ class TestSolvePqnr:
         assert b[0] == pytest.approx(2.0, abs=1e-7)
 
     def test_agrees_with_pdnr_on_strictly_convex(self, rng):
-        params = SolverParams(tau=1e-10, k_max=300)
         for _ in range(10):
             p = random_row_problem(rng, r_max=3, j_max=5, strictly_convex=True)
-            b_newton, _ = solve_row_pdnr(p, params)
-            b_quasi, _ = solve_row_pqnr(p, params)
+            b_newton, _ = solve_row_pdnr(p, tau=1e-10)
+            b_quasi, _ = solve_row_pqnr(p, tau=1e-10)
             assert np.abs(b_newton - b_quasi).max() <= 1e-6
 
-    def test_first_step_follows_negative_gradient(self, rng):
+    def test_first_step_follows_negative_gradient(self, rng, monkeypatch):
         # With an empty store the first direction is -g on the free set, so
         # one capped iteration must match a single projected Armijo step.
         p = random_row_problem(rng, r_max=4, j_max=8)
@@ -538,7 +546,8 @@ class TestSolvePqnr:
         sets = partition_variables(p.b, g, 1e-8)
         d = assemble_direction(-g[sets[2]], g, sets)
         expected = armijo_projected_search(p, p.b, f_row(p), g, d).b_next
-        b, _ = solve_row_pqnr(p, SolverParams(k_max=1))
+        monkeypatch.setattr(row_solver, "K_MAX", 1)
+        b, _ = solve_row_pqnr(p)
         np.testing.assert_allclose(b, expected, rtol=1e-12)
 
     def test_all_zero_counts_row_reaches_zero(self):
@@ -593,14 +602,13 @@ class TestSharedLoopProperties:
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), interior=st.booleans(),
-           short=st.booleans(), k_max=st.sampled_from([1, 3, 50]),
+           short=st.booleans(), budget=st.sampled_from([1, 3, 50]),
            method=st.sampled_from(["pdnr", "pqnr"]))
-    def test_invariants(self, seed, interior, short, k_max, method):
+    def test_invariants(self, seed, interior, short, budget, method):
         rng = np.random.default_rng(seed)
         p = random_row_problem(rng, r_max=8, j_max=3 if short else 20,
                                interior=interior)
         assume(not short or p.x.size < p.rank)
-        params = SolverParams(k_max=k_max)
         searches = []
         search = row_solver.armijo_projected_search
 
@@ -612,11 +620,12 @@ class TestSharedLoopProperties:
         solve = solve_row_pdnr if method == "pdnr" else solve_row_pqnr
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(row_solver, "armijo_projected_search", recording)
-            b, report = solve(p, params)
+            mp.setattr(row_solver, "K_MAX", budget)
+            b, report = solve(p)
         assert (b >= 0.0).all()
         assert f_row(p, b) <= f_row(p)
-        assert (report.final_kkt <= params.tau
-                or report.iterations == params.k_max
+        assert (report.final_kkt <= row_solver.ROW_TAU
+                or report.iterations == budget
                 or report.fallback_steps > 0)
         for result in searches:
             if result.alpha is not None:

@@ -174,6 +174,11 @@ class TestModeColumnIndex:
             mode_column_index((2, 2), 1, (1, 3))
         with pytest.raises(IndexOutOfRangeError):
             mode_column_index((2, 2), 3, (1, 1))
+        for mode in (1.0, 2.0, True):
+            with pytest.raises(IndexOutOfRangeError,
+                               match=f"mode {mode} out of range"):
+                mode_column_index((2, 2), mode, (1, 1))
+        assert mode_column_index((2, 2), np.int64(2), (2, 2)) == 2
         with pytest.raises(IndexOutOfRangeError, match="2 components, got 3"):
             mode_column_index((2, 2), 1, (1, 1, 1))
 
