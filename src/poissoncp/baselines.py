@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kruskal import KruskalModel, _pi_product, _prepared
-from .row_solver import _block_model, _block_pi_x_over_m
+from .row_solver import _block_model, _block_pi_x_over_m, _chunked_dot
 from .sparse_tensor import (SparseCountTensor, map_row_ranges,
                             mode_row_positions)
 
@@ -64,7 +64,8 @@ def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel,
             starts = np.cumsum(counts) - counts
             for it in range(INNER_ITERATIONS + 1):
                 m = _block_model(b_blk, counts, pi)
-                objectives[it] += b_blk.sum() - float(x @ np.log(m))
+                objectives[it] += (b_blk.sum()
+                                   - float(_chunked_dot(x, np.log(m))))
                 if it < INNER_ITERATIONS:
                     b_blk *= _block_pi_x_over_m(pi, x / m, starts)
             b[rows] = b_blk

@@ -345,10 +345,15 @@ def cmd_bench(args) -> int:
              [_fit_config({**run, "method": method}) for method in methods])
             for run in ({**config, "rank": rank, "seed": seed}
                         for rank in ranks for seed in seeds)]
+    # Every run's tensor is made and sized before the output directory and
+    # the first fit, so a run that cannot fit costs neither.
+    tensors = [generate_dataset(gen)[1] for gen, _ in runs]
+    for tensor, (_, fits) in zip(tensors, runs):
+        for fc, _ in fits:
+            fc.check_sizes(tensor)
     outdir = _output_dir(args.output_dir)
     rows = []
-    for gen, fits in runs:
-        _, tensor = generate_dataset(gen)
+    for tensor, (_, fits) in zip(tensors, runs):
         for fc, _ in fits:
             result = fit(tensor, fc)
             last = result.trace.records[-1]

@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import (FactorizationFailureError, UndefinedAtZeroModelError,
-                     check_integer, check_number)
+                     check_number)
 
 __all__ = [
     "RowProblem",
@@ -67,6 +67,11 @@ ROW_TAU = 1e-8  # default KKT tolerance of a direct row or mode solve
 LBFGS_MEMORY = 3  # stored curvature pairs
 CURVATURE_SKIP_REL = 1e-12
 FACTORIZATION_RETRIES = 5
+# Entries per chunk of a long sum.  OpenBLAS splits a dot product of more
+# than 10,000 entries, and a matrix-vector product of 9,216 matrix entries
+# or more, among threads, in an order that depends on their number; a
+# chunk stays below both cut-offs, so one thread sums it.
+SUM_CHUNK = 8192
 # The step BETA^t of each backtrack t, computed once.
 _STEPS = tuple(BETA ** t for t in range(MAX_BACKTRACKS + 1))
 
@@ -127,13 +132,28 @@ class LineSearchResult(NamedTuple):
     m_next: Optional[np.ndarray] = None  # b_next @ pi of an accepted step
 
 
+def _chunked_dot(a: np.ndarray, w: np.ndarray):
+    """``a.dot(w)`` for a 1-D ``w`` and a 1-D or ``(R, J)`` ``a``.  When
+    ``w`` is longer than ``SUM_CHUNK``, the chunks of ``a`` of at most
+    ``SUM_CHUNK`` entries are summed one by one and added in order, so the
+    bits do not depend on the number of OpenBLAS threads."""
+    n = w.shape[0]
+    if n <= SUM_CHUNK:
+        return a.dot(w)
+    step = max(SUM_CHUNK * n // a.size, 1)
+    total = a[..., :step].dot(w[:step])
+    for k in range(step, n, step):
+        total = total + a[..., k:k + step].dot(w[k:k + step])
+    return total
+
+
 def _f_at(problem: RowProblem, b: np.ndarray, m: Optional[np.ndarray] = None) -> float:
     if m is None:
         m = b.dot(problem.pi)
     total = float(np.add.reduce(b))
     if np.minimum.reduce(m, initial=np.inf) <= 0.0:
         return float("inf")
-    return total - float(problem.x.dot(np.log(m)))
+    return total - float(_chunked_dot(problem.x, np.log(m)))
 
 
 def f_row(problem: RowProblem, b: Optional[np.ndarray] = None) -> float:
@@ -152,7 +172,7 @@ def _check_defined(m: np.ndarray) -> None:
 def _pi_x_over_m(pi: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """pi @ (x / m) for an (R, J) pi: the data term of the row gradient,
     negated, and the multiplicative update factor.  Zeros when J = 0."""
-    return pi.dot(x / m)
+    return _chunked_dot(pi, x / m)
 
 
 def _block_model(b_blk: np.ndarray, counts: np.ndarray,
@@ -347,19 +367,20 @@ def multiplicative_step(problem: RowProblem, b: np.ndarray,
 
 
 class LbfgsStore:
-    """Ring buffer of limited-memory BFGS curvature pairs.
+    """Ring buffer of the last ``LBFGS_MEMORY`` limited-memory BFGS
+    curvature pairs.
 
     Pairs with s'y <= 1e-12 * ||s|| ||y|| are skipped (and counted) to keep
     the implied approximation positive definite despite roundoff.
     """
 
-    def __init__(self, memory: int = LBFGS_MEMORY):
-        self.memory = check_integer("memory", memory, 1)
+    def __init__(self):
         self._s: list[np.ndarray] = []
         self._y: list[np.ndarray] = []
         self._rho: list[float] = []
         self.gamma = 1.0
         self.skipped = 0
+        self._prev = None  # (b, g) of the last free_step
 
     def __len__(self) -> int:
         return len(self._s)
@@ -375,7 +396,7 @@ class LbfgsStore:
         self._s.append(s)
         self._y.append(y)
         self._rho.append(1.0 / sy)
-        if len(self._s) > self.memory:
+        if len(self._s) > LBFGS_MEMORY:
             del self._s[0], self._y[0], self._rho[0]
         self.gamma = sy / float(yy)
         return True
@@ -398,6 +419,17 @@ class LbfgsStore:
             r += (alpha - beta) * s
         return r
 
+    def free_step(self, problem: RowProblem, b: np.ndarray, m: np.ndarray,
+                  g: np.ndarray, free: np.ndarray, mu: float):
+        """The row loop's quasi-Newton step ``(d_free, mu, None)``, after
+        storing the pair from the last call's ``(b, g)``: the free block of
+        the two-loop applied to g with its non-free entries zeroed, so that
+        large bound-set components cannot leak in and ruin descent."""
+        if self._prev is not None:
+            self.update(b - self._prev[0], g - self._prev[1])
+        self._prev = b, g
+        return -self.direction(np.where(free, g, 0.0))[free], mu, None
+
 
 def _repair_start(problem: RowProblem, b: np.ndarray):
     """Make the start feasible when exact zeros in b leave a positive count
@@ -417,75 +449,62 @@ def _repair_start(problem: RowProblem, b: np.ndarray):
     return b, f_b, m
 
 
-def _damped_direction_with_retries(h_free, g_free, mu):
-    """Damped Newton solve, bumping mu tenfold on factorization failure up
-    to a retry cap; the final failure reports solved=False and the caller
-    takes a multiplicative rescue step."""
+def _damped_step(problem: RowProblem, b: np.ndarray, m: np.ndarray,
+                 g: np.ndarray, free: np.ndarray, mu: float):
+    """The row loop's damped Newton step ``(d_free, mu, decrease)``, with
+    ``d_free`` None when no factorization succeeds and ``decrease`` the
+    negative predicted decrease, or None.  ``mu`` grows tenfold on each
+    failed factorization and on a nonnegative predicted decrease, which
+    roundoff on a near-singular block (tiny mu, J < R) can give."""
+    if not np.count_nonzero(free):
+        return np.zeros(0), mu, None
+    g_free = g[free]
+    h_free = _hessian_block(problem, m, free)
     for _ in range(FACTORIZATION_RETRIES + 1):
         try:
-            return damped_newton_direction(h_free, g_free, mu), mu, True
+            d_free = damped_newton_direction(h_free, g_free, mu)
         except FactorizationFailureError:
-            mu = max(mu, 1e-10) * 10.0
-    return np.zeros_like(g_free), mu, False
+            d_free = None
+        else:
+            decrease = float(
+                g_free.dot(d_free) + (0.5 * d_free).dot(h_free.dot(d_free)))
+            if decrease < 0.0:
+                return d_free, mu, decrease
+            if not np.count_nonzero(d_free):
+                return d_free, mu, None
+        mu = max(mu, 1e-10) * 10.0
+        if d_free is not None:
+            return d_free, mu, None
+    return None, mu, None
 
 
-def _solve_row(problem: RowProblem, tau: float,
-               store: Optional[LbfgsStore]):
+def _solve_row(problem: RowProblem, tau: float, epsilon: float, step):
     """The loop shared by both solvers: gradient -> KKT check -> two-metric
-    partition -> free-set direction -> projected Armijo search, with a
-    multiplicative rescue step when no certified step is found.  It stops
-    when the KKT violation falls to ``tau`` or after ``K_MAX`` steps, and
-    checks ``tau`` first.  The free-set direction is damped Newton when
-    ``store`` is None and the L-BFGS two-loop over ``store`` otherwise,
-    each with its own two-metric epsilon."""
+    partition at ``epsilon`` -> free-set ``step`` -> projected Armijo
+    search, with a multiplicative rescue step when no certified step is
+    found.  It stops when the KKT violation falls to ``tau`` or after
+    ``K_MAX`` steps, and checks ``tau`` first.  ``step(problem, b, m, g,
+    free, mu)`` returns ``(d_free, mu, decrease)`` as :func:`_damped_step`
+    does; a ``decrease`` drives the Levenberg-Marquardt damping update."""
     tau = check_number("tau", tau, positive=True)
-    epsilon = PDNR_EPSILON if store is None else PQNR_EPSILON
     b, f_b, m = _repair_start(problem, problem.b.copy())
     if not math.isfinite(f_b):
         return b, RowSolveReport(final_kkt=float("inf"))
     mu = MU0
     iters = ls_failures = fallbacks = 0
-    prev_b = prev_g = None
     while True:
         g = 1.0 - _pi_x_over_m(problem.pi, problem.x, m)
-        if prev_b is not None:
-            store.update(b - prev_b, g - prev_g)
         kkt = kkt_violation_row(b, g)
         if kkt <= tau or iters >= K_MAX:
             break
         sets = partition_variables(b, g, epsilon)
-        free = sets[2]
-        d_free = np.zeros(0)
-        model_decrease = None
-        solved = True
-        if store is not None:
-            # The free-set step is the free block of the inverse approximation
-            # applied to the free gradient, i.e. the two-loop acting on the
-            # gradient with non-free components zeroed.  Feeding the raw
-            # gradient instead lets large bound-set components leak into the
-            # free direction and ruin descent.
-            prev_b, prev_g = b, g
-            d_free = -store.direction(np.where(free, g, 0.0))[free]
-        elif np.count_nonzero(free):
-            g_free = g[free]
-            h_free = _hessian_block(problem, m, free)
-            d_free, mu, solved = _damped_direction_with_retries(h_free, g_free, mu)
-            if solved:
-                model_decrease = float(
-                    g_free.dot(d_free) + (0.5 * d_free).dot(h_free.dot(d_free))
-                )
+        d_free, mu, decrease = step(problem, b, m, g, sets[2], mu)
         accepted = False
-        if solved:
+        if d_free is not None:
             d = assemble_direction(d_free, g, sets)
             result = armijo_projected_search(problem, b, f_b, g, d)
-            if model_decrease is not None and np.count_nonzero(d_free):
-                if model_decrease < 0:
-                    mu = update_damping(mu, f_b, result.f_unit, model_decrease)
-                else:
-                    # Roundoff on a near-singular block (tiny mu, J < R) can
-                    # make the predicted decrease nonnegative; treat it like
-                    # a failed factorization.
-                    mu = max(mu, 1e-10) * 10.0
+            if decrease is not None:
+                mu = update_damping(mu, f_b, result.f_unit, decrease)
             accepted = result.alpha is not None
             if not accepted:
                 ls_failures += 1
@@ -509,7 +528,7 @@ def solve_row_pdnr(problem: RowProblem, tau: float = ROW_TAU):
     steps.  Returns (b_star, RowSolveReport).  Raises ValueError when
     ``tau`` is not a positive finite number.
     """
-    return _solve_row(problem, tau, None)
+    return _solve_row(problem, tau, PDNR_EPSILON, _damped_step)
 
 
 def solve_row_pqnr(problem: RowProblem, tau: float = ROW_TAU):
@@ -521,4 +540,4 @@ def solve_row_pqnr(problem: RowProblem, tau: float = ROW_TAU):
     Returns (b_star, RowSolveReport).  Raises ValueError when ``tau`` is
     not a positive finite number.
     """
-    return _solve_row(problem, tau, LbfgsStore())
+    return _solve_row(problem, tau, PQNR_EPSILON, LbfgsStore().free_step)

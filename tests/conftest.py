@@ -5,30 +5,45 @@ dense reconstruction uses einsum over the full cell grid, derivatives come
 from finite differences, row optima from a first-order projected-gradient
 loop, and scores from exhaustive permutation search.  The reference
 implementations (``coo_*``, ``per_row_*``, ``argsort_*``, ``one_shot_*``,
-``shrinking_copy_*``, ``Reference*``) are the plain forms of optimized code
-paths, kept to show that each optimization leaves results bitwise unchanged.
+``shrinking_copy_*``, ``Reference*``, ``reference_*``) are the plain forms
+of optimized or restructured code paths, kept to show that each change
+leaves results bitwise unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import poissoncp
 from poissoncp.baselines import POSITIVITY_CLAMP, MuSolveResult
+import poissoncp.row_solver as row_solver
+from poissoncp.errors import FactorizationFailureError
 from poissoncp.kruskal import KruskalModel, normalize
 from poissoncp.row_solver import (
     CURVATURE_SKIP_REL,
+    FACTORIZATION_RETRIES,
     LbfgsStore,
     RowProblem,
+    RowSolveReport,
+    assemble_direction,
+    damped_newton_direction,
     f_row,
     grad_row,
     kkt_violation_row,
+    multiplicative_step,
+    partition_variables,
     solve_row_pdnr,
     solve_row_pqnr,
+    update_damping,
 )
 from poissoncp.sparse_tensor import ModeLayout
 
@@ -365,7 +380,7 @@ class ReferenceLbfgsStore(LbfgsStore):
         self._s.append(s.copy())
         self._y.append(y.copy())
         self._rho.append(1.0 / sy)
-        if len(self._s) > self.memory:
+        if len(self._s) > row_solver.LBFGS_MEMORY:
             del self._s[0], self._y[0], self._rho[0]
         self.gamma = sy / float(y @ y)
         return True
@@ -384,6 +399,74 @@ class ReferenceLbfgsStore(LbfgsStore):
             beta = self._rho[i] * float(self._y[i] @ r)
             r += (alphas[i] - beta) * self._s[i]
         return r
+
+
+def reference_solve_row(problem: RowProblem, method: str,
+                        tau: float = row_solver.ROW_TAU):
+    """Reference row loop for ``method`` "pdnr" or "pqnr": one loop that
+    tests the method for its two-metric epsilon, its curvature pairs, its
+    free-set direction (factorization retries inline) and its damping
+    update.  ``MU0``, ``K_MAX`` and ``_hessian_block`` are read from the
+    module on each call, so a test that patches them patches both loops."""
+    pqnr = method == "pqnr"
+    epsilon = row_solver.PQNR_EPSILON if pqnr else row_solver.PDNR_EPSILON
+    store = ReferenceLbfgsStore() if pqnr else None
+    b, f_b, m = row_solver._repair_start(problem, problem.b.copy())
+    if not math.isfinite(f_b):
+        return b, RowSolveReport(final_kkt=float("inf"))
+    mu = row_solver.MU0
+    iters = ls_failures = fallbacks = 0
+    prev_b = prev_g = None
+    while True:
+        g = 1.0 - row_solver._pi_x_over_m(problem.pi, problem.x, m)
+        if prev_b is not None:
+            store.update(b - prev_b, g - prev_g)
+        kkt = kkt_violation_row(b, g)
+        if kkt <= tau or iters >= row_solver.K_MAX:
+            break
+        sets = partition_variables(b, g, epsilon)
+        free = sets[2]
+        d_free = np.zeros(0)
+        model_decrease = None
+        solved = True
+        if pqnr:
+            prev_b, prev_g = b, g
+            d_free = -store.direction(np.where(free, g, 0.0))[free]
+        elif np.count_nonzero(free):
+            g_free = g[free]
+            h_free = row_solver._hessian_block(problem, m, free)
+            for _ in range(FACTORIZATION_RETRIES + 1):
+                try:
+                    d_free = damped_newton_direction(h_free, g_free, mu)
+                    break
+                except FactorizationFailureError:
+                    mu = max(mu, 1e-10) * 10.0
+            else:
+                solved = False
+            if solved:
+                model_decrease = float(
+                    g_free.dot(d_free) + (0.5 * d_free).dot(h_free.dot(d_free)))
+        accepted = False
+        if solved:
+            d = assemble_direction(d_free, g, sets)
+            result = row_solver.armijo_projected_search(problem, b, f_b, g, d)
+            if model_decrease is not None and np.count_nonzero(d_free):
+                if model_decrease < 0:
+                    mu = update_damping(mu, f_b, result.f_unit, model_decrease)
+                else:
+                    mu = max(mu, 1e-10) * 10.0
+            accepted = result.alpha is not None
+            if not accepted:
+                ls_failures += 1
+        if accepted:
+            b, f_b, m = result.b_next, result.f_next, result.m_next
+        else:
+            b = multiplicative_step(problem, b, m)
+            m = b.dot(problem.pi)
+            f_b = row_solver._f_at(problem, b, m)
+            fallbacks += 1
+        iters += 1
+    return b, RowSolveReport(iters, float(kkt), ls_failures, fallbacks)
 
 
 def random_row_problem(rng, r_max=10, j_max=20, strictly_convex=False,
@@ -408,6 +491,19 @@ def random_row_problem(rng, r_max=10, j_max=20, strictly_convex=False,
 def random_model(rng, dims, rank) -> KruskalModel:
     factors = tuple(rng.uniform(0.1, 1.0, size=(d, rank)) for d in dims)
     return KruskalModel(rng.uniform(0.5, 1.5, size=rank), factors)
+
+
+def run_at_thread_counts(script: str, *args) -> list:
+    """The output of ``python -c script *args`` in a fresh interpreter run
+    with one OpenBLAS thread and then with two."""
+    path = [str(Path(poissoncp.__file__).parent.parent),
+            *filter(None, [os.environ.get("PYTHONPATH")])]
+    return [subprocess.run(
+        [sys.executable, "-c", script, *args], check=True, text=True,
+        capture_output=True, timeout=300,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+             "PYTHONPATH": os.pathsep.join(path)}).stdout
+        for threads in (1, 2)]
 
 
 @pytest.fixture

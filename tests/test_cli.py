@@ -506,6 +506,20 @@ class TestConfigErrors:
                            "nnz * rank = ")
         assert not (tmp_path / "run").exists()
 
+    def test_bench_beyond_memory_at_the_tensor_size(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # The rank-1000 run's gathered rows do not fit; the rank-2 run,
+        # listed first, is not fitted either.
+        monkeypatch.setattr(errors, "physical_memory", lambda: 400_000)
+        monkeypatch.setattr(cli, "fit", None)
+        cfg = write_json(tmp_path / "bench.json", {
+            "dims": [6, 7, 8], "samples": 2000, "ranks": [2, 1000],
+            "seeds": [0], "methods": ["mu"]})
+        self.run_and_check(capsys, ["bench", "--config", cfg,
+                                    "--output-dir", str(tmp_path / "bout")],
+                           "nnz * rank = ")
+        assert not (tmp_path / "bout").exists()
+
     @pytest.mark.parametrize("command", ["factorize", "bench"])
     def test_pdnr_hessian_beyond_memory(self, generated, capsys, monkeypatch,
                                         command):

@@ -24,6 +24,8 @@ from poissoncp.sparse_tensor import (PARALLEL_MIN_ROWS, SparseCountTensor,
                                      mode_row_positions)
 from poissoncp.synth import GenConfig, generate_dataset
 
+from conftest import run_at_thread_counts
+
 
 @pytest.fixture(scope="module")
 def small_dataset():
@@ -372,6 +374,34 @@ class TestDeterminism:
                      r.line_search_failures, r.fallback_steps) for r in res.trace]
                    for res in (first, second)]
         assert untimed[0] == untimed[1]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_long_rows_do_not_depend_on_the_thread_count(self, method):
+        # Both mode-1 rows hold 62,500 nonzeros, more than seven chunks.
+        one, two = run_at_thread_counts(LONG_ROWS_FIT, method)
+        assert one.count("\n") == 3
+        assert one == two
+
+
+LONG_ROWS_FIT = """
+import hashlib, sys
+import numpy as np
+from poissoncp.baselines import mu_solve_mode
+from poissoncp.driver import FitConfig, fit, init_model
+from poissoncp.sparse_tensor import SparseCountTensor
+dims = (2, 250, 250)
+cells = np.indices(dims).reshape(3, -1).T  # every cell, in COO order
+counts = np.random.default_rng(3).integers(1, 6, size=len(cells))
+tensor = SparseCountTensor(dims, cells, counts)
+result = fit(tensor, FitConfig(sys.argv[1], 10, outer_max=1, mode1_only=True))
+model = result.model
+print(hashlib.sha256(b"".join(a.tobytes() for a in (model.weights,
+                                                    *model.factors))).hexdigest())
+# The trace objective sums every nonzero in one call (kruskal.kl_objective).
+print([(r.mode_kkt, r.exact_zeros, r.line_search_failures, r.fallback_steps)
+       for r in result.trace])
+print(mu_solve_mode(tensor, init_model(dims, 10), 1).objectives.tobytes().hex())
+"""
 
 
 class TestTraceCsv:
