@@ -167,16 +167,50 @@ def _model_objective(model, model_path, tensor, tensor_path) -> float:
     return objective
 
 
-def _output_dir(path) -> Path:
-    """Create the output directory ``path`` and its parents; a ConfigError
-    naming it when that fails, as when it is an existing file."""
+def _check_writable(path: str) -> None:
+    """Raise the ConfigError that writing ``path`` would raise when it is
+    a directory, ends in a separator or its parent is not an existing
+    directory; creates nothing.  ``Path`` drops a trailing separator, so
+    that is checked on the string, as ``open`` sees it."""
+    target = Path(path)
+    if target.is_dir() or path.endswith((os.sep, os.altsep or os.sep)):
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"{path}: cannot write ({os.strerror(code)})")
+
+
+def _output_dir(path, outputs) -> Path:
+    """Create the output directory ``path`` and its parents, and check with
+    :func:`_check_writable` each file of ``outputs`` and ``manifest.json``
+    in it; a ConfigError naming the path when either fails, as when the
+    directory is an existing file or an output an existing directory."""
     outdir = Path(path)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"{outdir}: cannot create the output directory "
                           f"({exc.strerror or exc})") from exc
+    for name in (*outputs, "manifest.json"):
+        _check_writable(str(outdir / name))
     return outdir
+
+
+def _write(write, value, path) -> None:
+    """``write(value, path)``, with an OSError reported as a ConfigError
+    naming ``path``."""
+    try:
+        write(value, path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write "
+                          f"({exc.strerror or exc})") from exc
+
+
+def _write_text(text: str, path) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _write_manifest(outdir: Path, command: str, resolved: dict, outputs):
@@ -189,9 +223,8 @@ def _write_manifest(outdir: Path, command: str, resolved: dict, outputs):
         "config": resolved,
         "outputs": sorted(outputs),
     }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write(_write_text, json.dumps(manifest, indent=2) + "\n",
+           outdir / "manifest.json")
 
 
 # A config key named after a field of GenConfig or FitConfig goes to that
@@ -204,12 +237,12 @@ _FIT_KEYS = {f.name for f in dataclasses.fields(FitConfig)}
 def cmd_generate(args) -> int:
     config = _load_config(args.config, _GEN_KEYS, seed=args.seed)
     gen = _build(GenConfig, config, _GEN_KEYS)
-    outdir = _output_dir(args.output_dir)
+    outputs = ["tensor.coo", "truth_model.json"]
+    outdir = _output_dir(args.output_dir, outputs)
     truth, tensor = generate_dataset(gen)
-    write_coo(tensor, outdir / "tensor.coo")
-    save_model(truth, outdir / "truth_model.json")
-    _write_manifest(outdir, "generate", dataclasses.asdict(gen),
-                    ["tensor.coo", "truth_model.json"])
+    _write(write_coo, tensor, outdir / "tensor.coo")
+    _write(save_model, truth, outdir / "truth_model.json")
+    _write_manifest(outdir, "generate", dataclasses.asdict(gen), outputs)
     print(f"wrote {outdir / 'tensor.coo'}: dims={gen.dims} nnz={tensor.nnz} "
           f"density={tensor.density():.4%} total_count={tensor.total_count()}")
     return 0
@@ -251,14 +284,15 @@ def cmd_factorize(args) -> int:
             raise DataError(f"{init_path}: model rank {init.rank} does not "
                             f"match the configured rank {fit_config.rank}")
     fit_config.check_sizes(tensor)  # before the output directory is made
-    outdir = _output_dir(args.output_dir)
+    outputs = ["model.json", "trace.csv"]
+    outdir = _output_dir(args.output_dir, outputs)
     result = fit(tensor, fit_config, init=init)
     # The tensor and its layouts go before the model is encoded, so the
     # encoder's strings do not add to the fit's peak memory.
     del tensor
-    save_model(result.model, outdir / "model.json")
-    write_trace(result.trace, outdir / "trace.csv")
-    _write_manifest(outdir, "factorize", resolved, ["model.json", "trace.csv"])
+    _write(save_model, result.model, outdir / "model.json")
+    _write(write_trace, result.trace, outdir / "trace.csv")
+    _write_manifest(outdir, "factorize", resolved, outputs)
     status = "converged" if result.converged else "NOT converged"
     print(f"{fit_config.method}: {status} after {len(result.trace)} outer "
           f"iteration(s), kkt={result.final_kkt:.3e}, "
@@ -266,21 +300,6 @@ def cmd_factorize(args) -> int:
     if args.strict and not result.converged:
         return 1
     return 0
-
-
-def _check_writable(path: str) -> None:
-    """Raise the ConfigError that writing ``path`` would raise when it is
-    a directory, ends in a separator or its parent is not an existing
-    directory; creates nothing.  ``Path`` drops a trailing separator, so
-    that is checked on the string, as ``open`` sees it."""
-    target = Path(path)
-    if target.is_dir() or path.endswith((os.sep, os.altsep or os.sep)):
-        code = errno.EISDIR
-    elif not target.parent.is_dir():
-        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
-    else:
-        return
-    raise ConfigError(f"{path}: cannot write ({os.strerror(code)})")
 
 
 def cmd_evaluate(args) -> int:
@@ -315,12 +334,7 @@ def cmd_evaluate(args) -> int:
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.output:
-        try:
-            with open(args.output, "w") as out:
-                out.write(text)
-        except OSError as exc:
-            raise ConfigError(f"{args.output}: cannot write "
-                              f"({exc.strerror or exc})") from exc
+        _write(_write_text, text, args.output)
     else:
         sys.stdout.write(text)
     return 0
@@ -351,7 +365,7 @@ def cmd_bench(args) -> int:
     for tensor, (_, fits) in zip(tensors, runs):
         for fc, _ in fits:
             fc.check_sizes(tensor)
-    outdir = _output_dir(args.output_dir)
+    outdir = _output_dir(args.output_dir, ["bench.csv"])
     rows = []
     for tensor, (_, fits) in zip(tensors, runs):
         for fc, _ in fits:
@@ -367,9 +381,8 @@ def cmd_bench(args) -> int:
                   f"converged={result.converged} "
                   f"objective={last.objective:.6g}")
     out = outdir / "bench.csv"
-    with open(out, "w") as fh:
-        for row in (_BENCH_COLUMNS, *rows):
-            fh.write(",".join(map(str, row)) + "\n")
+    _write(_write_text, "".join(",".join(map(str, row)) + "\n"
+                                for row in (_BENCH_COLUMNS, *rows)), out)
     gen, fits = runs[0]
     settings = {**dataclasses.asdict(gen), **fits[0][1]}
     resolved = {"methods": methods, "ranks": ranks, "seeds": seeds,

@@ -32,8 +32,8 @@ from .row_solver import (
     solve_row_pdnr,
     solve_row_pqnr,
 )
-from .sparse_tensor import (SparseCountTensor, as_shape, map_row_ranges,
-                            mode_row_positions)
+from .sparse_tensor import (SparseCountTensor, as_shape, block_rows,
+                            map_row_ranges, mode_row_positions)
 from .synth import seeded_rng
 
 __all__ = [
@@ -204,34 +204,6 @@ def init_model(shape, rank: int, seed: int = 0) -> KruskalModel:
     return normalize(KruskalModel(np.ones(rank), tuple(factors)))
 
 
-def _solve_rows(b_matrix, layout, factors, mode0, method, tau, deadline):
-    """Solve each nonempty row subproblem, writing results into b_matrix.
-
-    Returns the row reports.  The rows are split into contiguous ranges, one
-    per allowed CPU (:func:`poissoncp.sparse_tensor.map_row_ranges`); each
-    row's arithmetic is the same in every range, so results do not depend
-    on the split.  A wall-clock deadline is honored between row solves
-    within each range, keeping each row's result deterministic.
-    """
-    solve_row = solve_row_pdnr if method == "pdnr" else solve_row_pqnr
-    rank = b_matrix.shape[1]
-    gather = functools.partial(_pi_product, factors, mode0)
-
-    def solve_range(part):
-        reports = []
-        for row0, x, pi in part.row_views(rank, gather):
-            if deadline is not None and time.perf_counter() > deadline:
-                break
-            b_matrix[row0], report = solve_row(
-                RowProblem(b_matrix[row0], x, pi), tau)
-            reports.append(report)
-        return reports
-
-    solved = map_row_ranges(layout, b_matrix, solve_range,
-                            calls=(solve_row, RowProblem, _pi_product))
-    return [report for reports in solved for report in reports]
-
-
 def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
                method: str = "pdnr", tau: float = ROW_TAU, deadline=None):
     """Solve the block subproblem of one mode and rescale.
@@ -240,10 +212,14 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     (their optimum, since the objective restricted to them is sum(b)).
     Afterwards column sums move into the weights, so the returned model is
     normalized.  The ``pdnr`` and ``pqnr`` row solves stop at the KKT
-    tolerance ``tau`` or after ``row_solver.K_MAX`` iterations.  Returns
-    (model, ModeSweepReport).  Raises ValueError for a ``method`` outside
-    :data:`METHODS` or a ``tau`` that is not a positive finite number, and
-    ShapeMismatchError when the model's dims are not the tensor's.
+    tolerance ``tau`` or after ``row_solver.K_MAX`` iterations; they run
+    in row ranges, one per allowed CPU (see
+    :func:`poissoncp.sparse_tensor.map_row_ranges`), and results do not
+    depend on the split.  A ``time.perf_counter`` ``deadline`` is checked
+    between row solves.  Returns (model, ModeSweepReport).  Raises
+    ValueError for a ``method`` outside :data:`METHODS` or a ``tau`` that
+    is not a positive finite number, and ShapeMismatchError when the
+    model's dims are not the tensor's.
     """
     _check_method(method)
     tau = check_number("tau", tau, positive=True)
@@ -258,8 +234,23 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     else:
         b_matrix = np.zeros_like(model.factors[mode0])
         b_matrix[layout.rows] = model.factors[mode0][layout.rows] * model.weights
-        reports = _solve_rows(b_matrix, layout, model.factors, mode0, method,
-                              tau, deadline)
+        solve_row = solve_row_pdnr if method == "pdnr" else solve_row_pqnr
+        gather = functools.partial(_pi_product, model.factors, mode0)
+
+        def solve_range(part):
+            reports = []
+            for block in part.blocks(model.rank, gather):
+                for row0, x, pi in block_rows(*block):
+                    if deadline is not None and time.perf_counter() > deadline:
+                        return reports
+                    b_matrix[row0], row_report = solve_row(
+                        RowProblem(b_matrix[row0], x, pi), tau)
+                    reports.append(row_report)
+            return reports
+
+        solved = map_row_ranges(layout, b_matrix, solve_range,
+                                calls=(solve_row, RowProblem, _pi_product))
+        reports = [r for part_reports in solved for r in part_reports]
         report.rows_solved = len(reports)
         report.inner_iterations = sum(r.iterations for r in reports)
         report.line_search_failures = sum(r.backtrack_failures for r in reports)

@@ -310,7 +310,7 @@ class ModeLayout:
     unsigned dtype that holds its values: for a 3-mode tensor with
     dimensions up to 65,536 and counts below 256, 5 bytes per nonzero.
     :meth:`blocks` walks the rows in blocks whose gathered Khatri-Rao rows
-    fit in cache, and :meth:`row_views` splits each block into its rows.
+    fit in cache, and :func:`block_rows` splits a block into its rows.
     """
 
     columns: tuple[np.ndarray, ...] = field(repr=False)
@@ -348,18 +348,12 @@ class ModeLayout:
                    gather(tuple(col[a:b] for col in self.columns)))
             k0 = k1
 
-    def row_views(self, rank: int, gather):
-        """Yield ``(row0, x, pi)`` per nonempty row, in row order: the
-        row's counts as floats and its ``(R, J)`` Khatri-Rao columns, views
-        into the arrays of its :meth:`blocks` block."""
-        for block in self.blocks(rank, gather):
-            yield from block_rows(*block)
-
     def parts(self, n: int) -> list["ModeLayout"]:
         """At most ``n`` layouts of consecutive rows, in row order, with
         about equal nonzeros; together they hold every row once.  They share
         ``columns`` and ``vals``, which ``starts`` index absolutely, so
-        their row views yield the same ``x`` and ``pi`` as this layout's."""
+        their blocks split into the same rows, ``x`` and ``pi`` as this
+        layout's."""
         k = len(self)
         if n <= 1 or k <= 1:
             return [self]
@@ -373,8 +367,9 @@ class ModeLayout:
 
 def block_rows(rows, counts, x, pi, keep=None):
     """Yield ``(row0, x, pi)`` per row of one :meth:`ModeLayout.blocks`
-    block, in row order, as :meth:`ModeLayout.row_views` does; only the
-    rows where the boolean array ``keep`` is set, when given."""
+    block, in row order: the row's counts as floats and its ``(R, J)``
+    Khatri-Rao columns, views into the block's arrays; only the rows where
+    the boolean array ``keep`` is set, when given."""
     bounds = [0, *np.cumsum(counts).tolist()]
     spans = zip(rows.tolist(), bounds[:-1], bounds[1:])
     if keep is not None:

@@ -166,6 +166,18 @@ class TestEvaluate:
         assert doc["kkt_max"] <= 1e-4
         assert len(doc["mode_kkt"]) == 3
 
+    def test_report_goes_to_stdout_without_output(self, generated,
+                                                  capsysbinary):
+        tp, outdir = generated
+        argv = ["evaluate", "--model", str(outdir / "truth_model.json"),
+                "--truth", str(outdir / "truth_model.json"),
+                "--tensor", str(outdir / "tensor.coo")]
+        report_path = tp / "report.json"
+        assert main([*argv, "--output", str(report_path)]) == 0
+        capsysbinary.readouterr()
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == report_path.read_bytes()
+
 
 class TestBench:
     def test_sweep_rows_and_determinism(self, tmp_path):
@@ -638,6 +650,22 @@ class TestConfigErrors:
         assert fits == []
         assert taken.read_bytes() == before
         assert not (tmp_path / "missing").exists()
+        if command == "evaluate":
+            return
+        # A directory at any file the command writes into its output dir
+        # is rejected before any fit, and no output is written.
+        names = {"generate": ["tensor.coo", "truth_model.json"],
+                 "factorize": ["model.json", "trace.csv"],
+                 "bench": ["bench.csv"]}[command]
+        argv[-1] = str(tmp_path / "out")
+        for name in [*names, "manifest.json"]:
+            squat = tmp_path / "out" / name
+            squat.mkdir(parents=True)
+            self.run_and_check(capsys, argv,
+                               f"error: {squat}: cannot write (Is a directory)")
+            assert fits == []
+            assert [p.name for p in squat.parent.iterdir()] == [name]
+            squat.rmdir()
 
     # A trailing separator names a directory even where none exists, as
     # open() treats it; pathlib would drop it and write a file.

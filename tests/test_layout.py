@@ -40,7 +40,8 @@ from poissoncp.driver import FitConfig, fit, init_model, solve_mode
 from poissoncp.errors import FactorizationFailureError, IndexOutOfRangeError
 from poissoncp.evaluation import mode_kkt_violation
 from poissoncp.kruskal import KruskalModel, kl_objective, normalize
-from poissoncp.sparse_tensor import SparseCountTensor, mode_row_positions
+from poissoncp.sparse_tensor import (SparseCountTensor, block_rows,
+                                     mode_row_positions)
 from poissoncp.synth import GenConfig, generate_dataset
 
 LAYOUT_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -142,8 +143,8 @@ class TestModeLayout:
     @LAYOUT_PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), doubles=st.integers(1, 12),
            rank=st.integers(1, 6))
-    def test_row_views_cover_every_position_once_in_order(self, seed, doubles,
-                                                          rank):
+    def test_block_rows_cover_every_position_once_in_order(self, seed,
+                                                           doubles, rank):
         tensor, _ = layout_case(seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse_tensor, "BLOCK_DOUBLES", doubles)
@@ -153,24 +154,25 @@ class TestModeLayout:
                 assert_layouts_equal(layout,
                                      argsort_mode_row_positions(tensor, mode))
                 reference = row_groups(tensor, mode)
-                sizes, block_rows = [], []
+                sizes, rows_per_block = [], []
 
                 def gather(columns):
                     sizes.append(len(columns[0]))
-                    block_rows.append(0)
+                    rows_per_block.append(0)
                     return stacked(columns)
 
                 rows, subs, counts = [], [], []
-                for row0, x, pi in layout.row_views(rank, gather):
-                    block_rows[-1] += 1
-                    assert x.dtype == np.float64 and pi.shape == (
-                        tensor.ndim - 1, len(x))
-                    rows.append(row0)
-                    subs.append(pi.T.tolist())
-                    counts.append(x.tolist())
+                for block in layout.blocks(rank, gather):
+                    for row0, x, pi in block_rows(*block):
+                        rows_per_block[-1] += 1
+                        assert x.dtype == np.float64 and pi.shape == (
+                            tensor.ndim - 1, len(x))
+                        rows.append(row0)
+                        subs.append(pi.T.tolist())
+                        counts.append(x.tolist())
                 assert sum(sizes) == tensor.nnz
                 assert all(size <= limit or n == 1
-                           for size, n in zip(sizes, block_rows))
+                           for size, n in zip(sizes, rows_per_block))
                 assert rows == [r for r, _ in reference]
                 assert subs == [np.delete(tensor.subs0[p], mode - 1,
                                           axis=1).tolist()
@@ -180,7 +182,7 @@ class TestModeLayout:
                 # blocks() walks the same blocks whole: the rows' ids and
                 # sizes, and their counts and Khatri-Rao rows in row order.
                 walked = list(layout.blocks(rank, stacked))
-                assert [len(b[0]) for b in walked] == block_rows
+                assert [len(b[0]) for b in walked] == rows_per_block
                 assert [len(b[2]) for b in walked] == sizes
                 assert np.concatenate([b[0] for b in walked]).tolist() == rows
                 assert np.concatenate([b[1] for b in walked]).tolist() == [
@@ -302,7 +304,6 @@ class TestModeLayout:
         assert len(layout) == 0
         assert_layouts_equal(layout, argsort_mode_row_positions(tensor, 1))
         gathered = []
-        assert list(layout.row_views(3, gathered.append)) == []
         assert list(layout.blocks(3, gathered.append)) == []
         assert gathered == []
 
