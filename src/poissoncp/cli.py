@@ -102,11 +102,12 @@ def _list(kind):
     return convert
 
 
-def _build(cls, config: dict, names):
-    """``cls`` from the ``config`` entries named in ``names``.  The class
+def _build(cls, config: dict):
+    """``cls`` from the ``config`` entries named by its fields.  The class
     checks each value; a missing required field and a value the class
     rejects are ConfigErrors."""
-    fields = {key: config[key] for key in names if key in config}
+    fields = {f.name: config[f.name] for f in dataclasses.fields(cls)
+              if f.name in config}
     for f in dataclasses.fields(cls):
         if (f.name not in fields and f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING):
@@ -236,7 +237,7 @@ _FIT_KEYS = {f.name for f in dataclasses.fields(FitConfig)}
 
 def cmd_generate(args) -> int:
     config = _load_config(args.config, _GEN_KEYS, seed=args.seed)
-    gen = _build(GenConfig, config, _GEN_KEYS)
+    gen = _build(GenConfig, config)
     outputs = ["tensor.coo", "truth_model.json"]
     outdir = _output_dir(args.output_dir, outputs)
     truth, tensor = generate_dataset(gen)
@@ -250,7 +251,7 @@ def cmd_generate(args) -> int:
 
 def _fit_config(config: dict) -> tuple[FitConfig, dict]:
     """The FitConfig and the resolved fit fields, for the manifest."""
-    fit_config = _build(FitConfig, config, _FIT_KEYS)
+    fit_config = _build(FitConfig, config)
     resolved = {key: getattr(fit_config, key) for key in (
         "method", "rank", "tau", "outer_max", "time_limit", "seed",
         "mode1_only")}
@@ -355,7 +356,7 @@ def cmd_bench(args) -> int:
     ranks, seeds = (_field(config, key, _list(partial(check_integer, key)),
                            "non-empty list of integers")
                     for key in ("ranks", "seeds"))
-    runs = [(_build(GenConfig, run, _GEN_KEYS),
+    runs = [(_build(GenConfig, run),
              [_fit_config({**run, "method": method}) for method in methods])
             for run in ({**config, "rank": rank, "seed": seed}
                         for rank in ranks for seed in seeds)]

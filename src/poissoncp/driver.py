@@ -149,9 +149,6 @@ class FitTrace:
 
     records: list[OuterRecord] = field(default_factory=list)
 
-    def append(self, record: OuterRecord) -> None:
-        self.records.append(record)
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -177,7 +174,6 @@ class FitResult:
 class ModeSweepReport:
     """Aggregate of the row solves of one mode sweep."""
 
-    mode: int
     rows_solved: int = 0
     inner_iterations: int = 0
     line_search_failures: int = 0
@@ -226,7 +222,7 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     model = _prepared(model, tensor)
     layout = mode_row_positions(tensor, mode)
     mode0 = mode - 1
-    report = ModeSweepReport(mode=mode)
+    report = ModeSweepReport()
     if method == "mu":
         b_matrix, objectives = mu_solve_mode(tensor, model, mode)
         report.rows_solved = len(layout)
@@ -314,7 +310,7 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
             if deadline is not None and time.perf_counter() > deadline:
                 break
         mode_kkt = tuple(mode_kkt_violation(tensor, model, n) for n in modes)
-        trace.append(OuterRecord(
+        trace.records.append(OuterRecord(
             outer=outer,
             mode_kkt=mode_kkt,
             objective=kl_objective(model, tensor),

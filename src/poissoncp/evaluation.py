@@ -45,7 +45,6 @@ class ScoreReport:
 class ZeroCountReport:
     """Counts of factor entries at or below a threshold (0.0 means exact)."""
 
-    threshold: float
     per_factor: tuple[int, ...]
     total: int
 
@@ -104,7 +103,7 @@ def thresholded_zero_count(model: KruskalModel, threshold: float) -> ZeroCountRe
     """Entries of each factor at or below ``threshold``, for comparisons
     with methods that only make entries small."""
     per = tuple(int(np.count_nonzero(f <= threshold)) for f in model.factors)
-    return ZeroCountReport(threshold=float(threshold), per_factor=per, total=sum(per))
+    return ZeroCountReport(per_factor=per, total=sum(per))
 
 
 # Blocks of at least this many rows take the blocked screen of

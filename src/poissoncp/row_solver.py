@@ -456,8 +456,6 @@ def _damped_step(problem: RowProblem, b: np.ndarray, m: np.ndarray,
     negative predicted decrease, or None.  ``mu`` grows tenfold on each
     failed factorization and on a nonnegative predicted decrease, which
     roundoff on a near-singular block (tiny mu, J < R) can give."""
-    if not np.count_nonzero(free):
-        return np.zeros(0), mu, None
     g_free = g[free]
     h_free = _hessian_block(problem, m, free)
     for _ in range(FACTORIZATION_RETRIES + 1):

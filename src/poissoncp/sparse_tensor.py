@@ -67,20 +67,6 @@ class Shape:
     def size(self) -> int:
         return math.prod(self.dims)
 
-    def reduced_size(self, mode: int) -> int:
-        """Product of all dimensions except the given 1-based mode."""
-        _check_mode(self, mode)
-        return math.prod(d for k, d in enumerate(self.dims, start=1) if k != mode)
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __getitem__(self, k):
-        return self.dims[k]
-
 
 def as_shape(shape) -> Shape:
     """Coerce a Shape or a sequence of dimensions into a Shape."""
@@ -513,7 +499,7 @@ def mode_row_positions(tensor: SparseCountTensor, mode: int) -> ModeLayout:
         return tensor._layouts[mode]
 
     def narrow(k):
-        return tensor.subs0[:, k].astype(np.min_scalar_type(tensor.shape[k] - 1))
+        return tensor.subs0[:, k].astype(np.min_scalar_type(tensor.shape.dims[k] - 1))
 
     counts = np.bincount(tensor.subs0[:, mode - 1])
     rows = np.flatnonzero(counts)

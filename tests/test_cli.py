@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -693,6 +694,28 @@ class TestConfigErrors:
         assert not (tmp_path / "missing").exists()
         assert list((tmp_path / "folder").iterdir()) == []
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_failed_write_names_the_file(self, generated, capsys,
+                                         monkeypatch):
+        # A write that fails after the fit, as on a full disk, exits 2 with
+        # one line naming the file, and the run directory stays empty.
+        tmp_path, outdir = generated
+
+        def full_disk(model, path):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "save_model", full_disk)
+        cfg = write_json(tmp_path / "fac.json", {
+            "tensor": str(outdir / "tensor.coo"), "method": "mu", "rank": 2,
+            "outer_max": 1})
+        run = tmp_path / "run"
+        assert main(["factorize", "--config", cfg,
+                     "--output-dir", str(run)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {run / 'model.json'}: cannot write "
+                                "(No space left on device)\n")
+        assert list(run.iterdir()) == []
 
     @pytest.mark.parametrize("command, role", [
         ("generate", "--config"), ("evaluate", "--model"),

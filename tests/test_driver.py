@@ -257,6 +257,17 @@ class TestFit:
         for method in ("pqnr", "mu"):
             FitConfig(method=method, rank=100_000).check_sizes(tensor)
 
+    def test_unknown_physical_memory_leaves_only_the_int64_bound(
+            self, monkeypatch):
+        def no_sysconf(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(errors.os, "sysconf", no_sysconf)
+        assert errors.physical_memory() is None
+        errors.check_size("count", 10**15)
+        with pytest.raises(ConfigError, match="does not fit in int64"):
+            errors.check_size("count", 2**63)
+
     def test_rows_are_solved_at_the_fit_tau(self, small_dataset):
         # One mode-1 sweep of a fit is one solve_mode call at the fit's tau;
         # at solve_mode's default tau the rows land elsewhere.

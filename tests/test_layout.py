@@ -11,8 +11,10 @@ block.  The same holds when the rows are split into ranges that
 forked children solve; the KKT check never forks.
 """
 
+import errno
 import functools
 import os
+import signal
 import time
 
 import numpy as np
@@ -839,16 +841,51 @@ class TestRowRanges:
                                              exit_in_child)
         assert_no_children_left()
 
-    def test_failed_fork_computes_the_ranges_in_the_caller(self):
+    @pytest.mark.parametrize("refused", ["fork", "pipe"])
+    def test_failed_fork_computes_the_ranges_in_the_caller(self, refused):
+        # Out of processes or of file descriptors, the caller solves every
+        # range itself and leaves no pipe end open.
         layout = self.two_range_layout()
+        fds = "/proc/self/fd"
+        open_fds = os.listdir(fds) if os.path.isdir(fds) else None
 
-        def no_fork():
-            raise OSError("fork refused")
+        def refuse():
+            raise OSError(errno.EMFILE, f"{refused} refused")
 
         with pytest.MonkeyPatch.context() as mp:
             split_rows(mp, 3)
-            mp.setattr(sparse_tensor.os, "fork", no_fork)
+            mp.setattr(sparse_tensor.os, refused, refuse)
             got = sparse_tensor.map_row_ranges(layout, np.zeros(4),
                                                lambda p: p.rows.tolist())
         assert got == [p.rows.tolist() for p in layout.parts(3)]
+        if open_fds is not None:
+            assert len(os.listdir(fds)) == len(open_fds)
+        assert_no_children_left()
+
+    def test_children_reaped_by_the_kernel_still_send_their_rows(self):
+        # Under SIGCHLD = SIG_IGN the kernel reaps each child as it exits,
+        # so waiting for it finds no child; its result and rows count all
+        # the same.
+        layout = self.two_range_layout()
+
+        def write_rows(out):
+            def fn(part):
+                out[part.rows] = part.rows + 10
+                return part.rows.tolist()
+            return fn
+
+        serial = np.zeros(4)
+        expected = [write_rows(serial)(p) for p in layout.parts(3)]
+        out = np.zeros(4)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                split_rows(mp, 3)
+                forks = count_forks(mp)
+                got = sparse_tensor.map_row_ranges(layout, out, write_rows(out))
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 2
+        assert got == expected
+        assert np.array_equal(out, serial)
         assert_no_children_left()

@@ -35,6 +35,16 @@ class TestGenConfig:
             GenConfig(**{"dims": (5, 6, 7), "rank": 2, "samples": 100,
                          **fields})
 
+    @pytest.mark.parametrize("fields", [
+        {"boost_scale": -1}, {"small_value": 0}, {"small_value": -0.5},
+    ])
+    def test_rejects_a_negative_boost_or_a_nonpositive_small_value(self,
+                                                                   fields):
+        with pytest.raises(ValueError, match="boost_scale must be >= 0 and "
+                                             "small_value > 0"):
+            GenConfig(**{"dims": (5, 6, 7), "rank": 2, "samples": 100,
+                         **fields})
+
     def test_accepts_a_large_boost_that_does_not_overflow(self):
         truth, _ = generate_dataset(GenConfig(dims=(5, 6, 7), rank=3,
                                               samples=100, boost_scale=1e100))
@@ -342,6 +352,13 @@ class TestCollinearityStats:
         m = KruskalModel(np.ones(2), (f, f))
         for stat in collinearity_stats(m):
             assert stat.all_pairs == pytest.approx(0.0)
+
+    def test_rank_one_has_no_pairs(self):
+        f = np.array([[0.25], [0.75]])
+        stats = collinearity_stats(KruskalModel(np.ones(1), (f, f, f)))
+        assert len(stats) == 3
+        for stat in stats:
+            assert math.isnan(stat.all_pairs) and math.isnan(stat.versus_first)
 
     def test_alpha_half_band(self):
         # Ten seeds at 10% boost with alpha = 0.5: mean all-pairs cosine
