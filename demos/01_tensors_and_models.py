@@ -62,9 +62,9 @@ print("factor column sums after normalize:",
 
 # The represented tensor is unchanged by normalization.
 idx = (2, 3, 1)
-subs0 = np.array([idx]) - 1
-print(f"model entry at {idx}: {model_entries(model, subs0)[0]:.6f} == "
-      f"{model_entries(nm, subs0)[0]:.6f}")
+columns = [[i - 1] for i in idx]  # one 0-based index column per mode
+print(f"model entry at {idx}: {model_entries(model, columns)[0]:.6f} == "
+      f"{model_entries(nm, columns)[0]:.6f}")
 
 # The KL fit of a model to a count tensor; lower is better, and the value
 # is finite as long as no positive count sits on a zero model cell.

@@ -151,17 +151,20 @@ def _unit_columns(factors) -> list[np.ndarray]:
     return [f / np.where(n == 0.0, 1.0, n) for f, n in zip(factors, norms)]
 
 
-def model_entries(model: KruskalModel, subs0: np.ndarray) -> np.ndarray:
-    """Vectorized model values at the given 0-based subscript rows, in
-    blocks of a multiple of 4 rows and about ``BLOCK_DOUBLES`` gathered
+def model_entries(model: KruskalModel, columns) -> np.ndarray:
+    """Vectorized model values at the nonzeros whose 0-based indices
+    ``columns`` holds, one index column per mode: a tensor's ``columns``,
+    or the transpose of an ``(nnz, N)`` subscript array.  They go in blocks
+    of a multiple of 4 nonzeros and about ``BLOCK_DOUBLES`` gathered
     doubles: the temporaries stay in cache, and the blocked products sum
     each row as the one-shot matrix-vector product over all rows does."""
     step = 4 * max(BLOCK_DOUBLES // (4 * model.rank), 1)
-    out = np.empty(subs0.shape[0], dtype=np.float64)
-    for start in range(0, subs0.shape[0], step):
-        block = subs0[start:start + step]
-        out[start:start + block.shape[0]] = (
-            _pi_product(model.factors, None, block.T) @ model.weights)
+    nnz = len(columns[0])
+    out = np.empty(nnz, dtype=np.float64)
+    for start in range(0, nnz, step):
+        block = [column[start:start + step] for column in columns]
+        out[start:start + len(block[0])] = (
+            _pi_product(model.factors, None, block) @ model.weights)
     return out
 
 
@@ -186,12 +189,15 @@ def kl_objective(model: KruskalModel, tensor: SparseCountTensor) -> float:
     """
     model = _prepared(model, tensor)
     first = float(model.weights.sum())
-    m = model_entries(model, tensor.subs0)
+    m = model_entries(model, tensor.columns)
+    # The counts go to float64 in one cast, so the sum stays one BLAS dot
+    # product over all nonzeros and keeps its bits.
+    x = tensor.counts.astype(np.float64)
     # The extremes rule the case out without a temporary array per nonzero.
-    if (m.min(initial=np.inf) < math.sqrt(tensor.vals.max(initial=0) / _FLOAT_MAX)
-            and (m < np.sqrt(tensor.vals / _FLOAT_MAX)).any()):
+    if (m.min(initial=np.inf) < math.sqrt(x.max(initial=0) / _FLOAT_MAX)
+            and (m < np.sqrt(x / _FLOAT_MAX)).any()):
         return float("inf")
-    return first - float(tensor.vals @ np.log(m, out=m))
+    return first - float(x @ np.log(m, out=m))
 
 
 def save_model(model: KruskalModel, path) -> None:

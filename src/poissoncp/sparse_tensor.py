@@ -83,38 +83,67 @@ def _check_mode(shape: Shape, mode: int) -> None:
         )
 
 
-def _one_based(sub0) -> tuple[int, ...]:
-    """A 0-based subscript row as a tuple of plain 1-based ints, for messages."""
-    return tuple(int(i) + 1 for i in sub0)
+def _one_based(columns, row: int, base: int = 0) -> tuple[int, ...]:
+    """Row ``row`` of ``base``-based index columns as a tuple of plain
+    1-based ints, for messages."""
+    return tuple(int(column[row]) + 1 - base for column in columns)
 
 
-def _int64_array(name: str, values) -> np.ndarray:
-    """``values`` as an int64 array, never truncated: signed integers pass
-    through, and unsigned integers and floats convert when all are integral
-    and within int64; anything else, such as a boolean that numpy would
-    turn into an integer beside other numbers, raises ValueError naming
-    ``name``."""
+def _integral(name: str, values) -> np.ndarray:
+    """``values`` as an array of integers within int64, in its own dtype:
+    signed integers pass, and unsigned integers and floats pass when all
+    are integral and within int64; anything else, such as a boolean that
+    numpy would turn into an integer beside other numbers, raises
+    ValueError naming ``name``."""
     array = np.asarray(values)
     kind = array.dtype.kind
     if not isinstance(values, np.ndarray) and any(
             isinstance(v, (bool, np.bool_))
             for v in np.asarray(values, dtype=object).flat):
         kind = "b"
-    if kind == "i" or kind in "uf" and (
-            (np.abs(array) < 2.0**63) & (array == np.trunc(array))).all():
-        return array.astype(np.int64, copy=False)
+    if (kind == "i" or kind == "u" and array.max(initial=0) <= _INT64_MAX
+            or kind == "f" and ((np.abs(array) < 2.0**63)
+                                & (array == np.trunc(array))).all()):
+        return array
     dtype = "bool" if kind == "b" else array.dtype
     raise ValueError(f"{name} must be integers within int64, got {dtype} "
                      "values that are not")
 
 
-def _strictly_increasing(subs0: np.ndarray) -> bool:
-    """True when the subscript rows are strictly increasing in lexicographic
-    order, which also rules out duplicates.  Each pair of neighbouring rows
-    is decided by its first column that differs; only boolean temporaries
-    are made."""
-    tied = np.ones(max(subs0.shape[0] - 1, 0), dtype=bool)
-    for col in subs0.T:
+def _narrowed(shape: Shape, subs: np.ndarray, vals: np.ndarray,
+              one_based: bool):
+    """``(columns, counts)`` of ``(nnz, N)`` integer subscripts and
+    ``(nnz,)`` integer counts: one 0-based index column per mode, and the
+    counts, each a new array in the narrowest unsigned dtype that holds its
+    values.  The checks go a column at a time: an index outside ``shape``
+    raises IndexOutOfRangeError, and otherwise a count below 1 raises
+    NonpositiveCountError, each naming the first such row."""
+    base = 1 if one_based else 0
+    outside = np.zeros(vals.shape[0], dtype=bool)
+    for k, d in enumerate(shape.dims):
+        outside |= subs[:, k] < base
+        outside |= subs[:, k] > min(d - 1 + base, _INT64_MAX)
+    if outside.any():
+        raise IndexOutOfRangeError(
+            f"index {_one_based(subs.T, np.argmax(outside), base)} outside "
+            f"shape {shape.dims}")
+    if (vals < 1).any():
+        bad = np.argmax(vals < 1)
+        raise NonpositiveCountError(
+            f"count {int(vals[bad])} at index {_one_based(subs.T, bad, base)} "
+            "is not positive")
+    columns = [(subs[:, k] - 1 if one_based else subs[:, k]).astype(
+        np.min_scalar_type(d - 1)) for k, d in enumerate(shape.dims)]
+    return columns, vals.astype(np.min_scalar_type(int(vals.max(initial=0))))
+
+
+def _strictly_increasing(columns) -> bool:
+    """True when the rows of the index columns are strictly increasing in
+    lexicographic order, which also rules out duplicates.  Each pair of
+    neighbouring rows is decided by its first column that differs; only
+    boolean temporaries are made."""
+    tied = np.ones(max(columns[0].shape[0] - 1, 0), dtype=bool)
+    for col in columns:
         if (tied & (col[1:] < col[:-1])).any():
             return False
         tied &= col[1:] == col[:-1]
@@ -149,25 +178,33 @@ def lexsort_runs(subs0: np.ndarray):
 class SparseCountTensor:
     """COO tensor of strictly positive integer counts; zeros are implicit.
 
+    The nonzeros are sorted lexicographically by multi-index and stored as
+    narrow, read-only columns, in the narrowest unsigned dtype that holds
+    their values: for a 3-mode tensor with dimensions up to 65,536 and
+    counts below 256, 7 bytes per nonzero.
+
     Attributes
     ----------
     shape:
         Tensor dimensions.
-    subs0:
-        (nnz, N) int64 array of 0-based subscripts, sorted lexicographically.
-    vals:
-        (nnz,) int64 array of strictly positive counts.  Both are read-only.
+    columns:
+        One (nnz,) array of 0-based indices per mode, each in the dtype
+        ``np.min_scalar_type(I_n - 1)``.
+    counts:
+        (nnz,) array of strictly positive counts, in the dtype
+        ``np.min_scalar_type`` of the largest.
     """
 
     shape: Shape
-    subs0: np.ndarray = field(repr=False)
-    vals: np.ndarray = field(repr=False)
+    columns: tuple[np.ndarray, ...] = field(repr=False)
+    counts: np.ndarray = field(repr=False)
     _layouts: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)  # mode -> mode_row_positions
 
     def __post_init__(self):
         object.__setattr__(self, "shape", as_shape(self.shape))
-        for array in (self.subs0, self.vals):  # the cached layouts copy them
+        object.__setattr__(self, "columns", tuple(self.columns))
+        for array in (*self.columns, self.counts):  # the layouts copy them
             array.setflags(write=False)
 
     @classmethod
@@ -194,14 +231,16 @@ class SparseCountTensor:
         when its rows are not N-component multi-indices, ValueError when
         their number differs from the number of counts.  Indices and counts
         must be integers (integral floats convert exactly); a boolean,
-        fractional or non-finite one raises ValueError.  Rows already
-        strictly increasing in lexicographic order, as :func:`write_coo`
-        writes them, skip the sort.  The tensor owns new C-contiguous
-        arrays, which share no memory with ``subs`` or ``vals``.
+        fractional or non-finite one raises ValueError.  Range and sign are
+        checked a column at a time, and each column is narrowed on its own,
+        so no int64 copy of ``subs`` is made.  Rows already strictly
+        increasing in lexicographic order, as :func:`write_coo` writes them,
+        skip the sort.  The tensor owns new arrays, which share no memory
+        with ``subs`` or ``vals``.
         """
         shape = as_shape(shape)
-        subs = _int64_array("indices", subs)
-        vals = _int64_array("counts", vals).reshape(-1)
+        subs = _integral("indices", subs)
+        vals = _integral("counts", vals).reshape(-1)
         if subs.ndim != 2 or subs.shape[1] != shape.ndim:
             if subs.size or vals.size:
                 raise IndexOutOfRangeError(
@@ -209,28 +248,40 @@ class SparseCountTensor:
             subs = subs.reshape(0, shape.ndim)
         if subs.shape[0] != vals.shape[0]:
             raise ValueError("subscript and count arrays disagree in length")
-        subs0 = subs - 1 if one_based else subs.copy()
-        dims = np.asarray(shape.dims, dtype=np.int64)
-        if (subs0 < 0).any() or (subs0 >= dims).any():
-            bad = np.flatnonzero(((subs0 < 0) | (subs0 >= dims)).any(axis=1))[0]
-            raise IndexOutOfRangeError(
-                f"index {_one_based(subs0[bad])} outside shape {shape.dims}"
-            )
-        if (vals <= 0).any():
-            bad = np.flatnonzero(vals <= 0)[0]
-            raise NonpositiveCountError(
-                f"count {vals[bad]} at index {_one_based(subs0[bad])} is not positive"
-            )
-        if _strictly_increasing(subs0):
-            return cls(shape, subs0, vals.copy())
-        order, starts = lexsort_runs(subs0)
-        subs0 = subs0[order]
-        repeated = np.flatnonzero(np.diff(starts, append=subs0.shape[0]) > 1)
+        return cls._from_columns(shape, *_narrowed(shape, subs, vals,
+                                                   one_based))
+
+    @classmethod
+    def _from_columns(cls, shape: Shape, columns, counts):
+        """The tensor of validated narrow columns and counts, sorted unless
+        their rows are already strictly increasing; DuplicateIndexError
+        names the smallest repeated multi-index."""
+        if _strictly_increasing(columns):
+            return cls(shape, columns, counts)
+        order, starts = lexsort_runs(np.stack(columns).T)
+        columns = [np.take(column, order) for column in columns]
+        repeated = np.flatnonzero(np.diff(starts, append=order.shape[0]) > 1)
         if repeated.size:
             raise DuplicateIndexError(
-                f"duplicate index {_one_based(subs0[starts[repeated[0]]])}"
-            )
-        return cls(shape, subs0, vals[order])
+                f"duplicate index {_one_based(columns, starts[repeated[0]])}")
+        return cls(shape, columns, np.take(counts, order))
+
+    @property
+    def subs0(self) -> np.ndarray:
+        """(nnz, N) int64 array of the 0-based subscripts, sorted
+        lexicographically: a new read-only array, filled from the columns
+        on each call."""
+        subs0 = np.stack(self.columns, axis=1, dtype=np.int64)
+        subs0.setflags(write=False)
+        return subs0
+
+    @property
+    def vals(self) -> np.ndarray:
+        """(nnz,) int64 array of the counts: a new read-only array, widened
+        from ``counts`` on each call."""
+        vals = self.counts.astype(np.int64)
+        vals.setflags(write=False)
+        return vals
 
     @property
     def ndim(self) -> int:
@@ -238,7 +289,7 @@ class SparseCountTensor:
 
     @property
     def nnz(self) -> int:
-        return int(self.vals.shape[0])
+        return int(self.counts.shape[0])
 
     def entries(self):
         """Iterate ((i_1, ..., i_N), count) pairs with 1-based indices."""
@@ -246,8 +297,11 @@ class SparseCountTensor:
             yield tuple(int(s) + 1 for s in sub), int(val)
 
     def total_count(self) -> int:
-        """Sum of all counts."""
-        return int(self.vals.sum())
+        """Sum of all counts, exact: counts below 2**32 add up in uint64,
+        which fewer than 2**32 of them cannot overflow, and wider ones as
+        Python ints."""
+        wide = self.counts.dtype.itemsize == 8
+        return int(self.counts.sum(dtype=object if wide else np.uint64))
 
     def density(self) -> float:
         """Fraction of cells holding a nonzero count."""
@@ -491,26 +545,28 @@ def mode_row_positions(tensor: SparseCountTensor, mode: int) -> ModeLayout:
     """Group the tensor's nonzeros by their mode-n row into a ModeLayout,
     rows in increasing order, once: the tensor keeps it for later calls.
     The row counts take one integer per row up to the last nonempty one,
-    less than the mode's factor matrix.  Each subscript column, and the
-    counts, are narrowed before they are sorted or permuted, which lets the
-    stable sort of a mode of at most 65,536 rows run as a radix sort."""
+    less than the mode's factor matrix.  The tensor's columns and counts
+    are sorted and permuted in their own narrow dtypes, so the stable sort
+    of a mode of at most 65,536 rows runs as a radix sort."""
     _check_mode(tensor.shape, mode)
     if mode in tensor._layouts:
         return tensor._layouts[mode]
-
-    def narrow(k):
-        return tensor.subs0[:, k].astype(np.min_scalar_type(tensor.shape.dims[k] - 1))
-
-    counts = np.bincount(tensor.subs0[:, mode - 1])
+    column = tensor.columns[mode - 1]
+    # bincount takes no uint64; it would make this intp copy itself.
+    counts = np.bincount(column.astype(np.intp, copy=False))
     rows = np.flatnonzero(counts)
-    order = np.argsort(narrow(mode - 1), kind="stable")
-    columns = tuple(np.take(narrow(k), order)
-                    for k in range(tensor.ndim) if k != mode - 1)
-    vals = tensor.vals.astype(np.min_scalar_type(tensor.vals.max(initial=0)))
+    order = np.argsort(column, kind="stable")
+    columns = tuple(np.take(c, order)
+                    for k, c in enumerate(tensor.columns) if k != mode - 1)
     layout = tensor._layouts[mode] = ModeLayout(
-        columns, np.take(vals, order), rows,
+        columns, np.take(tensor.counts, order), rows,
         np.concatenate(([0], np.cumsum(counts[rows]))))
     return layout
+
+
+# Characters of COO text parsed at a time, cut at a newline: a block's
+# temporaries stay a few MB whatever the size of the file.
+_READ_BLOCK_CHARS = 1 << 20
 
 
 def read_coo(path) -> SparseCountTensor:
@@ -518,12 +574,15 @@ def read_coo(path) -> SparseCountTensor:
 
     The first non-blank line is ``N I_1 ... I_N``; each following line is
     one nonzero ``i_1 ... i_N count`` with 1-based indices, whitespace
-    separated; blank lines are skipped everywhere.  The body is parsed into
-    one ``(nnz, N + 1)`` array, which the tensor copies and does not keep.
+    separated; blank lines are skipped everywhere.  The body is parsed in
+    blocks of whole lines, and each block's columns are checked and
+    narrowed before it is kept, so no int64 copy of the whole body is made.
     Malformed or invalid data, including a line with the wrong number of
     fields, raises ValueError (or the validation error subclass) with a
     message that starts with the path; a malformed line is named by its
-    1-based line number in the file.
+    1-based line number in the file.  A malformed line anywhere is reported
+    before an invalid shape, an out-of-range index before a count below 1,
+    and those before a duplicate multi-index.
     """
     with open(path) as fh:
         try:
@@ -544,43 +603,105 @@ def _parse_coo(fh) -> SparseCountTensor:
         raise ValueError(f"header declares {n} modes but lists "
                          f"{len(header) - 1} dimensions")
     dims = tuple(int(d) for d in header[1:])
-    body = fh.tell()
+    errors = {}  # kind -> its first error, raised once every line parses
     try:
-        with warnings.catch_warnings():
-            # An empty or all-blank body is an empty tensor, not a warning.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
-        if data.shape[0] == 0:
-            data = np.empty((0, n + 1), dtype=np.int64)
-        if data.shape[1] != n + 1:
-            raise ValueError(f"entries must have {n} indices plus a count, "
-                             f"got lines of {data.shape[1]} fields")
+        shape = Shape(dims)
     except ValueError as exc:
-        fh.seek(body)
-        raise _first_bad_line(fh, n, header_number + 1) or exc
-    return SparseCountTensor.from_arrays(dims, data[:, :n], data[:, n])
+        errors[ValueError] = exc
+    parts = [[] for _ in range(n + 1)]  # per column, its blocks' arrays
+    number = header_number + 1  # the file line number of a block's first
+    while True:
+        text = fh.read(_READ_BLOCK_CHARS)
+        if text and text[-1] != "\n":
+            text += fh.readline()
+        block = _parse_block(text, n, number)
+        number += text.count("\n")
+        # Later blocks may still hold a malformed line, or an index out of
+        # range that is reported before a count below 1.
+        if ValueError not in errors and IndexOutOfRangeError not in errors:
+            block[:, :n] -= 1
+            try:
+                columns, counts = _narrowed(shape, block[:, :n], block[:, n],
+                                            one_based=False)
+            except (IndexOutOfRangeError, NonpositiveCountError) as exc:
+                errors.setdefault(type(exc), exc)
+            else:
+                for part, column in zip(parts, (*columns, counts)):
+                    part.append(column)
+        if not text:
+            break
+        del text, block  # before the next block is read
+    for kind in (ValueError, IndexOutOfRangeError, NonpositiveCountError):
+        if kind in errors:
+            raise errors[kind]
+    for k, part in enumerate(parts):  # frees each column's blocks in turn
+        parts[k] = np.concatenate(part)
+    return SparseCountTensor._from_columns(shape, parts[:n], parts[n])
 
 
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
-def _first_bad_line(fh, n: int, first: int):
-    """A ValueError naming the first body line, by its 1-based number in
-    the file (the body starts at line ``first``), that does not hold ``n``
-    indices plus a count of int64 tokens; None when every line does."""
-    for number, line in enumerate(iter(fh.readline, ""), start=first):
+def _parse_block(text: str, n: int, first: int) -> np.ndarray:
+    """The ``(rows, n + 1)`` int64 entries of whole body lines ``text``,
+    the first of them line ``first`` of the file.  numpy parses the block
+    when it is ASCII text without signs, every line holds 0 or ``n + 1``
+    fields and no value reaches the int64 maximum, where its parser
+    saturates; otherwise, or when its parser fails, each line is parsed on
+    its own, and the first line that does not hold ``n`` indices plus a
+    count of int64 tokens raises a ValueError naming it."""
+    try:
+        block = _fast_block(text, n)
+    except (ValueError, DeprecationWarning):  # numpy 1.x warns on bad text
+        block = None
+    if block is not None:
+        return block
+    rows = []
+    for number, line in enumerate(text.split("\n"), start=first):
         fields = line.split()
         if not fields:
             continue
         if len(fields) != n + 1:
-            return ValueError(f"line {number}: entries must have {n} indices "
-                              f"plus a count, got {len(fields)} fields")
+            raise ValueError(f"line {number}: entries must have {n} indices "
+                             f"plus a count, got {len(fields)} fields")
         for token in fields:
             if not (_INT_TOKEN.fullmatch(token)
                     and -_INT64_MAX - 1 <= int(token) <= _INT64_MAX):
-                return ValueError(f"line {number}: {token!r} is not an int64 "
-                                  "integer")
-    return None
+                raise ValueError(f"line {number}: {token!r} is not an int64 "
+                                 "integer")
+        rows.append([int(token) for token in fields])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n + 1)
+
+
+def _fast_block(text: str, n: int):
+    """``_parse_block``'s entries by ``np.fromstring``, or None when it
+    cannot vouch for them; raises ValueError on text that is not ASCII or
+    that the parser rejects."""
+    raw = text.encode("ascii")
+    if not raw:
+        return np.empty((0, n + 1), dtype=np.int64)
+    if b"+" in raw or b"-" in raw:  # the parser reads a lone sign as 0
+        return None
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    lines = np.flatnonzero(chars[:-1] == 10)
+    lines += 1
+    printable = chars > 32
+    starts = printable.copy()  # a field starts after a blank or a line end
+    np.greater(printable[1:], printable[:-1], out=starts[1:])
+    del printable
+    # Fields per line, counted in uint8 to make no wider copy; a count that
+    # wraps leaves the total short of the values parsed.
+    fields = np.add.reduceat(starts.view(np.uint8),
+                             np.concatenate(([0], lines)), dtype=np.uint8)
+    del starts, lines
+    if not ((fields == 0) | (fields == n + 1)).all():
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        values = np.fromstring(raw, dtype=np.int64, sep=" ")
+    if values.shape[0] != fields.sum() or values.max(initial=0) == _INT64_MAX:
+        return None
+    return values.reshape(-1, n + 1)
 
 
 # Rows formatted per write: one %-format call each, with bounded transient
@@ -589,14 +710,17 @@ _WRITE_BLOCK_ROWS = 65536
 
 
 def write_coo(tensor: SparseCountTensor, path) -> None:
-    """Write a tensor in the COO text format read by :func:`read_coo`."""
+    """Write a tensor in the COO text format read by :func:`read_coo`.
+
+    The columns are widened to int64 one block of rows at a time."""
     line = " ".join(["%d"] * (tensor.ndim + 1)) + "\n"
     with open(path, "w") as fh:
         dims = " ".join(str(d) for d in tensor.shape.dims)
         fh.write(f"{tensor.ndim} {dims}\n")
         for start in range(0, tensor.nnz, _WRITE_BLOCK_ROWS):
-            stop = start + _WRITE_BLOCK_ROWS
-            block = np.column_stack(
-                (tensor.subs0[start:stop] + 1, tensor.vals[start:stop])
-            )
+            stop = min(start + _WRITE_BLOCK_ROWS, tensor.nnz)
+            block = np.empty((stop - start, tensor.ndim + 1), dtype=np.int64)
+            for k, column in enumerate(tensor.columns):  # no narrow sum wraps
+                np.add(column[start:stop], 1, out=block[:, k], dtype=np.int64)
+            block[:, -1] = tensor.counts[start:stop]
             fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))

@@ -171,15 +171,16 @@ def sample_tensor(model: KruskalModel, samples: int, seed=0):
     order, starts = lexsort_runs(subs.T)
     picks = order[starts]
     del order
-    cells = np.empty((picks.shape[0], model.ndim), dtype=np.int64)
-    for k in range(model.ndim):
-        cells[:, k] = np.take(subs[k], picks)
+    columns = [np.take(subs[k], picks).astype(np.min_scalar_type(d - 1),
+                                              copy=False)
+               for k, d in enumerate(dims)]
     del subs, picks
-    counts = np.diff(starts, append=samples).astype(np.int64, copy=False)
+    counts = np.diff(starts, append=samples)
+    counts = counts.astype(np.min_scalar_type(int(counts.max())))
     del starts
-    # Fresh, in-range, strictly increasing cells with counts of at least 1:
-    # the tensor takes them without from_arrays' copies and checks.
-    tensor = SparseCountTensor(dims, cells, counts)
+    # Fresh, narrow, in-range, strictly increasing cells with counts of at
+    # least 1: the tensor takes them without from_arrays' checks.
+    tensor = SparseCountTensor(dims, columns, counts)
     scaled = _force_sum(model.weights * float(samples), float(samples))
     return tensor, KruskalModel(scaled, model.factors, normalized=True)
 

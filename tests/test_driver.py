@@ -403,7 +403,7 @@ from poissoncp.sparse_tensor import SparseCountTensor
 dims = (2, 250, 250)
 cells = np.indices(dims).reshape(3, -1).T  # every cell, in COO order
 counts = np.random.default_rng(3).integers(1, 6, size=len(cells))
-tensor = SparseCountTensor(dims, cells, counts)
+tensor = SparseCountTensor.from_arrays(dims, cells, counts, one_based=False)
 result = fit(tensor, FitConfig(sys.argv[1], 10, outer_max=1, mode1_only=True))
 model = result.model
 print(hashlib.sha256(b"".join(a.tobytes() for a in (model.weights,

@@ -101,8 +101,8 @@ class TestNormalize:
         m = random_model(rng, (4, 5, 3), 3)
         subs0 = np.stack([rng.integers(0, d, size=10) for d in (4, 5, 3)],
                          axis=1)
-        np.testing.assert_allclose(model_entries(normalize(m), subs0),
-                                   model_entries(m, subs0), rtol=1e-10)
+        np.testing.assert_allclose(model_entries(normalize(m), subs0.T),
+                                   model_entries(m, subs0.T), rtol=1e-10)
 
     def test_zero_column_warns_and_zeroes_weight(self):
         f1 = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -173,12 +173,12 @@ class TestModelEntry:
     def test_rank_one(self):
         factors = tuple(np.full((2, 1), 0.5) for _ in range(3))
         m = KruskalModel(np.array([2.0]), factors)
-        assert model_entries(m, np.array([[0, 1, 0]]))[0] == pytest.approx(0.25)
+        assert model_entries(m, np.array([[0, 1, 0]]).T)[0] == pytest.approx(0.25)
 
     def test_zero_weights(self, rng):
         m = random_model(rng, (3, 3), 2)
         z = KruskalModel(np.zeros(2), m.factors)
-        assert model_entries(z, np.array([[1, 1]]))[0] == 0.0
+        assert model_entries(z, np.array([[1, 1]]).T)[0] == 0.0
 
     def test_consistent_with_pi_columns(self, rng):
         # m(i) must equal lambda . (Khatri-Rao row at the other indices) *
@@ -188,13 +188,13 @@ class TestModelEntry:
                          axis=1)
         pi = gathered_rows(m.factors, 0, subs0)
         expected = (m.weights * pi * m.factors[0][subs0[:, 0], :]).sum(axis=1)
-        np.testing.assert_allclose(model_entries(m, subs0), expected,
+        np.testing.assert_allclose(model_entries(m, subs0.T), expected,
                                    rtol=1e-12)
 
     def test_nonnegative(self, rng):
         m = random_model(rng, (3, 3, 3), 2)
         subs0 = rng.integers(0, 3, size=(20, 3))
-        assert (model_entries(m, subs0) >= 0.0).all()
+        assert (model_entries(m, subs0.T) >= 0.0).all()
 
 
 class TestModelEntries:
@@ -206,12 +206,12 @@ class TestModelEntries:
         model = random_model(rng, (50, 40, 30), 7)
         subs0 = np.stack([rng.integers(0, d, size=nnz) for d in (50, 40, 30)],
                          axis=1)
-        assert np.array_equal(model_entries(model, subs0),
+        assert np.array_equal(model_entries(model, subs0.T),
                               one_shot_model_entries(model, subs0))
 
     def test_no_rows(self, rng):
         model = random_model(rng, (3, 4), 2)
-        assert model_entries(model, np.empty((0, 2), dtype=np.int64)).shape == (0,)
+        assert model_entries(model, np.empty((2, 0), dtype=np.int64)).shape == (0,)
 
 
 class TestKlObjective:

@@ -150,6 +150,11 @@ class TestSampleTensor:
             assert a.dtype == b.dtype == np.int64
             assert a.flags.c_contiguous and not a.flags.writeable
             np.testing.assert_array_equal(a, b)
+        # The narrow columns the tensor stores, dtypes included.
+        for a, b in zip((*tensor.columns, tensor.counts),
+                        (*checked.columns, checked.counts)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
     def test_requires_unit_weights(self):
         model = generate_model(GenConfig(dims=(4, 4), rank=2, samples=1, seed=5))
