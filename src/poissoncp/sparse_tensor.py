@@ -204,7 +204,8 @@ class SparseCountTensor:
     def __post_init__(self):
         object.__setattr__(self, "shape", as_shape(self.shape))
         object.__setattr__(self, "columns", tuple(self.columns))
-        for array in (*self.columns, self.counts):  # the layouts copy them
+        # Read-only: a kept layout was copied from them, or is them.
+        for array in (*self.columns, self.counts):
             array.setflags(write=False)
 
     @classmethod
@@ -349,6 +350,9 @@ class ModeLayout:
     and ``vals`` the counts, each in row order and in the narrowest
     unsigned dtype that holds its values: for a 3-mode tensor with
     dimensions up to 65,536 and counts below 256, 5 bytes per nonzero.
+    The leading mode's layout takes them from the tensor, whose nonzeros
+    are already in that mode's row order, and costs nothing beyond it;
+    every other mode's holds copies.
     :meth:`blocks` walks the rows in blocks whose gathered Khatri-Rao rows
     fit in cache, and :func:`block_rows` splits a block into its rows.
     """
@@ -545,9 +549,13 @@ def mode_row_positions(tensor: SparseCountTensor, mode: int) -> ModeLayout:
     """Group the tensor's nonzeros by their mode-n row into a ModeLayout,
     rows in increasing order, once: the tensor keeps it for later calls.
     The row counts take one integer per row up to the last nonempty one,
-    less than the mode's factor matrix.  The tensor's columns and counts
-    are sorted and permuted in their own narrow dtypes, so the stable sort
-    of a mode of at most 65,536 rows runs as a radix sort."""
+    less than the mode's factor matrix.  When the mode's column is already
+    non-decreasing, as the leading mode's always is in a tensor sorted
+    lexicographically, the nonzeros are in row order: the layout's
+    ``columns`` and ``vals`` are the tensor's own read-only arrays, with no
+    copy.  Otherwise the tensor's columns and counts are sorted and
+    permuted into copies in their own narrow dtypes, so the stable sort of
+    a mode of at most 65,536 rows runs as a radix sort."""
     _check_mode(tensor.shape, mode)
     if mode in tensor._layouts:
         return tensor._layouts[mode]
@@ -555,12 +563,14 @@ def mode_row_positions(tensor: SparseCountTensor, mode: int) -> ModeLayout:
     # bincount takes no uint64; it would make this intp copy itself.
     counts = np.bincount(column.astype(np.intp, copy=False))
     rows = np.flatnonzero(counts)
-    order = np.argsort(column, kind="stable")
-    columns = tuple(np.take(c, order)
-                    for k, c in enumerate(tensor.columns) if k != mode - 1)
+    columns = tuple(c for k, c in enumerate(tensor.columns) if k != mode - 1)
+    vals = tensor.counts
+    if (column[1:] < column[:-1]).any():
+        order = np.argsort(column, kind="stable")
+        columns = tuple(np.take(c, order) for c in columns)
+        vals = np.take(vals, order)
     layout = tensor._layouts[mode] = ModeLayout(
-        columns, np.take(tensor.counts, order), rows,
-        np.concatenate(([0], np.cumsum(counts[rows]))))
+        columns, vals, rows, np.concatenate(([0], np.cumsum(counts[rows]))))
     return layout
 
 

@@ -16,6 +16,7 @@ import functools
 import os
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,8 +44,9 @@ from poissoncp.errors import FactorizationFailureError, IndexOutOfRangeError
 from poissoncp.evaluation import mode_kkt_violation
 from poissoncp.kruskal import KruskalModel, kl_objective, normalize
 from poissoncp.sparse_tensor import (SparseCountTensor, block_rows,
-                                     mode_row_positions)
-from poissoncp.synth import GenConfig, generate_dataset
+                                     mode_row_positions, read_coo, write_coo)
+from poissoncp.synth import (GenConfig, generate_dataset, generate_model,
+                             sample_tensor)
 
 LAYOUT_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                            database=None)
@@ -308,6 +310,105 @@ class TestModeLayout:
         gathered = []
         assert list(layout.blocks(3, gathered.append)) == []
         assert gathered == []
+
+
+def unsorted_twin(tensor, seed):
+    """The tensor's nonzeros in a shuffled order, built by the raw
+    constructor, which neither sorts nor checks them."""
+    order = np.random.default_rng(seed).permutation(tensor.nnz)
+    return SparseCountTensor(tensor.shape,
+                             [column[order] for column in tensor.columns],
+                             tensor.counts[order])
+
+
+def shares_any(layout, arrays):
+    return any(np.shares_memory(a, b) for a in (*layout.columns, layout.vals)
+               for b in arrays)
+
+
+class TestLeadingModeSharesTheTensor:
+    """A tensor's nonzeros are sorted with mode 1 varying slowest, so mode
+    1's layout is the tensor's own columns and counts; the other modes'
+    layouts are copies."""
+
+    @pytest.mark.parametrize("source", ["from_arrays", "read_coo",
+                                        "sample_tensor"])
+    def test_mode_1_shares_and_modes_2_and_3_copy(self, tmp_path, source):
+        rng = np.random.default_rng(7)
+        dims = (30, 20, 10)
+        if source == "sample_tensor":
+            model = generate_model(GenConfig(dims=dims, rank=3, samples=3000,
+                                             seed=7))
+            tensor, _ = sample_tensor(model, 3000, seed=7)
+        else:
+            cells = np.unique(np.stack([rng.integers(0, d, size=800)
+                                        for d in dims], axis=1), axis=0)
+            rng.shuffle(cells)
+            tensor = SparseCountTensor.from_arrays(
+                dims, cells, rng.integers(1, 9, size=len(cells)),
+                one_based=False)
+            if source == "read_coo":
+                write_coo(tensor, tmp_path / "t.coo")
+                tensor = read_coo(tmp_path / "t.coo")
+        lead = mode_row_positions(tensor, 1)
+        assert len(lead.columns) == 2
+        for got, own in zip((*lead.columns, lead.vals),
+                            (*tensor.columns[1:], tensor.counts)):
+            assert np.shares_memory(got, own)
+        for mode in (2, 3):
+            layout = mode_row_positions(tensor, mode)
+            assert not shares_any(layout, (*tensor.columns, tensor.counts))
+        for mode in (1, 2, 3):
+            assert_layouts_equal(mode_row_positions(tensor, mode),
+                                 argsort_mode_row_positions(tensor, mode))
+
+    def test_unsorted_raw_tensor_gets_a_copied_layout(self):
+        _, tensor = generate_dataset(GenConfig(dims=(6, 7, 8), rank=3,
+                                               samples=500, seed=1))
+        twin = unsorted_twin(tensor, 0)
+        column = twin.columns[0]
+        assert (column[1:] < column[:-1]).any()
+        layout = mode_row_positions(twin, 1)
+        assert not shares_any(layout, (*twin.columns, twin.counts))
+        assert_layouts_equal(layout, argsort_mode_row_positions(twin, 1))
+        sorted_layout = mode_row_positions(tensor, 1)
+        assert np.array_equal(layout.rows, sorted_layout.rows)
+        assert np.array_equal(layout.starts, sorted_layout.starts)
+
+    @LAYOUT_PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), shuffled=st.booleans())
+    def test_every_mode_equals_the_argsort_layout(self, seed, shuffled):
+        tensor, _ = layout_case(seed)
+        if shuffled:
+            tensor = unsorted_twin(tensor, seed)
+        for mode in range(1, tensor.ndim + 1):
+            assert_layouts_equal(mode_row_positions(tensor, mode),
+                                 argsort_mode_row_positions(tensor, mode))
+
+    def test_three_modes_keep_10_bytes_per_nonzero(self):
+        # uint16 indices and uint8 counts: modes 2 and 3 each copy 5 bytes
+        # per nonzero and mode 1 none; sorting mode 1 too would keep 15.
+        # Beyond that only the row ids and starts, 16 bytes a row, and a
+        # few KB of Python objects remain.
+        rng = np.random.default_rng(0)
+        dims = (300, 400, 500)
+        nnz = 200_000
+        cells = np.unique(np.stack([rng.integers(0, d, size=nnz + 1000)
+                                    for d in dims], axis=1), axis=0)[:nnz]
+        tensor = SparseCountTensor.from_arrays(
+            dims, cells, rng.integers(1, 256, size=nnz), one_based=False)
+        assert tensor.nnz == nnz
+        assert [c.dtype for c in (*tensor.columns, tensor.counts)] == [
+            np.uint16, np.uint16, np.uint16, np.uint8]
+        del cells
+        tracemalloc.start()
+        try:
+            layouts = [mode_row_positions(tensor, mode) for mode in (1, 2, 3)]
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_row = sum(l.rows.nbytes + l.starts.nbytes for l in layouts)
+        assert kept <= 10 * nnz + per_row + 16384
 
 
 class TestLayoutBuiltOncePerTensor:
