@@ -273,7 +273,7 @@ def cmd_factorize(args) -> int:
     init = None
     init_path = _field(config, "init_model", _exactly((str, type(None))),
                        "path", None)
-    if init_path:
+    if init_path is not None:
         init = _read_model(init_path)
         resolved["init_model"] = init_path
     tensor = _read_input(read_coo, tensor_path)

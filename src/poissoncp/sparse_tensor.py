@@ -150,26 +150,23 @@ def _strictly_increasing(columns) -> bool:
     return not tied.any()
 
 
-def lexsort_runs(subs0: np.ndarray):
-    """Sort subscript rows lexicographically and find the runs of equal rows.
+def lexsort_runs(columns):
+    """Sort rows of index columns lexicographically and find the runs of
+    equal rows.
 
-    Returns (order, starts): ``subs0[order]`` is sorted with the first
-    column varying slowest, and ``starts`` holds the positions in that
-    order where a row differs from the one before, so distinct row k spans
-    ``starts[k]:starts[k + 1]``.  The subscripts must be nonnegative, as
-    the validated 0-based subscripts of every caller are: each column is
-    sorted and compared narrowed to the smallest unsigned dtype that holds
-    its largest value (a column already of that dtype is used as it is),
-    which numpy sorts by radix up to 16 bits.  Only comparisons are used,
+    Returns (order, starts): the rows taken in ``order`` are sorted with the
+    first column varying slowest, and ``starts`` holds the positions in
+    that order where a row differs from the one before, so distinct row k
+    spans ``starts[k]:starts[k + 1]``.  Callers pass the tensor's narrow
+    columns, each in the unsigned dtype that holds its mode's indices, and
+    numpy sorts keys of up to 16 bits by radix.  Only comparisons are used,
     so no shape is too large.
     """
-    keys = [col.astype(np.min_scalar_type(int(col.max(initial=0))), copy=False)
-            for col in subs0.T]
-    order = np.lexsort(keys[::-1])
+    order = np.lexsort(columns[::-1])
     new = np.zeros(order.shape[0], dtype=bool)
     new[:1] = True
-    for key in keys:
-        ordered = np.take(key, order)
+    for column in columns:
+        ordered = np.take(column, order)
         new[1:] |= ordered[1:] != ordered[:-1]
     return order, np.flatnonzero(new)
 
@@ -259,7 +256,7 @@ class SparseCountTensor:
         names the smallest repeated multi-index."""
         if _strictly_increasing(columns):
             return cls(shape, columns, counts)
-        order, starts = lexsort_runs(np.stack(columns).T)
+        order, starts = lexsort_runs(columns)
         columns = [np.take(column, order) for column in columns]
         repeated = np.flatnonzero(np.diff(starts, append=order.shape[0]) > 1)
         if repeated.size:
@@ -585,8 +582,10 @@ def read_coo(path) -> SparseCountTensor:
     The first non-blank line is ``N I_1 ... I_N``; each following line is
     one nonzero ``i_1 ... i_N count`` with 1-based indices, whitespace
     separated; blank lines are skipped everywhere.  The body is parsed in
-    blocks of whole lines, and each block's columns are checked and
-    narrowed before it is kept, so no int64 copy of the whole body is made.
+    blocks of whole lines, and each block's 1-based indices and counts are
+    checked as read, then narrowed into 0-based columns before it is kept,
+    so no int64 copy of the whole body is made and an index is named in
+    errors as the file gives it.
     Malformed or invalid data, including a line with the wrong number of
     fields, raises ValueError (or the validation error subclass) with a
     message that starts with the path; a malformed line is named by its
@@ -629,10 +628,9 @@ def _parse_coo(fh) -> SparseCountTensor:
         # Later blocks may still hold a malformed line, or an index out of
         # range that is reported before a count below 1.
         if ValueError not in errors and IndexOutOfRangeError not in errors:
-            block[:, :n] -= 1
             try:
                 columns, counts = _narrowed(shape, block[:, :n], block[:, n],
-                                            one_based=False)
+                                            one_based=True)
             except (IndexOutOfRangeError, NonpositiveCountError) as exc:
                 errors.setdefault(type(exc), exc)
             else:

@@ -138,10 +138,12 @@ def sample_tensor(model: KruskalModel, samples: int, seed=0):
     ``np.searchsorted(cum, u, side="right")`` over the cumulative weights
     or the component's cumulative column, bit for bit; a bucket table
     (:class:`_BucketTable`) finds most of them without a binary search.
-    Repeated cells are merged by one lexicographic sort; the cells and
-    counts do not depend on the order of the draws.  Returns (tensor, model
-    with weights rescaled so their sum equals ``samples`` exactly, matching
-    the tensor's total count).
+    Each mode's picks fill their own column, in the narrowest unsigned
+    dtype that holds the mode's indices, and one lexicographic sort of the
+    columns merges repeated cells; the cells and counts do not depend on
+    the order of the draws.  Returns (tensor, model with weights rescaled
+    so their sum equals ``samples`` exactly, matching the tensor's total
+    count).
     """
     if not model.normalized:
         raise ValueError("sample_tensor needs a normalized model")
@@ -159,21 +161,18 @@ def sample_tensor(model: KruskalModel, samples: int, seed=0):
     for lo, hi in _chunks(samples):
         comp[lo:hi] = weights.search(0, rng.random(hi - lo))
     dims = tuple(f.shape[0] for f in model.factors)
-    subs = np.empty((model.ndim, samples),
-                    dtype=np.min_scalar_type(max(dims) - 1))
-    for k, f in enumerate(model.factors):
+    subs = [np.empty(samples, dtype=np.min_scalar_type(d - 1)) for d in dims]
+    for column, f in zip(subs, model.factors):
         cum = np.cumsum(f, axis=0)
         cum /= cum[-1:, :]
         table = _BucketTable(cum, samples)
         for lo, hi in _chunks(samples):
-            subs[k, lo:hi] = table.search(comp[lo:hi], rng.random(hi - lo))
+            column[lo:hi] = table.search(comp[lo:hi], rng.random(hi - lo))
     del comp  # freed before the sort and the tensor's copies
-    order, starts = lexsort_runs(subs.T)
+    order, starts = lexsort_runs(subs)
     picks = order[starts]
     del order
-    columns = [np.take(subs[k], picks).astype(np.min_scalar_type(d - 1),
-                                              copy=False)
-               for k, d in enumerate(dims)]
+    columns = [np.take(column, picks) for column in subs]
     del subs, picks
     counts = np.diff(starts, append=samples)
     counts = counts.astype(np.min_scalar_type(int(counts.max())))

@@ -619,6 +619,20 @@ class TestConfigErrors:
         self.run_and_check(capsys, argv, f"error: {folder}: cannot read")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("given_by", ["flag", "config"])
+    def test_empty_init_model_path(self, generated, capsys, given_by):
+        # Only a missing or null init_model means the random start; an
+        # empty path is a path that cannot be read, as for the tensor.
+        tmp_path, outdir = generated
+        cfg = write_json(tmp_path / "fac.json", {
+            "method": "pdnr", "rank": 3, "tensor": str(outdir / "tensor.coo"),
+            **({"init_model": ""} if given_by == "config" else {})})
+        flag = ["--init-model", ""] if given_by == "flag" else []
+        self.run_and_check(capsys, ["factorize", "--config", cfg, *flag,
+                                    "--output-dir", str(tmp_path / "out")],
+                           "error: : cannot read")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["generate", "factorize", "bench",
                                          "evaluate"])
     def test_unusable_output_path(self, generated, capsys, monkeypatch,

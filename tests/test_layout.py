@@ -883,6 +883,30 @@ class TestRowRanges:
         assert (out[[2, 5]] == -1.0).all()
         assert_no_children_left()
 
+    def test_platform_without_affinity_solves_in_one_process(self):
+        # Where os.sched_getaffinity is missing, as on macOS, the process
+        # counts as one CPU: a layout worth splitting forks nothing.
+        if hasattr(os, "sched_getaffinity"):
+            assert sparse_tensor._allowed_cpus() == len(
+                os.sched_getaffinity(0))
+        rows = sparse_tensor.PARALLEL_MIN_ROWS
+        tensor = SparseCountTensor.from_entries(
+            (rows, 2), [((i, 1), 1) for i in range(1, rows + 1)])
+        layout = mode_row_positions(tensor, 1)
+        out = np.zeros(rows)
+
+        def write_rows(part):
+            out[part.rows] = part.rows + 10
+            return len(part)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delattr(os, "sched_getaffinity", raising=False)
+            forks = count_forks(mp)
+            assert sparse_tensor._allowed_cpus() == 1
+            got = sparse_tensor.map_row_ranges(layout, out, write_rows)
+        assert got == [rows] and not forks
+        assert np.array_equal(out, np.arange(rows) + 10)
+
     @staticmethod
     def two_range_layout():
         tensor = SparseCountTensor.from_entries(

@@ -113,6 +113,10 @@ class TestBlockBoundaries:
          "line 10: '99999999999999999999' is not an int64 integer"),
         ("9 1 1", IndexOutOfRangeError, "index (9, 1) outside shape (3, 5)"),
         ("0 1 1", IndexOutOfRangeError, "index (0, 1) outside shape (3, 5)"),
+        # The least int64 is named as the file gives it, as from_arrays
+        # names it: the 1-based to 0-based shift must not wrap it.
+        ("-9223372036854775808 2 3", IndexOutOfRangeError,
+         "index (-9223372036854775808, 2) outside shape (3, 5)"),
         ("3 5 0", NonpositiveCountError,
          "count 0 at index (3, 5) is not positive"),
         ("3 5 -2", NonpositiveCountError,

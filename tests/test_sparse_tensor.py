@@ -360,8 +360,10 @@ class TestCooProperties:
             SparseCountTensor.from_arrays(dims, subs[[1, 0, 1]], [1, 2, 3])
 
     def test_lexsort_runs_matches_unique(self, rng):
-        subs0 = rng.integers(0, 3, size=(200, 3))
-        order, starts = lexsort_runs(subs0)
+        columns = [rng.integers(0, 3, size=200, dtype=np.uint8)
+                   for _ in range(3)]
+        order, starts = lexsort_runs(columns)
+        subs0 = np.stack(columns, axis=1)
         cells, counts = np.unique(subs0, axis=0, return_counts=True)
         np.testing.assert_array_equal(subs0[order[starts]], cells)
         np.testing.assert_array_equal(np.diff(starts, append=200), counts)
@@ -374,7 +376,8 @@ class TestCooProperties:
            rows=st.integers(0, 60), distinct=st.integers(1, 8))
     def test_lexsort_runs_matches_unique_at_every_key_width(self, data, tops,
                                                             rows, distinct):
-        # Column maxima that need uint8, uint16, uint32 and uint64 keys;
+        # One list of columns that mixes uint8, uint16, uint32 and uint64
+        # keys, each the dtype a tensor keeps for indices up to its top;
         # drawing from a few values per column makes duplicate rows.
         pool = [data.draw(st.lists(st.integers(0, top), min_size=1,
                                    max_size=distinct)) + [top]
@@ -384,7 +387,9 @@ class TestCooProperties:
              for _ in range(rows)], dtype=np.int64).reshape(rows, len(tops))
         if rows:
             subs0[data.draw(st.integers(0, rows - 1))] = tops
-        order, starts = lexsort_runs(subs0)
+        columns = [column.astype(np.min_scalar_type(top))
+                   for column, top in zip(subs0.T, tops)]
+        order, starts = lexsort_runs(columns)
         cells, counts = np.unique(subs0, axis=0, return_counts=True)
         np.testing.assert_array_equal(order, np.lexsort(subs0.T[::-1]))
         np.testing.assert_array_equal(subs0[order[starts]], cells)
@@ -393,7 +398,9 @@ class TestCooProperties:
     @pytest.mark.parametrize("rows", [[], [[2**40, 0, 70_000]]])
     def test_lexsort_runs_on_zero_rows_and_one_row(self, rows):
         subs0 = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
-        order, starts = lexsort_runs(subs0)
+        columns = [column.astype(dtype) for column, dtype in
+                   zip(subs0.T, (np.uint64, np.uint8, np.uint32))]
+        order, starts = lexsort_runs(columns)
         np.testing.assert_array_equal(order, np.arange(len(rows)))
         np.testing.assert_array_equal(starts, np.arange(len(rows)))
 
