@@ -45,33 +45,39 @@ def mu_solve_mode(tensor: SparseCountTensor, model: KruskalModel,
     updates while its Khatri-Rao rows stay in cache, and each objective is
     summed block by block.  A mode with enough work is split into row
     ranges that forked children solve
-    (:func:`poissoncp.sparse_tensor.map_row_ranges`); every row's
-    arithmetic is the same in any range, so only the objectives' rounding
-    depends on the split.  Raises ShapeMismatchError when the model's dims
+    (:func:`poissoncp.sparse_tensor.map_row_ranges`), forked for this call
+    unless a pool is open on ``tensor``, which a ``mu`` fit never opens;
+    every row's arithmetic is the same in any range, so only the
+    objectives' rounding depends on the split.  Raises ShapeMismatchError when the model's dims
     are not the tensor's.
     """
     model = _prepared(model, tensor)
     layout = mode_row_positions(tensor, mode)
     mode0 = mode - 1
-    factor = model.factors[mode0]
-    b = np.zeros_like(factor)
-    gather = functools.partial(_pi_product, model.factors, mode0)
-
-    def solve_range(part):
-        objectives = np.zeros(INNER_ITERATIONS + 1)
-        for rows, counts, x, pi in part.blocks(model.rank, gather):
-            b_blk = np.maximum(factor[rows] * model.weights, POSITIVITY_CLAMP)
-            starts = np.cumsum(counts) - counts
-            for it in range(INNER_ITERATIONS + 1):
-                m = _block_model(b_blk, counts, pi)
-                objectives[it] += (b_blk.sum()
-                                   - float(_chunked_dot(x, np.log(m))))
-                if it < INNER_ITERATIONS:
-                    b_blk *= _block_pi_x_over_m(pi, x / m, starts)
-            b[rows] = b_blk
-        return objectives
-
+    b = np.zeros_like(model.factors[mode0])
     objectives = map_row_ranges(
-        layout, b, solve_range, calls=(_pi_product,),
+        tensor, mode, b, _mu_range, (model, mode0), calls=(_pi_product,),
         work=layout.nnz * model.rank * (INNER_ITERATIONS + 1))
     return MuSolveResult(b, sum(objectives))
+
+
+def _mu_range(part, model: KruskalModel, mode0: int):
+    """The updated rows of one range of mode ``mode0 + 1``, in
+    ``part.rows`` order, and the range's objectives."""
+    factor = model.factors[mode0]
+    gather = functools.partial(_pi_product, model.factors, mode0)
+    b = np.empty((len(part), model.rank))
+    objectives = np.zeros(INNER_ITERATIONS + 1)
+    k = 0
+    for rows, counts, x, pi in part.blocks(model.rank, gather):
+        b_blk = np.maximum(factor[rows] * model.weights, POSITIVITY_CLAMP)
+        starts = np.cumsum(counts) - counts
+        for it in range(INNER_ITERATIONS + 1):
+            m = _block_model(b_blk, counts, pi)
+            objectives[it] += (b_blk.sum()
+                               - float(_chunked_dot(x, np.log(m))))
+            if it < INNER_ITERATIONS:
+                b_blk *= _block_pi_x_over_m(pi, x / m, starts)
+        b[k:k + len(rows)] = b_blk
+        k += len(rows)
+    return b, objectives

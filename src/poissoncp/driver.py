@@ -15,11 +15,13 @@ import csv
 import functools
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from . import row_solver
 from .baselines import mu_solve_mode
 from .errors import check_integer, check_number, check_size
 from .evaluation import exact_zero_count, mode_kkt_violation
@@ -32,8 +34,8 @@ from .row_solver import (
     solve_row_pdnr,
     solve_row_pqnr,
 )
-from .sparse_tensor import (SparseCountTensor, as_shape, block_rows,
-                            map_row_ranges, mode_row_positions)
+from .sparse_tensor import (RowRangePool, SparseCountTensor, as_shape,
+                            block_rows, map_row_ranges, mode_row_positions)
 from .synth import seeded_rng
 
 __all__ = [
@@ -74,8 +76,11 @@ class FitConfig:
     CPU in the process's affinity mask when the mode has at least
     ``sparse_tensor.PARALLEL_MIN_ROWS`` nonempty rows (``pdnr``, ``pqnr``)
     or ``sparse_tensor.PARALLEL_MIN_WORK`` element-updates (``mu``), and
-    the models do not depend on the split.  It remains only because the
-    benchmark in ``perfbench/`` still passes it.  Building a ``pdnr``
+    the models do not depend on the split.  A ``pdnr`` or ``pqnr`` fit
+    forks its range children once, on its first split, and every later
+    mode solve of the fit reuses them; each ``mu`` mode solve that splits
+    forks its own.  ``workers`` remains only because the benchmark in
+    ``perfbench/`` still passes it.  Building a ``pdnr``
     config raises ConfigError when a row's ``rank * rank`` damped Hessian
     would not fit in int64 or physical memory, a check that needs no
     tensor, so it comes before any input is read.  It also loads LAPACK's
@@ -211,8 +216,11 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     tolerance ``tau`` or after ``row_solver.K_MAX`` iterations; they run
     in row ranges, one per allowed CPU (see
     :func:`poissoncp.sparse_tensor.map_row_ranges`), and results do not
-    depend on the split.  A ``time.perf_counter`` ``deadline`` is checked
-    between row solves.  Returns (model, ModeSweepReport).  Raises
+    depend on the split.  The ranges other than the first go to the
+    children of the :class:`~poissoncp.sparse_tensor.RowRangePool` open on
+    ``tensor``, as in :func:`fit`, or else to children forked for this
+    call.  A ``time.perf_counter`` ``deadline`` is checked between row
+    solves.  Returns (model, ModeSweepReport).  Raises
     ValueError for a ``method`` outside :data:`METHODS` or a ``tau`` that
     is not a positive finite number, and ShapeMismatchError when the
     model's dims are not the tensor's.
@@ -229,23 +237,16 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
         report.inner_iterations = len(objectives) - 1
     else:
         b_matrix = np.zeros_like(model.factors[mode0])
-        b_matrix[layout.rows] = model.factors[mode0][layout.rows] * model.weights
         solve_row = solve_row_pdnr if method == "pdnr" else solve_row_pqnr
-        gather = functools.partial(_pi_product, model.factors, mode0)
-
-        def solve_range(part):
-            reports = []
-            for block in part.blocks(model.rank, gather):
-                for row0, x, pi in block_rows(*block):
-                    if deadline is not None and time.perf_counter() > deadline:
-                        return reports
-                    b_matrix[row0], row_report = solve_row(
-                        RowProblem(b_matrix[row0], x, pi), tau)
-                    reports.append(row_report)
-            return reports
-
-        solved = map_row_ranges(layout, b_matrix, solve_range,
-                                calls=(solve_row, RowProblem, _pi_product))
+        solved = map_row_ranges(
+            tensor, mode, b_matrix, _solve_range,
+            (model, mode0, method, tau, deadline),
+            calls=(solve_row, RowProblem, _pi_product,
+                   row_solver.partition_variables,
+                   row_solver.armijo_projected_search,
+                   row_solver.damped_newton_direction,
+                   row_solver.multiplicative_step,
+                   row_solver.LbfgsStore.direction))
         reports = [r for part_reports in solved for r in part_reports]
         report.rows_solved = len(reports)
         report.inner_iterations = sum(r.iterations for r in reports)
@@ -257,6 +258,25 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
         warnings.simplefilter("ignore")  # zero columns are reported via weights
         model_next = normalize(KruskalModel(np.ones(model.rank), tuple(factors)))
     return model_next, report
+
+
+def _solve_range(part, model: KruskalModel, mode0: int, method: str,
+                 tau: float, deadline):
+    """The rows of one range of mode ``mode0 + 1`` after their ``pdnr`` or
+    ``pqnr`` solves, in ``part.rows`` order, and one RowSolveReport per
+    solved row; rows past the ``deadline`` keep their start."""
+    solve_row = solve_row_pdnr if method == "pdnr" else solve_row_pqnr
+    gather = functools.partial(_pi_product, model.factors, mode0)
+    b = model.factors[mode0][part.rows] * model.weights
+    rows = (row for block in part.blocks(model.rank, gather)
+            for row in block_rows(*block))
+    reports = []
+    for k, (_, x, pi) in enumerate(rows):
+        if deadline is not None and time.perf_counter() > deadline:
+            break
+        b[k], report = solve_row(RowProblem(b[k], x, pi), tau)
+        reports.append(report)
+    return b, reports
 
 
 def fit(tensor: SparseCountTensor, config: FitConfig,
@@ -299,31 +319,42 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
     deadline = None if config.time_limit is None else start + config.time_limit
     trace = FitTrace()
     converged = False
-    for outer in range(1, config.outer_max + 1):
-        ls_failures = 0
-        fallbacks = 0
-        for n in modes:
-            model, sweep = solve_mode(tensor, model, n, method=config.method,
-                                      tau=config.tau, deadline=deadline)
-            ls_failures += sweep.line_search_failures
-            fallbacks += sweep.fallback_steps
+    # A mu fit opens no pool: each mu mode solve that splits forks its
+    # children anew.  On a 2-CPU Xeon, cli-large mu fits on a fit-long
+    # pool took 0.40-0.46 s raw against 0.45-0.47 s, but the benchmark's
+    # normalised fit_s.mu rose from 0.17-0.25 s to 0.35-0.37 s, as the
+    # stream kernel it samples beside the idle child ran faster (7.0-7.3
+    # ms to 4.7-4.9 ms; ROADMAP item 14).  Split acceptance-fit mu mode
+    # solves were slower: 0.30 s to 0.45 s raw per fit.
+    pool = RowRangePool(tensor) if config.method != "mu" else nullcontext()
+    with pool:
+        for outer in range(1, config.outer_max + 1):
+            ls_failures = 0
+            fallbacks = 0
+            for n in modes:
+                model, sweep = solve_mode(tensor, model, n,
+                                          method=config.method,
+                                          tau=config.tau, deadline=deadline)
+                ls_failures += sweep.line_search_failures
+                fallbacks += sweep.fallback_steps
+                if deadline is not None and time.perf_counter() > deadline:
+                    break
+            mode_kkt = tuple(mode_kkt_violation(tensor, model, n)
+                             for n in modes)
+            trace.records.append(OuterRecord(
+                outer=outer,
+                mode_kkt=mode_kkt,
+                objective=kl_objective(model, tensor),
+                exact_zeros=exact_zero_count(model).total,
+                seconds=time.perf_counter() - start,
+                line_search_failures=ls_failures,
+                fallback_steps=fallbacks,
+            ))
+            if max(mode_kkt) <= config.tau:
+                converged = True
+                break
             if deadline is not None and time.perf_counter() > deadline:
                 break
-        mode_kkt = tuple(mode_kkt_violation(tensor, model, n) for n in modes)
-        trace.records.append(OuterRecord(
-            outer=outer,
-            mode_kkt=mode_kkt,
-            objective=kl_objective(model, tensor),
-            exact_zeros=exact_zero_count(model).total,
-            seconds=time.perf_counter() - start,
-            line_search_failures=ls_failures,
-            fallback_steps=fallbacks,
-        ))
-        if max(mode_kkt) <= config.tau:
-            converged = True
-            break
-        if deadline is not None and time.perf_counter() > deadline:
-            break
     return FitResult(model=model, trace=trace, converged=converged)
 
 

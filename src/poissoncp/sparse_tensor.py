@@ -197,6 +197,8 @@ class SparseCountTensor:
     counts: np.ndarray = field(repr=False)
     _layouts: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)  # mode -> mode_row_positions
+    _pool: "RowRangePool | None" = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "shape", as_shape(self.shape))
@@ -400,10 +402,12 @@ class ModeLayout:
             return [self]
         cuts = np.searchsorted(self.starts[:k],
                                self.starts[0] + self.nnz * np.arange(1, n) / n)
-        bounds = np.unique(np.concatenate(([0], np.clip(cuts, 1, k - 1), [k])))
+        # Non-decreasing, so dict.fromkeys drops repeats as np.unique would,
+        # without np.unique's import of numpy.ma (1.2 MB of peak RSS).
+        bounds = list(dict.fromkeys([0, *np.clip(cuts, 1, k - 1).tolist(), k]))
         return [ModeLayout(self.columns, self.vals, self.rows[a:b],
                            self.starts[a:b + 1])
-                for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+                for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def block_rows(rows, counts, x, pi, keep=None):
@@ -420,11 +424,16 @@ def block_rows(rows, counts, x, pi, keep=None):
 
 
 # Nonempty rows a mode needs before its row solves go to more than one
-# CPU.  On a 2-CPU Xeon a forked range adds about 5 ms (fork, copy-on-write
-# faults, pickled result, reap): a 20-row mode solve took 12 ms forked
-# against 7 ms serially.  A row solve costs 0.05-1 ms, so from 256 rows
-# halving the solve repays the fork.
-PARALLEL_MIN_ROWS = 256
+# CPU.  Within a fit a split costs one pipe round trip to the pool's child,
+# 0.1 ms with the README model and 0.3 ms with cli-large's (a fork took
+# about 3 ms).  On a 2-CPU Xeon, medians of 9 alternating solves from the
+# models after 0, 1, 5 and 20 sweeps, serial against split: the README
+# tensor's 20-row mode took 14-36 against 8-25 ms with pqnr, faster every
+# time, and 2.5-7.6 against 2.9-8.2 ms with pdnr, faster twice; its 30-
+# and 40-row modes split faster in 13 of 16.  Modes of 4 to 16 rows cut
+# from it never split faster, though those runs fell in spells when the
+# host ran two busy processes at half speed each, when no split pays.
+PARALLEL_MIN_ROWS = 20
 
 # Work, in element-updates (nonzeros x R x passes), a multiplicative mode
 # solve needs before it goes to more than one CPU.  One costs about 8 ns,
@@ -444,102 +453,184 @@ def _allowed_cpus() -> int:
         return 1
 
 
-def map_row_ranges(layout: ModeLayout, out: np.ndarray, fn, calls=(),
-                   work=None) -> list:
-    """``fn(part)`` for each of ``layout.parts(n)``, in part order.
+def map_row_ranges(tensor: SparseCountTensor, mode: int, out: np.ndarray,
+                   fn, args=(), calls=(), work=None) -> list:
+    """``fn(part, *args)`` for each of ``parts = layout.parts(n)`` of the
+    mode's layout, in part order; returns their side results.
 
-    ``fn(part)`` writes the part's rows of ``out`` and returns a result.
-    ``n`` is the number of allowed CPUs when the layout is worth splitting,
-    else 1: when the caller passes an estimate of the whole layout's
-    ``work``, it must reach ``PARALLEL_MIN_WORK``; otherwise the layout
-    must have ``PARALLEL_MIN_ROWS`` rows.  The calling process computes the
-    first part; forked children compute the others and send back their
-    pickled results and rows of ``out``, which are copied in; all else a
-    child writes is lost.  If a fork fails, the caller computes the
-    remaining parts itself.  No child outlives the call: the caller reads
-    and reaps every child, killing them first when its own part raises.  A
-    child's exception is raised again here; a child that ends without a
-    result raises ChildProcessError.
+    ``fn`` is a module-level function, and ``args`` pickle: a child gets
+    them by pipe.  ``fn(part, *args)`` returns ``(rows, result)``: the
+    part's rows of ``out``, in ``part.rows`` order, which are copied in,
+    and a side result.  ``n`` is the number of allowed CPUs when the layout
+    is worth splitting, else 1: when the caller passes an estimate of the
+    whole layout's ``work``, it must reach ``PARALLEL_MIN_WORK``; otherwise
+    the layout must have ``PARALLEL_MIN_ROWS`` rows.  The calling process
+    computes the first part, and children of a :class:`RowRangePool` the
+    others: the pool open on ``tensor``, or else one made for this call and
+    closed before it returns.  If a fork or a pipe fails, the caller
+    computes the remaining parts itself.  When the caller raises, the
+    pool's children are killed and reaped.  A child's exception is raised
+    again here; a child that ends without a result raises
+    ChildProcessError.
 
     ``calls`` lists the functions ``fn`` looks up by module name.  When one
     of them is not this package's own, as when a profiler or a test has
-    wrapped it to record its calls, ``n`` is 1: what a wrapper records in
-    a child would die with the child.
+    wrapped it to record its calls, ``n`` is 1, even on an open pool: what
+    a wrapper records in a child would die with the child.
     """
+    layout = mode_row_positions(tensor, mode)
     unwrapped = all(getattr(f, "__module__", "").startswith(f"{__package__}.")
                     for f in calls)
     worth = (len(layout) >= PARALLEL_MIN_ROWS if work is None
              else work >= PARALLEL_MIN_WORK)
     n = _allowed_cpus() if unwrapped and worth else 1
-    parts = layout.parts(n)
-    children = []  # (pid, read end of its pipe) for parts[1:]
-    try:
-        for part in parts[1:]:
-            child = _fork_call(lambda p: (fn(p), out[p.rows]), part)
-            if child is None:
-                break
-            children.append(child)
-        own = [fn(part) for part in (parts[0], *parts[1 + len(children):])]
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        outcomes = [_reap(pid, fd) for pid, fd in children]
-    for outcome in outcomes:
-        if outcome is None:
-            raise ChildProcessError("a row-range worker ended without a result")
-        if not outcome[0]:
-            raise outcome[1]
-    for part, (_, (_, rows)) in zip(parts[1:], outcomes):
-        out[part.rows] = rows
-    return [own[0], *(result for _, (result, _) in outcomes), *own[1:]]
+    if tensor._pool is not None:
+        return tensor._pool._map(mode, n, out, fn, args)
+    with RowRangePool(tensor) as pool:
+        return pool._map(mode, n, out, fn, args)
 
 
-def _fork_call(fn, part):
-    """Fork a child that sends the pickled ``(True, fn(part))``, or
-    ``(False, exception)``, down a pipe and exits; returns ``(pid, read
-    fd)``, or None when no pipe or child can be made."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:  # the child never returns into the caller
-        status = 1
+class RowRangePool:
+    """Forked children that solve row ranges of one tensor's modes, made
+    on the first split and kept until the pool closes.
+
+    While the pool is open, as a context manager, every
+    :func:`map_row_ranges` call on its tensor runs on it, so a split costs
+    one pipe round trip instead of one fork.  It forks at most
+    ``_allowed_cpus() - 1`` children, each when a split first needs it.  A
+    child blocks reading its own task pipe; for each task it resolves
+    ``mode_row_positions(tensor, mode).parts(n)[k]``, runs ``fn(part,
+    *args)`` and sends back the pickled outcome, and it exits at end of
+    file.  A child holds no pipe end but its own.  Once a fork or a pipe
+    is refused the pool forks no more, and the caller solves the ranges a
+    child would have.  Leaving the block closes the task pipes and reaps
+    every child, killing them first when the block raises.
+    """
+
+    def __init__(self, tensor: SparseCountTensor):
+        self.tensor = tensor
+        self._children = []  # (pid, task writer, result reader), by part
+        self._can_fork = True
+        self._outer = None
+
+    def __enter__(self):
+        self._outer = self.tensor._pool
+        object.__setattr__(self.tensor, "_pool", self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        object.__setattr__(self.tensor, "_pool", self._outer)
+        self._close(kill=exc_type is not None)
+
+    def _map(self, mode: int, n: int, out: np.ndarray, fn, args) -> list:
+        parts = mode_row_positions(self.tensor, mode).parts(n)
+        while len(self._children) < len(parts) - 1 and self._can_fork:
+            self._can_fork = self._fork()
+        busy = self._children[:len(parts) - 1]
         try:
-            os.close(read_fd)
+            for k, (_, tasks, _) in enumerate(busy, 1):
+                data = pickle.dumps((fn, mode, n, k, args),
+                                    pickle.HIGHEST_PROTOCOL)
+                try:
+                    tasks.write(data)
+                    tasks.flush()
+                except OSError:
+                    raise ChildProcessError(
+                        "a row-range worker ended before its task") from None
+            own = [fn(part, *args)
+                   for part in (parts[0], *parts[1 + len(busy):])]
+            outcomes = [_receive(results) for _, _, results in busy]
+        except BaseException:
+            self._close(kill=True)
+            raise
+        for ok, value in outcomes:
+            if not ok:
+                raise value
+        done = [own[0], *(value for _, value in outcomes), *own[1:]]
+        for part, (rows, _) in zip(parts, done):
+            out[part.rows] = rows
+        return [result for _, result in done]
+
+    def _fork(self) -> bool:
+        """Fork one more child; False when no pipe or child can be made."""
+        ends = []
+        try:
+            ends.extend(os.pipe())  # tasks: read end, write end
+            ends.extend(os.pipe())  # results: read end, write end
+            pid = os.fork()
+        except OSError:
+            for fd in ends:
+                os.close(fd)
+            return False
+        task_read, task_write, result_read, result_write = ends
+        if pid == 0:  # the child never returns into the caller
+            status = 1
             try:
-                outcome = (True, fn(part))
-            except Exception as exc:
-                outcome = (False, exc)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
+                for _, tasks, results in self._children:
+                    tasks.close()
+                    results.close()
+                os.close(task_write)
+                os.close(result_read)
+                with open(task_read, "rb") as tasks, \
+                        open(result_write, "wb") as results:
+                    _serve(self.tensor, tasks, results)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(task_read)
+        os.close(result_write)
+        self._children.append((pid, open(task_write, "wb"),
+                               open(result_read, "rb")))
+        return True
+
+    def _close(self, kill: bool) -> None:
+        """Close every child's pipes and reap it, killing it first when
+        ``kill`` is set; a later split forks anew."""
+        children, self._children = self._children, []
+        for pid, tasks, results in children:
+            if kill:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:  # as under SIGCHLD = SIG_IGN
+                    pass
+            for pipe in (tasks, results):
+                try:
+                    pipe.close()
+                except OSError:  # a task the child never read
+                    pass
+        for pid, _, _ in children:
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped, as under SIGCHLD = SIG_IGN
+                pass
 
 
-def _reap(pid: int, read_fd: int):
-    """Read what the child sent and wait for it to exit; the unpickled
-    outcome, or None when it sent no complete one."""
-    with open(read_fd, "rb") as pipe:
-        data = pipe.read()
+def _serve(tensor: SparseCountTensor, tasks, results) -> None:
+    """A pool child's loop: read a task, send back the pickled ``(True,
+    (rows, result))`` of its range, or ``(False, exception)``; return at
+    end of file."""
+    while True:
+        try:
+            fn, mode, n, k, args = pickle.load(tasks)
+        except EOFError:
+            return
+        part = mode_row_positions(tensor, mode).parts(n)[k]
+        try:
+            outcome = (True, fn(part, *args))
+        except Exception as exc:
+            outcome = (False, exc)
+        pickle.dump(outcome, results, pickle.HIGHEST_PROTOCOL)
+        results.flush()
+
+
+def _receive(results):
+    """The outcome a child sent; ChildProcessError when it ended without a
+    complete one."""
     try:
-        os.waitpid(pid, 0)
-    except ChildProcessError:  # already reaped, as under SIGCHLD = SIG_IGN
-        pass
-    try:
-        return pickle.loads(data)
+        return pickle.load(results)
     except (EOFError, pickle.UnpicklingError):
-        return None
+        raise ChildProcessError(
+            "a row-range worker ended without a result") from None
 
 
 def mode_row_positions(tensor: SparseCountTensor, mode: int) -> ModeLayout:

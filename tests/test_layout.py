@@ -11,6 +11,7 @@ block.  The same holds when the rows are split into ranges that
 forked children solve; the KKT check never forks.
 """
 
+import dataclasses
 import errno
 import functools
 import os
@@ -609,12 +610,13 @@ def split_rows(mp, cpus):
 
 
 def count_forks(mp):
-    """Count the children ``map_row_ranges`` forks from here on."""
+    """The pids of the children ``map_row_ranges`` forks from here on."""
     forks = []
 
     def counting_fork():
-        forks.append(1)
-        return real_fork()
+        pid = real_fork()
+        forks.append(pid)
+        return pid
 
     real_fork = os.fork
     mp.setattr(sparse_tensor.os, "fork", counting_fork)
@@ -624,6 +626,50 @@ def count_forks(mp):
 def assert_no_children_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    fds = "/proc/self/fd"
+    return sorted(os.listdir(fds)) if os.path.isdir(fds) else None
+
+
+# Range functions for map_row_ranges.  A child gets a range function by
+# name, so they live at module level; each returns its part's rows of the
+# output and a side result.
+
+STRAY = np.zeros(1)  # written only in a child
+
+
+def pid_rows(part, parent):
+    """Each row's pid and id + 10; a child also writes ``STRAY``."""
+    if os.getpid() != parent:
+        STRAY[0] = 99.0
+    rows = np.column_stack([np.full(len(part), float(os.getpid())),
+                            part.rows + 10.0])
+    return rows, part.rows.tolist()
+
+
+def ids_plus_ten(part):
+    return part.rows + 10, part.rows.tolist()
+
+
+def fail_in_child(part, parent):
+    if os.getpid() != parent:
+        raise FactorizationFailureError(f"rows {part.rows.tolist()}")
+    return part.rows, part.rows.tolist()
+
+
+def fail_in_parent(part, parent, error):
+    if os.getpid() == parent:
+        raise error("parent")
+    time.sleep(60)
+    return part.rows, None
+
+
+def exit_in_child(part, parent):
+    if os.getpid() != parent:
+        os._exit(3)
+    return part.rows, len(part)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -820,13 +866,12 @@ class TestRowRanges:
                     mu_solve_mode(tensor, model, mode)
         assert_no_children_left()
 
-    @pytest.mark.parametrize("method", ["pdnr", "pqnr", "mu"])
+    @pytest.mark.parametrize("method", ["mu"])
     def test_acceptance_sized_modes_fork_nothing(self, method):
         # The README tensor, (20, 30, 40) R5 with 2,435 nonzeros: at most
-        # 40 rows and 0.13 M element-updates a mode, so each stays serial
+        # 0.13 M element-updates a mode, so each mu mode solve stays serial
         # whatever the number of CPUs.
-        _, tensor = generate_dataset(GenConfig(dims=(20, 30, 40), rank=5,
-                                               samples=50_000, seed=5))
+        _, tensor = generate_dataset(ACCEPTANCE)
         model = init_model(tensor.shape, 5, seed=0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sparse_tensor, "_allowed_cpus", lambda: 4)
@@ -852,26 +897,20 @@ class TestRowRanges:
         assert_no_children_left()
 
     def test_forked_rows_of_out_reach_the_caller(self):
-        # Each range writes its own rows of out, here or in a child; what a
-        # child writes elsewhere is lost, and rows without data keep their
-        # values.
+        # Each range returns its own rows of out, here or from a child;
+        # what a child writes elsewhere is lost, and rows without data keep
+        # their values.
         tensor = SparseCountTensor.from_entries(
             (8, 2), [((i, 1), 1) for i in (1, 2, 4, 5, 7, 8)])
         layout = mode_row_positions(tensor, 1)
         out = np.full((8, 2), -1.0)
         parent = os.getpid()
 
-        def write_rows(part):
-            out[part.rows, 0] = os.getpid()
-            out[part.rows, 1] = part.rows + 10
-            if os.getpid() != parent:
-                out[2] = 99.0
-            return part.rows.tolist()
-
         with pytest.MonkeyPatch.context() as mp:
             split_rows(mp, 3)
             forks = count_forks(mp)
-            got = sparse_tensor.map_row_ranges(layout, out, write_rows)
+            got = sparse_tensor.map_row_ranges(tensor, 1, out, pid_rows,
+                                               (parent,))
         parts = layout.parts(3)
         assert len(parts) == 3 and len(forks) == 2
         assert got == [p.rows.tolist() for p in parts]
@@ -881,6 +920,7 @@ class TestRowRanges:
         assert all(len(p) == 1 for p in pids[1:])
         assert len(set.union(*pids)) == 3
         assert (out[[2, 5]] == -1.0).all()
+        assert STRAY[0] == 0.0
         assert_no_children_left()
 
     def test_platform_without_affinity_solves_in_one_process(self):
@@ -892,87 +932,68 @@ class TestRowRanges:
         rows = sparse_tensor.PARALLEL_MIN_ROWS
         tensor = SparseCountTensor.from_entries(
             (rows, 2), [((i, 1), 1) for i in range(1, rows + 1)])
-        layout = mode_row_positions(tensor, 1)
         out = np.zeros(rows)
-
-        def write_rows(part):
-            out[part.rows] = part.rows + 10
-            return len(part)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.delattr(os, "sched_getaffinity", raising=False)
             forks = count_forks(mp)
             assert sparse_tensor._allowed_cpus() == 1
-            got = sparse_tensor.map_row_ranges(layout, out, write_rows)
-        assert got == [rows] and not forks
+            got = sparse_tensor.map_row_ranges(tensor, 1, out, ids_plus_ten)
+        assert got == [list(range(rows))] and not forks
         assert np.array_equal(out, np.arange(rows) + 10)
 
     @staticmethod
-    def two_range_layout():
-        tensor = SparseCountTensor.from_entries(
+    def two_range_tensor():
+        return SparseCountTensor.from_entries(
             (4, 2), [((i, 1), 1) for i in range(1, 5)])
-        return mode_row_positions(tensor, 1)
 
     def test_child_exception_is_raised_again_with_its_type(self):
-        layout = self.two_range_layout()
+        tensor = self.two_range_tensor()
         parent = os.getpid()
-
-        def fail_in_child(part):
-            if os.getpid() != parent:
-                raise FactorizationFailureError(f"rows {part.rows.tolist()}")
-            return part.rows.tolist()
 
         with pytest.MonkeyPatch.context() as mp:
             split_rows(mp, 2)
             with pytest.raises(FactorizationFailureError, match="rows"):
-                sparse_tensor.map_row_ranges(layout, np.zeros(4), fail_in_child)
+                sparse_tensor.map_row_ranges(tensor, 1, np.zeros(4),
+                                             fail_in_child, (parent,))
             mp.setattr(sparse_tensor, "_allowed_cpus", lambda: 1)
             assert sparse_tensor.map_row_ranges(
-                layout, np.zeros(4), fail_in_child) == [[0, 1, 2, 3]]
+                tensor, 1, np.zeros(4), fail_in_child,
+                (parent,)) == [[0, 1, 2, 3]]
         assert_no_children_left()
 
     @pytest.mark.parametrize("error", [KeyError, KeyboardInterrupt])
     def test_parent_exception_kills_and_reaps_the_children(self, error):
-        layout = self.two_range_layout()
+        tensor = self.two_range_tensor()
         parent = os.getpid()
-
-        def fail_in_parent(part):
-            if os.getpid() == parent:
-                raise error("parent")
-            time.sleep(60)
 
         with pytest.MonkeyPatch.context() as mp:
             split_rows(mp, 4)
             t0 = time.perf_counter()
             with pytest.raises(error, match="parent"):
-                sparse_tensor.map_row_ranges(layout, np.zeros(4),
-                                             fail_in_parent)
+                sparse_tensor.map_row_ranges(tensor, 1, np.zeros(4),
+                                             fail_in_parent, (parent, error))
         assert time.perf_counter() - t0 < 30
         assert_no_children_left()
 
     def test_child_ending_without_a_result_is_a_child_process_error(self):
-        layout = self.two_range_layout()
+        tensor = self.two_range_tensor()
         parent = os.getpid()
-
-        def exit_in_child(part):
-            if os.getpid() != parent:
-                os._exit(3)
-            return len(part)
 
         with pytest.MonkeyPatch.context() as mp:
             split_rows(mp, 2)
             with pytest.raises(ChildProcessError):
-                sparse_tensor.map_row_ranges(layout, np.zeros(4),
-                                             exit_in_child)
+                sparse_tensor.map_row_ranges(tensor, 1, np.zeros(4),
+                                             exit_in_child, (parent,))
         assert_no_children_left()
 
     @pytest.mark.parametrize("refused", ["fork", "pipe"])
     def test_failed_fork_computes_the_ranges_in_the_caller(self, refused):
         # Out of processes or of file descriptors, the caller solves every
         # range itself and leaves no pipe end open.
-        layout = self.two_range_layout()
-        fds = "/proc/self/fd"
-        open_fds = os.listdir(fds) if os.path.isdir(fds) else None
+        tensor = self.two_range_tensor()
+        layout = mode_row_positions(tensor, 1)
+        before = open_fds()
 
         def refuse():
             raise OSError(errno.EMFILE, f"{refused} refused")
@@ -980,37 +1001,217 @@ class TestRowRanges:
         with pytest.MonkeyPatch.context() as mp:
             split_rows(mp, 3)
             mp.setattr(sparse_tensor.os, refused, refuse)
-            got = sparse_tensor.map_row_ranges(layout, np.zeros(4),
-                                               lambda p: p.rows.tolist())
+            got = sparse_tensor.map_row_ranges(tensor, 1, np.zeros(4),
+                                               ids_plus_ten)
         assert got == [p.rows.tolist() for p in layout.parts(3)]
-        if open_fds is not None:
-            assert len(os.listdir(fds)) == len(open_fds)
+        assert open_fds() == before
         assert_no_children_left()
 
     def test_children_reaped_by_the_kernel_still_send_their_rows(self):
         # Under SIGCHLD = SIG_IGN the kernel reaps each child as it exits,
         # so waiting for it finds no child; its result and rows count all
         # the same.
-        layout = self.two_range_layout()
-
-        def write_rows(out):
-            def fn(part):
-                out[part.rows] = part.rows + 10
-                return part.rows.tolist()
-            return fn
-
+        tensor = self.two_range_tensor()
         serial = np.zeros(4)
-        expected = [write_rows(serial)(p) for p in layout.parts(3)]
+        expected = []
+        for part in mode_row_positions(tensor, 1).parts(3):
+            rows, result = ids_plus_ten(part)
+            serial[part.rows] = rows
+            expected.append(result)
         out = np.zeros(4)
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
             with pytest.MonkeyPatch.context() as mp:
                 split_rows(mp, 3)
                 forks = count_forks(mp)
-                got = sparse_tensor.map_row_ranges(layout, out, write_rows(out))
+                got = sparse_tensor.map_row_ranges(tensor, 1, out,
+                                                   ids_plus_ten)
         finally:
             signal.signal(signal.SIGCHLD, previous)
         assert len(forks) == 2
         assert got == expected
         assert np.array_equal(out, serial)
+        assert_no_children_left()
+
+
+ACCEPTANCE = GenConfig(dims=(20, 30, 40), rank=5, samples=50_000, seed=5)
+
+
+def fit_bytes(result):
+    """A fit's model bytes and its trace rows without ``seconds``."""
+    model = result.model
+    trace = [dataclasses.replace(record, seconds=0.0)
+             for record in result.trace]
+    return ([model.weights.tobytes(), *(f.tobytes() for f in model.factors)],
+            trace)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestRowRangePool:
+    """A pdnr or pqnr fit forks its row-range children once, on its first
+    split, and every later mode solve of the fit reuses them."""
+
+    @pytest.mark.parametrize("method", ["pdnr", "pqnr", "mu"])
+    def test_acceptance_fit_forks_once_and_matches_on_any_cpu_count(
+            self, method):
+        # The real gates: each of the README tensor's 20-, 30- and 40-row
+        # modes splits for pdnr and pqnr, and no mu mode does.
+        _, tensor = generate_dataset(ACCEPTANCE)
+        config = FitConfig(method=method, rank=5, tau=1e-4)
+        fits = []
+        with pytest.MonkeyPatch.context() as mp:
+            forks = count_forks(mp)
+            for cpus in (1, 2, 3):
+                mp.setattr(sparse_tensor, "_allowed_cpus", lambda: cpus)
+                forks.clear()
+                result = fit(tensor, config)
+                assert len(forks) == (0 if method == "mu" else cpus - 1)
+                assert_no_children_left()
+                fits.append(fit_bytes(result))
+        assert len(fits[0][1]) == (113 if method == "mu" else 21)
+        assert fits[0] == fits[1] == fits[2]
+
+    def test_no_child_outlives_a_fit_stopped_by_its_time_limit(self):
+        _, tensor = generate_dataset(ACCEPTANCE)
+        with pytest.MonkeyPatch.context() as mp:
+            split_rows(mp, 2)
+            forks = count_forks(mp)
+            result = fit(tensor, FitConfig(method="pqnr", rank=5, tau=1e-4,
+                                           time_limit=0.05))
+        assert not result.converged
+        assert len(forks) == 1
+        assert_no_children_left()
+
+    def test_child_exception_in_a_fit_is_raised_and_no_child_is_left(self):
+        _, tensor = generate_dataset(ACCEPTANCE)
+        parent = os.getpid()
+        real_blocks = sparse_tensor.ModeLayout.blocks
+
+        def fail_in_child(layout, *args):
+            if os.getpid() != parent:
+                raise FactorizationFailureError(f"rows {layout.rows.tolist()}")
+            return real_blocks(layout, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            split_rows(mp, 2)
+            mp.setattr(sparse_tensor.ModeLayout, "blocks", fail_in_child)
+            with pytest.raises(FactorizationFailureError, match="rows"):
+                fit(tensor, FitConfig(method="pdnr", rank=5))
+        assert_no_children_left()
+
+    @pytest.mark.parametrize("error", [KeyError, KeyboardInterrupt])
+    def test_caller_exception_in_a_fit_kills_and_reaps_the_children(
+            self, error):
+        _, tensor = generate_dataset(ACCEPTANCE)
+        parent = os.getpid()
+        real_blocks = sparse_tensor.ModeLayout.blocks
+
+        def fail_in_parent(layout, *args):
+            if os.getpid() == parent:
+                raise error("parent")
+            time.sleep(60)
+            return real_blocks(layout, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            split_rows(mp, 3)
+            forks = count_forks(mp)
+            mp.setattr(sparse_tensor.ModeLayout, "blocks", fail_in_parent)
+            t0 = time.perf_counter()
+            with pytest.raises(error, match="parent"):
+                fit(tensor, FitConfig(method="pqnr", rank=5))
+        assert time.perf_counter() - t0 < 30
+        assert len(forks) == 2
+        assert_no_children_left()
+
+    def test_child_dying_between_mode_solves_is_a_child_process_error(self):
+        _, tensor = generate_dataset(ACCEPTANCE)
+        model = init_model(tensor.shape, 5, seed=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_tensor, "_allowed_cpus", lambda: 1)
+            serial, _ = solve_mode(tensor, model, 2)
+            split_rows(mp, 2)
+            forks = count_forks(mp)
+            with sparse_tensor.RowRangePool(tensor):
+                solve_mode(tensor, model, 1)
+                assert len(forks) == 1
+                os.kill(forks[0], signal.SIGKILL)
+                with pytest.raises(ChildProcessError):
+                    solve_mode(tensor, model, 2)
+                assert_no_children_left()
+                # The next split forks anew.
+                got, _ = solve_mode(tensor, model, 2)
+                assert len(forks) == 2
+        assert_models_equal(got, serial)
+        assert_no_children_left()
+
+    @pytest.mark.parametrize("refused, allowed", [("fork", 1), ("pipe", 2)])
+    def test_fork_refused_mid_fit_leaves_the_rest_to_the_caller(self, refused,
+                                                                allowed):
+        # Three ranges: the first child is made, the second is refused, and
+        # the caller solves its own range and the refused one in every
+        # later mode solve, trying no other fork.
+        _, tensor = generate_dataset(ACCEPTANCE)
+        config = FitConfig(method="pdnr", rank=5, tau=1e-4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_tensor, "_allowed_cpus", lambda: 1)
+            serial = fit_bytes(fit(tensor, config))
+            mp.setattr(sparse_tensor, "_allowed_cpus", lambda: 3)
+            attempts = []
+            real = getattr(os, refused)
+
+            def refuse_after_allowed():
+                attempts.append(1)
+                if len(attempts) > allowed:
+                    raise OSError(errno.EAGAIN, f"{refused} refused")
+                return real()
+
+            before = open_fds()
+            mp.setattr(sparse_tensor.os, refused, refuse_after_allowed)
+            got = fit_bytes(fit(tensor, config))
+        assert got == serial
+        assert len(attempts) == allowed + 1
+        assert open_fds() == before
+        assert_no_children_left()
+
+    @pytest.mark.parametrize("name, method", [
+        ("partition_variables", "pdnr"),
+        ("armijo_projected_search", "pdnr"),
+        ("damped_newton_direction", "pdnr"),
+        ("multiplicative_step", "pqnr"),
+        ("LbfgsStore.direction", "pqnr"),
+    ])
+    def test_wrapped_row_solver_names_keep_every_call_in_this_process(
+            self, name, method):
+        # The row solves look these up in row_solver by name, and a tracer
+        # wraps each: a wrapper sees every call, even on a pool that already
+        # has children.  partition_variables runs once per inner iteration.
+        _, tensor = generate_dataset(GenConfig(dims=(600, 8, 8), rank=3,
+                                               samples=6000, seed=3))
+        model = init_model(tensor.shape, 3, seed=0)
+        owner, attr = ((row_solver.LbfgsStore, "direction")
+                       if name == "LbfgsStore.direction"
+                       else (row_solver, name))
+        pids = []
+
+        def spy(fn):
+            def wrapped(*args):
+                pids.append(os.getpid())
+                return fn(*args)
+            return wrapped
+
+        with pytest.MonkeyPatch.context() as mp:
+            split_rows(mp, 2)
+            forks = count_forks(mp)
+            with sparse_tensor.RowRangePool(tensor):
+                plain, plain_report = solve_mode(tensor, model, 1,
+                                                 method=method)
+                assert len(forks) == 1
+                mp.setattr(owner, attr, spy(getattr(owner, attr)))
+                spied, report = solve_mode(tensor, model, 1, method=method)
+        assert len(forks) == 1
+        assert report == plain_report
+        assert_models_equal(spied, plain)
+        assert set(pids) <= {os.getpid()}
+        if name == "partition_variables":
+            assert len(pids) == report.inner_iterations > 0
         assert_no_children_left()
