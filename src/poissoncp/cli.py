@@ -45,11 +45,12 @@ from .synth import GenConfig, generate_dataset
 __all__ = ["main"]
 
 
-def _load_config(path, keys, **flags) -> dict:
+def _load_config(path, keys, args) -> dict:
     """The JSON object in ``path``, whose keys must all be among ``keys``,
-    with each of ``flags`` that was set (not None, typed by argparse) in
-    place of the file's value; the dict's readers check both alike.  An
-    unreadable file and invalid or too deeply nested JSON are ConfigErrors."""
+    with each argument of ``args`` named by a key and set (not None, typed
+    by argparse) in place of the file's value; the dict's readers check
+    both alike.  An unreadable file and invalid or too deeply nested JSON
+    are ConfigErrors."""
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -63,7 +64,8 @@ def _load_config(path, keys, **flags) -> dict:
     unknown = [key for key in config if key not in keys]
     if unknown:
         raise ConfigError(f"unknown config field {unknown[0]!r}")
-    config.update((k, v) for k, v in flags.items() if v is not None)
+    config.update((k, v) for k, v in vars(args).items()
+                  if k in keys and v is not None)
     return config
 
 
@@ -236,7 +238,7 @@ _FIT_KEYS = {f.name for f in dataclasses.fields(FitConfig)}
 
 
 def cmd_generate(args) -> int:
-    config = _load_config(args.config, _GEN_KEYS, seed=args.seed)
+    config = _load_config(args.config, _GEN_KEYS, args)
     gen = _build(GenConfig, config)
     outputs = ["tensor.coo", "truth_model.json"]
     outdir = _output_dir(args.output_dir, outputs)
@@ -262,11 +264,7 @@ _FACTORIZE_KEYS = {*_FIT_KEYS, "tensor", "init_model"}
 
 
 def cmd_factorize(args) -> int:
-    config = _load_config(
-        args.config, _FACTORIZE_KEYS, tensor=args.tensor, method=args.method,
-        rank=args.rank, tau=args.tau, outer_max=args.outer_max,
-        time_limit=args.time_limit, seed=args.seed,
-        mode1_only=args.mode1_only or None, init_model=args.init_model)
+    config = _load_config(args.config, _FACTORIZE_KEYS, args)
     tensor_path = _field(config, "tensor", _exactly(str), "path")
     fit_config, resolved = _fit_config(config)
     resolved["tensor"] = tensor_path
@@ -350,7 +348,7 @@ _BENCH_COLUMNS = ("method", "rank", "seed", "time_to_tau", "final_objective",
 
 
 def cmd_bench(args) -> int:
-    config = _load_config(args.config, _BENCH_KEYS)
+    config = _load_config(args.config, _BENCH_KEYS, args)
     methods = _field(config, "methods", _list(str.lower),
                      "non-empty list of method names", list(METHODS))
     ranks, seeds = (_field(config, key, _list(partial(check_integer, key)),
@@ -417,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer-max", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mode1-only", action="store_true",
+    p.add_argument("--mode1-only", action="store_const", const=True,
                    help="sweep only mode 1 (single convex block subproblem)")
     p.add_argument("--init-model", default=None,
                    help="JSON model to start from instead of a random init")

@@ -219,8 +219,9 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     depend on the split.  The ranges other than the first go to the
     children of the :class:`~poissoncp.sparse_tensor.RowRangePool` open on
     ``tensor``, as in :func:`fit`, or else to children forked for this
-    call.  A ``time.perf_counter`` ``deadline`` is checked between row
-    solves.  Returns (model, ModeSweepReport).  Raises
+    call.  A ``time.perf_counter`` ``deadline`` is checked between the
+    ``pdnr`` and ``pqnr`` row solves; a ``mu`` mode solve ignores it and
+    runs all its updates.  Returns (model, ModeSweepReport).  Raises
     ValueError for a ``method`` outside :data:`METHODS` or a ``tau`` that
     is not a positive finite number, and ShapeMismatchError when the
     model's dims are not the tensor's.
@@ -240,7 +241,7 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
         solve_row = solve_row_pdnr if method == "pdnr" else solve_row_pqnr
         solved = map_row_ranges(
             tensor, mode, b_matrix, _solve_range,
-            (model, mode0, method, tau, deadline),
+            (model, mode0, solve_row, tau, deadline),
             calls=(solve_row, RowProblem, _pi_product,
                    row_solver.partition_variables,
                    row_solver.armijo_projected_search,
@@ -260,12 +261,11 @@ def solve_mode(tensor: SparseCountTensor, model: KruskalModel, mode: int,
     return model_next, report
 
 
-def _solve_range(part, model: KruskalModel, mode0: int, method: str,
+def _solve_range(part, model: KruskalModel, mode0: int, solve_row,
                  tau: float, deadline):
-    """The rows of one range of mode ``mode0 + 1`` after their ``pdnr`` or
-    ``pqnr`` solves, in ``part.rows`` order, and one RowSolveReport per
-    solved row; rows past the ``deadline`` keep their start."""
-    solve_row = solve_row_pdnr if method == "pdnr" else solve_row_pqnr
+    """The rows of one range of mode ``mode0 + 1`` after their
+    ``solve_row`` solves, in ``part.rows`` order, and one RowSolveReport
+    per solved row; rows past the ``deadline`` keep their start."""
     gather = functools.partial(_pi_product, model.factors, mode0)
     b = model.factors[mode0][part.rows] * model.weights
     rows = (row for block in part.blocks(model.rank, gather)
@@ -284,12 +284,13 @@ def fit(tensor: SparseCountTensor, config: FitConfig,
     """Alternate mode solves until every swept mode meets the KKT tolerance.
 
     Stops at convergence, at ``outer_max`` sweeps, or once the time limit is
-    exceeded (checked between row solves).  The objective recorded in the
-    trace is nonincreasing across sweeps for every method.  Every row
-    solve stops at the fit's ``tau``.  Raises ConfigError, a ValueError,
-    when :meth:`FitConfig.check_sizes` rejects the tensor at the configured
-    rank, and ValueError when the starting model's total mass is not below
-    ``kruskal.MASS_MAX``.
+    exceeded: a ``pdnr`` or ``pqnr`` fit checks it between row solves, a
+    ``mu`` fit, whose mode solves run all their updates, between mode
+    solves.  The objective recorded in the trace is nonincreasing across
+    sweeps for every method.  Every row solve stops at the fit's ``tau``.
+    Raises ConfigError, a ValueError, when :meth:`FitConfig.check_sizes`
+    rejects the tensor at the configured rank, and ValueError when the
+    starting model's total mass is not below ``kruskal.MASS_MAX``.
     """
     if tensor.nnz == 0:
         raise ValueError("cannot fit an empty tensor")

@@ -440,7 +440,7 @@ def _repair_start(problem: RowProblem, b: np.ndarray):
     f_b = _f_at(problem, b, m)
     if math.isfinite(f_b):
         return b, f_b, m
-    scale = float(b.max()) if b.size and b.max() > 0 else 1.0
+    scale = float(b.max()) if b.max() > 0 else 1.0
     lifted = np.where(b > 0.0, b, 1e-10 * scale)
     m_lifted = lifted.dot(problem.pi)
     f_lifted = _f_at(problem, lifted, m_lifted)

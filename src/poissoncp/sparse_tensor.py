@@ -496,30 +496,29 @@ class RowRangePool:
 
     While the pool is open, as a context manager, every
     :func:`map_row_ranges` call on its tensor runs on it, so a split costs
-    one pipe round trip instead of one fork.  It forks at most
-    ``_allowed_cpus() - 1`` children, each when a split first needs it.  A
-    child blocks reading its own task pipe; for each task it resolves
-    ``mode_row_positions(tensor, mode).parts(n)[k]``, runs ``fn(part,
-    *args)`` and sends back the pickled outcome, and it exits at end of
-    file.  A child holds no pipe end but its own.  Once a fork or a pipe
-    is refused the pool forks no more, and the caller solves the ranges a
-    child would have.  Leaving the block closes the task pipes and reaps
-    every child, killing them first when the block raises.
+    one pipe round trip instead of one fork; no other pool opens on the
+    tensor meanwhile.  It forks at most ``_allowed_cpus() - 1`` children,
+    each when a split first needs it.  A child blocks reading its own task
+    pipe; for each task it resolves ``mode_row_positions(tensor,
+    mode).parts(n)[k]``, runs ``fn(part, *args)`` and sends back the
+    pickled outcome, and it exits at end of file.  A child holds no pipe
+    end but its own.  Once a fork or a pipe is refused the pool forks no
+    more, and the caller solves the ranges a child would have.  Leaving
+    the block closes the task pipes and reaps every child, killing them
+    first when the block raises.
     """
 
     def __init__(self, tensor: SparseCountTensor):
         self.tensor = tensor
         self._children = []  # (pid, task writer, result reader), by part
         self._can_fork = True
-        self._outer = None
 
     def __enter__(self):
-        self._outer = self.tensor._pool
         object.__setattr__(self.tensor, "_pool", self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        object.__setattr__(self.tensor, "_pool", self._outer)
+        object.__setattr__(self.tensor, "_pool", None)
         self._close(kill=exc_type is not None)
 
     def _map(self, mode: int, n: int, out: np.ndarray, fn, args) -> list:

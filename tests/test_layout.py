@@ -11,13 +11,16 @@ block.  The same holds when the rows are split into ranges that
 forked children solve; the KKT check never forks.
 """
 
+import collections
 import dataclasses
 import errno
 import functools
+import importlib.util
 import os
 import signal
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +43,7 @@ from conftest import (
     row_groups,
 )
 from poissoncp.baselines import mu_solve_mode
-from poissoncp.driver import FitConfig, fit, init_model, solve_mode
+from poissoncp.driver import METHODS, FitConfig, fit, init_model, solve_mode
 from poissoncp.errors import FactorizationFailureError, IndexOutOfRangeError
 from poissoncp.evaluation import mode_kkt_violation
 from poissoncp.kruskal import KruskalModel, kl_objective, normalize
@@ -628,6 +631,18 @@ def assert_no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def assert_pool_closed(tensor):
+    """No pool is left open on ``tensor``: a later split ``solve_mode``
+    forks one child for that call and reaps it before it returns."""
+    assert tensor._pool is None
+    with pytest.MonkeyPatch.context() as mp:
+        split_rows(mp, 2)
+        forks = count_forks(mp)
+        solve_mode(tensor, init_model(tensor.shape, 2), 1)
+        assert len(forks) == 1
+    assert_no_children_left()
+
+
 def open_fds():
     fds = "/proc/self/fd"
     return sorted(os.listdir(fds)) if os.path.isdir(fds) else None
@@ -1037,6 +1052,49 @@ class TestRowRanges:
 ACCEPTANCE = GenConfig(dims=(20, 30, 40), rank=5, samples=50_000, seed=5)
 
 
+def tracer_row_sites():
+    """``(name, owner, attribute)`` for each site the benchmark's tracer
+    in ``perfbench/tracing.py`` wraps in ``driver``, ``baselines`` or
+    ``row_solver``, the modules whose names a fit's row solves and mode
+    solves look up; ``row_solver``'s own names keep their short names.
+    The tracer's file is read, not imported, so neither ``sys.path`` nor
+    ``sys.modules`` changes."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sites = []
+    for owner, attr, _, _ in tracing.wrapped_sites():
+        module = owner.__module__ if isinstance(owner, type) else owner.__name__
+        if module in (driver.__name__, baselines.__name__,
+                      row_solver.__name__):
+            name = (f"{module}.{owner.__qualname__}.{attr}"
+                    if isinstance(owner, type) else f"{module}.{attr}")
+            name = name.removeprefix("poissoncp.").removeprefix("row_solver.")
+            sites.append((name, owner, attr))
+    return sites
+
+
+ROW_SITES = tracer_row_sites()
+
+
+class ForkedPool(sparse_tensor.RowRangePool):
+    """A pool that forks its child as it opens, before any split."""
+
+    def __enter__(self):
+        super().__enter__()
+        self._fork()
+        return self
+
+
+def spy(fn, record):
+    """``fn``, calling ``record()`` before each call."""
+    def wrapped(*args, **kwargs):
+        record()
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 def fit_bytes(result):
     """A fit's model bytes and its trace rows without ``seconds``."""
     model = result.model
@@ -1067,6 +1125,7 @@ class TestRowRangePool:
                 result = fit(tensor, config)
                 assert len(forks) == (0 if method == "mu" else cpus - 1)
                 assert_no_children_left()
+                assert_pool_closed(tensor)
                 fits.append(fit_bytes(result))
         assert len(fits[0][1]) == (113 if method == "mu" else 21)
         assert fits[0] == fits[1] == fits[2]
@@ -1081,6 +1140,7 @@ class TestRowRangePool:
         assert not result.converged
         assert len(forks) == 1
         assert_no_children_left()
+        assert_pool_closed(tensor)
 
     def test_child_exception_in_a_fit_is_raised_and_no_child_is_left(self):
         _, tensor = generate_dataset(ACCEPTANCE)
@@ -1098,6 +1158,7 @@ class TestRowRangePool:
             with pytest.raises(FactorizationFailureError, match="rows"):
                 fit(tensor, FitConfig(method="pdnr", rank=5))
         assert_no_children_left()
+        assert_pool_closed(tensor)
 
     @pytest.mark.parametrize("error", [KeyError, KeyboardInterrupt])
     def test_caller_exception_in_a_fit_kills_and_reaps_the_children(
@@ -1122,6 +1183,7 @@ class TestRowRangePool:
         assert time.perf_counter() - t0 < 30
         assert len(forks) == 2
         assert_no_children_left()
+        assert_pool_closed(tensor)
 
     def test_child_dying_between_mode_solves_is_a_child_process_error(self):
         _, tensor = generate_dataset(ACCEPTANCE)
@@ -1173,45 +1235,52 @@ class TestRowRangePool:
         assert open_fds() == before
         assert_no_children_left()
 
-    @pytest.mark.parametrize("name, method", [
-        ("partition_variables", "pdnr"),
-        ("armijo_projected_search", "pdnr"),
-        ("damped_newton_direction", "pdnr"),
-        ("multiplicative_step", "pqnr"),
-        ("LbfgsStore.direction", "pqnr"),
-    ])
+    @pytest.fixture(scope="class")
+    def serial_site_calls(self):
+        """A small tensor, and per method the one-sweep fit's calls of
+        each site in ``ROW_SITES`` on one CPU, every site spied at once,
+        and the fit's bytes."""
+        _, tensor = generate_dataset(GenConfig(dims=(60, 6, 6), rank=3,
+                                               samples=600, seed=3))
+        serial = {}
+        for method in METHODS:
+            calls = collections.Counter()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sparse_tensor, "_allowed_cpus", lambda: 1)
+                for name, owner, attr in ROW_SITES:
+                    mp.setattr(owner, attr, spy(
+                        owner.__dict__[attr],
+                        functools.partial(calls.update, [name])))
+                result = fit(tensor, FitConfig(method, 3, outer_max=1))
+            serial[method] = calls, fit_bytes(result)
+        return tensor, serial
+
+    @pytest.mark.parametrize("name, owner, attr", ROW_SITES,
+                             ids=[name for name, _, _ in ROW_SITES])
     def test_wrapped_row_solver_names_keep_every_call_in_this_process(
-            self, name, method):
-        # The row solves look these up in row_solver by name, and a tracer
-        # wraps each: a wrapper sees every call, even on a pool that already
-        # has children.  partition_variables runs once per inner iteration.
-        _, tensor = generate_dataset(GenConfig(dims=(600, 8, 8), rank=3,
-                                               samples=6000, seed=3))
-        model = init_model(tensor.shape, 3, seed=0)
-        owner, attr = ((row_solver.LbfgsStore, "direction")
-                       if name == "LbfgsStore.direction"
-                       else (row_solver, name))
-        pids = []
-
-        def spy(fn):
-            def wrapped(*args):
-                pids.append(os.getpid())
-                return fn(*args)
-            return wrapped
-
-        with pytest.MonkeyPatch.context() as mp:
-            split_rows(mp, 2)
-            forks = count_forks(mp)
-            with sparse_tensor.RowRangePool(tensor):
-                plain, plain_report = solve_mode(tensor, model, 1,
-                                                 method=method)
-                assert len(forks) == 1
-                mp.setattr(owner, attr, spy(getattr(owner, attr)))
-                spied, report = solve_mode(tensor, model, 1, method=method)
-        assert len(forks) == 1
-        assert report == plain_report
-        assert_models_equal(spied, plain)
-        assert set(pids) <= {os.getpid()}
-        if name == "partition_variables":
-            assert len(pids) == report.inner_iterations > 0
-        assert_no_children_left()
+            self, serial_site_calls, name, owner, attr):
+        # The benchmark's tracer wraps each of these names.  On pools that
+        # already have a child, with every mode split, a spy on one of them
+        # sees as many calls as on one CPU, all in this process, in each
+        # fit that calls it: a name the row solves call that their calls=
+        # misses loses the calls made in the child.
+        tensor, serial = serial_site_calls
+        methods = [m for m in METHODS if serial[m][0][name]]
+        assert methods
+        for method in methods:
+            pids = []
+            with pytest.MonkeyPatch.context() as mp:
+                split_rows(mp, 2)
+                forks = count_forks(mp)
+                mp.setattr(driver, "RowRangePool", ForkedPool)
+                mp.setattr(sparse_tensor, "RowRangePool", ForkedPool)
+                mp.setattr(owner, attr, spy(
+                    owner.__dict__[attr],
+                    lambda: pids.append(os.getpid())))
+                result = fit(tensor, FitConfig(method, 3, outer_max=1))
+            assert forks, method
+            assert set(pids) == {os.getpid()}, method
+            assert len(pids) == serial[method][0][name], method
+            assert fit_bytes(result) == serial[method][1], method
+            assert_no_children_left()
+            assert tensor._pool is None
